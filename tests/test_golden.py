@@ -1,0 +1,98 @@
+"""Byte identity of a fixed CLI command set.
+
+Each command runs through kuni.cli.main in a fresh directory with relative
+paths, so the run manifests inside the JSON documents are stable.  The test
+pins the sha256 of every command's exit code and stdout, and of every file
+the commands write.  A refactor that keeps behaviour keeps these digests.
+"""
+
+import hashlib
+from pathlib import Path
+
+from kuni.cli import main
+
+COMMANDS = [
+    ("codes", "mds", "--n", "7", "--k", "4", "--q", "8", "-o", "c8.txt"),
+    ("codes", "check", "c8.txt", "--method", "columns", "--json"),
+    ("codes", "check", "c8.txt", "--method", "submatrix", "--json"),
+    ("codes", "mds", "--n", "6", "--k", "3", "--q", "7", "-o", "c7.txt"),
+    ("codes", "distance", "c7.txt", "--method", "rank"),
+    ("construct", "from-code", "--code", "c8.txt", "-o", "code8.state"),
+    ("construct", "clq", "--n", "5", "--k", "2", "--q", "5", "--seed-state", "ghz",
+     "-o", "clq5.state"),
+    ("construct", "clq", "--code", "c7.txt", "--variant", "dual", "--seed-state", "ghz",
+     "-o", "clq7dual.state"),
+    ("construct", "builtin", "--name", "ame_5_q", "--q", "3", "-o", "ame53.state"),
+    ("construct", "builtin", "--name", "ame_7_4", "-o", "ame74.state"),
+    ("decompose", "--q", "7", "--emit-g", "g7.txt", "--emit-q", "q7.txt", "--json"),
+    ("construct", "clq-rep", "--g", "g7.txt", "--q-matrix", "q7.txt", "-o", "rep7.state"),
+    ("certify", "--g", "g7.txt", "--q-matrix", "q7.txt", "--json"),
+    ("verify", "ame53.state", "--json"),
+]
+
+GOLDEN_COMMANDS = {
+    "codes mds --n 7 --k 4 --q 8 -o c8.txt":
+        "82294f195ec94d6c093fc8bdeb04a8afa1ef3e3c42a3de1cf7d2046731251476",
+    "codes check c8.txt --method columns --json":
+        "ddfb1aa975f5e43ced5e15c6bf621706be051d79cb3e037c1560b75fa7b97260",
+    "codes check c8.txt --method submatrix --json":
+        "9787dcbcfdea76c06e8fd01b9fc70208d4f818b2c676758ac0702e82c3f78a8a",
+    "codes mds --n 6 --k 3 --q 7 -o c7.txt":
+        "d64c57e5327de708f490b85a5efad5a598e0639100aa947b8d442011980d664d",
+    "codes distance c7.txt --method rank":
+        "03518bdce5fc9ce57e5ae06345bf5f5dae7fb8344920c91ec675c31bf54c4ee9",
+    "construct from-code --code c8.txt -o code8.state":
+        "e6a6e3d87f4f2b468230008410627392a42dc647d92a90560ac62623dcfd9e40",
+    "construct clq --n 5 --k 2 --q 5 --seed-state ghz -o clq5.state":
+        "185f96d415272dc6fbccade626053af2cf103a01e5c435192ed18fea4d068175",
+    "construct clq --code c7.txt --variant dual --seed-state ghz -o clq7dual.state":
+        "bdae18bd68c644df5af058f87a855a1a869ca24cb8b82617dd4a9624e500c24a",
+    "construct builtin --name ame_5_q --q 3 -o ame53.state":
+        "a8a540fe572a1c4266a58eb72946dd85830a4c08c658056eaef051de8004639a",
+    "construct builtin --name ame_7_4 -o ame74.state":
+        "66376358f61d79a1528dbb3f36c683ec31f0bf9588c70317ae8d7650019bf18d",
+    "decompose --q 7 --emit-g g7.txt --emit-q q7.txt --json":
+        "d80d5da7d8ef48ef769166d616c26bcc27af3e27b644206be1f60596582c9a06",
+    "construct clq-rep --g g7.txt --q-matrix q7.txt -o rep7.state":
+        "e540703a4a0a1ae7c3c703d42f7d65094fe775f445d9574b58e81f5b6894fdb7",
+    "certify --g g7.txt --q-matrix q7.txt --json":
+        "566efb1a36462fe970009bd1054003e546aa97d133300f093ecd658755db3ef5",
+    "verify ame53.state --json":
+        "056244ee8b94b2b8a3955422d92d25341d793b9b4e22d6431472d1ee49091537",
+}
+
+GOLDEN_FILES = {
+    "ame53.state": "d40c19e6b23822ef4acea6a112559940292b498bfeff7add32a57170cf25a3e6",
+    "ame74.state": "d35ca2155537626b7dc10d55fa6e12a09f2c620c7071cedd8e13d4a694c0a2eb",
+    "c7.txt": "91a6978b9bd5e269bb0824d80f17fec3d57c81b9fd5a7a9da5b195dfe42e3e43",
+    "c8.txt": "814ece10969aacc16e6f3e919605430080aad988e8db600a4fec042f9f26a9d9",
+    "clq5.state": "68ad1fd867b1af7a15eb362f7276f122a848334fee38da3a0ed428da7bc115d2",
+    "clq7dual.state": "63d7e66c54bdeff1c0f1a310d176f5e9e552aed84c4e7065d244e1483e8d81fb",
+    "code8.state": "5d3a921e2738fe701e08de49e0ecf2439ba25634daec9553abcf885acb9a81fd",
+    "g7.txt": "a3a72549f7f25fa878bbb3fec751cefa0adc209a8ef37166ba257a610450657f",
+    "q7.txt": "cf41e53916b274e331e64b0bc20dafe298c3d10cf3b329b7f0b97c7d5b0ab957",
+    "rep7.state": "229e09cc246cf7ee58d578e465605cb98e3cb8c49dd22fe433febdfb9eb3f039",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_commands(capsys):
+    """(digest per command line, digest per file written) in the cwd."""
+    commands = {}
+    for argv in COMMANDS:
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        commands[" ".join(argv)] = _sha(f"{code}\n{out}".encode())
+    files = {p.name: _sha(p.read_bytes()) for p in sorted(Path().iterdir())}
+    return commands, files
+
+
+def test_golden_cli_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KUNI_MAX_TERMS", raising=False)  # the cap is in every manifest
+    commands, files = run_commands(capsys)
+    assert commands == GOLDEN_COMMANDS
+    assert files == GOLDEN_FILES

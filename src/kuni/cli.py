@@ -148,20 +148,23 @@ def cmd_verify(args) -> int:
         "first_failure": report.first_failure,
         "support": state.support,
     }
+    reached = args.k_max if args.k_max is not None else report.n // 2
+    if report.max_verified_k < min(reached, report.n // 2):
+        exit_code, verdict = EXIT_REFUTED, "refuted"
+    elif report.certifying:
+        exit_code, verdict = EXIT_OK, "certified"
+    else:
+        exit_code, verdict = EXIT_SAMPLED, "sampled (non-certifying)"
     if args.json:
         _emit_json({"manifest": _manifest(args, [args.state]), "uniformity": result})
     else:
-        label = "certified" if report.certifying else "sampled (non-certifying)"
-        print(f"uniformity k = {report.max_verified_k} [{label}] "
+        print(f"uniformity k = {report.max_verified_k} [{verdict}] "
               f"for {report.n}-party state over GF({report.q})")
         for size, (checked, passed) in sorted(report.tallies.items()):
             print(f"  |S| = {size}: {passed}/{checked} subsets maximally mixed")
         if report.first_failure:
             print(f"  first failure: {report.first_failure}")
-    reached = args.k_max if args.k_max is not None else report.n // 2
-    if report.max_verified_k < min(reached, report.n // 2):
-        return EXIT_REFUTED
-    return EXIT_OK if report.certifying else EXIT_SAMPLED
+    return exit_code
 
 
 # --- certify ----------------------------------------------------------------
@@ -446,6 +449,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     args._command_line = ["kuni"] + argv
     try:
+        max_terms()  # an invalid KUNI_MAX_TERMS is a usage error for every command
         return args.func(args)
     except KuniError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ records its column permutation so callers can undo it.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 from .errors import (
@@ -24,6 +23,7 @@ from .field import (
     FieldSpec,
     matrix_rank,
     matrix_rref,
+    null_space,
     primitive_element,
     rank_of_rows,
 )
@@ -45,7 +45,6 @@ class LinearCode:
         self.n = G.cols
         self.k = G.rows
         self._distance = None
-        self._distance_lock = threading.Lock()
 
     @property
     def q(self) -> int:
@@ -56,13 +55,10 @@ class LinearCode:
         return self._distance
 
     def _set_distance(self, d: int):
-        with self._distance_lock:
-            if self._distance is None:
-                self._distance = d
-            elif self._distance != d:
-                raise AssertionError(
-                    f"conflicting distances {self._distance} and {d}"
-                )
+        if self._distance is None:
+            self._distance = d
+        elif self._distance != d:
+            raise AssertionError(f"conflicting distances {self._distance} and {d}")
 
     def codeword_set(self) -> frozenset:
         return frozenset(enumerate_codewords(self))
@@ -95,38 +91,30 @@ def standard_form(code: LinearCode):
 
 
 def dual_code(code: LinearCode) -> LinearCode:
-    """[n, n-k] code orthogonal to every codeword of the input."""
-    std, perm = standard_form(code)
-    sp = code.spec
-    k, n = code.k, code.n
-    A = std.G.select_columns(range(k, n))
-    negAT = FFMatrix(sp, [[sp.neg(A.data[r][c]) for r in range(k)] for c in range(n - k)])
-    H = negAT.hstack(FFMatrix.identity(sp, n - k))
-    # undo the column permutation: column perm[i] of the original sits at i
-    inv = [0] * n
-    for i, c in enumerate(perm):
-        inv[c] = i
-    H_orig = H.select_columns(inv)
-    return LinearCode(H_orig, _skip_rank_check=True)
+    """[n, n-k] code orthogonal to every codeword of the input: the null space
+    of G, i.e. [-A^T | I] for the standard form [I | A], columns restored."""
+    return LinearCode(null_space(code.G), _skip_rank_check=True)
 
 
 def enumerate_codewords(code: LinearCode):
-    """All q^k codewords, lexicographic in the message vector."""
+    """All q^k codewords, lexicographic in the message vector.  Incremental:
+    words that share a message prefix share its partial sum, and each row's
+    q multiples are tabled, so each word costs one vector addition."""
     if code.q ** code.k > MAX_ENUM_CODEWORDS:
         raise TooLarge(f"q^k = {code.q}^{code.k} exceeds enumeration cap")
     sp = code.spec
-    rows = [code.G.row(r) for r in range(code.k)]
-    n = code.n
-    add, mul = sp.add, sp.mul
-    # incremental: maintain partial sums per message prefix via product order
-    for v in itertools.product(range(code.q), repeat=code.k):
-        acc = [0] * n
-        for vi, row in zip(v, rows):
-            if vi:
-                for c, g in enumerate(row):
-                    if g:
-                        acc[c] = add(acc[c], mul(vi, g))
-        yield tuple(acc)
+    add = sp.add
+    multiples = [[tuple(sp.mul(a, g) for g in row) for a in range(code.q)]
+                 for row in code.G.data]
+
+    def extend(partial, r):
+        if r == code.k:
+            yield partial
+            return
+        for m in multiples[r]:
+            yield from extend(tuple(map(add, partial, m)), r + 1)
+
+    yield from extend((0,) * code.n, 0)
 
 
 def _min_weight_brute(code: LinearCode) -> int:
@@ -302,24 +290,12 @@ def puncture(code: LinearCode, coord: int) -> LinearCode:
 def shorten(code: LinearCode, coord: int) -> LinearCode:
     """Subcode of codewords vanishing at `coord`, with that coordinate deleted."""
     sp = code.spec
-    # row-reduce so at most one generator row is nonzero at coord
-    data = [row[:] for row in code.G.data]
-    pivot_row = None
-    for r in range(code.k):
-        if data[r][coord]:
-            if pivot_row is None:
-                pivot_row = r
-                inv = sp.inv(data[r][coord])
-                data[r] = [sp.mul(inv, x) for x in data[r]]
-            else:
-                f = data[r][coord]
-                data[r] = [sp.sub(a, sp.mul(f, b)) for a, b in zip(data[r], data[pivot_row])]
-    if pivot_row is None:
+    messages = null_space(FFMatrix(sp, [code.G.col(coord)]))
+    if messages.rows == code.k:
         raise DegenerateCoordinate(f"every codeword is already 0 at coordinate {coord}")
-    rows = [row for r, row in enumerate(data) if r != pivot_row]
     cols = [c for c in range(code.n) if c != coord]
-    G = FFMatrix(sp, [[row[c] for c in cols] for row in rows])
-    return LinearCode(G)
+    G = FFMatrix(sp, [code.G.row_vector_mul(v) for v in messages.data])
+    return LinearCode(G.select_columns(cols))
 
 
 def mds_exists(n: int, k: int, q: int) -> bool:

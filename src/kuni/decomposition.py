@@ -27,7 +27,7 @@ from .errors import (
     OutOfRange,
     TooLarge,
 )
-from .field import FFMatrix, FieldSpec, make_field, matrix_rank, rank_of_rows
+from .field import FFMatrix, FieldSpec, matrix_rank, null_space, rank_of_rows
 
 MAX_EXPLICIT_CODEWORDS = 10 ** 6
 
@@ -52,15 +52,7 @@ class QMatrix:
 
     def label(self, v) -> tuple:
         """(alpha, beta) = vQ for a message vector of int reprs."""
-        sp = self.spec
-        alpha = beta = 0
-        for vi, a, b in zip(v, self.q1, self.q2):
-            if vi:
-                if a:
-                    alpha = sp.add(alpha, sp.mul(vi, a))
-                if b:
-                    beta = sp.add(beta, sp.mul(vi, b))
-        return alpha, beta
+        return self.as_matrix().row_vector_mul(v)
 
 
 @dataclass
@@ -74,37 +66,18 @@ class CosetDecomposition:
     certified: bool = False
 
 
-def _kernel_basis(Q: QMatrix):
-    """Basis (rows of int reprs) of {v : vQ = 0}."""
-    sp = Q.spec
-    k = Q.k
-    # solve v M = 0  <=>  M^T v^T = 0; nullspace via RREF of the 2 x k system
-    M = FFMatrix(sp, [list(Q.q1), list(Q.q2)])
-    from .field import matrix_rref
-
-    rref, rank, pivots = matrix_rref(M)
-    free = [c for c in range(k) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [0] * k
-        v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = sp.neg(rref.data[r][f])
-        basis.append(tuple(v))
-    return basis
-
-
 def kernel_subcode(G: FFMatrix, Q: QMatrix) -> LinearCode:
     """The [n, k-2] code {vG : vQ = 0}."""
     k = G.rows
     if Q.k != k:
         raise BadKernelDimension(f"Q has {Q.k} rows but G has {k}")
-    basis = _kernel_basis(Q)
-    if len(basis) != k - 2:
+    # {v : vQ = 0} is the null space of the 2 x k matrix with rows Q1, Q2
+    basis = null_space(FFMatrix(Q.spec, [Q.q1, Q.q2]))
+    if basis.rows != k - 2:
         raise BadKernelDimension(
-            f"kernel dimension {len(basis)} != k-2 = {k - 2} (rank(Q) = {Q.rank()})"
+            f"kernel dimension {basis.rows} != k-2 = {k - 2} (rank(Q) = {Q.rank()})"
         )
-    rows = [G.row_vector_mul(v) for v in basis]
+    rows = [G.row_vector_mul(v) for v in basis.data]
     return LinearCode(FFMatrix(G.spec, rows))
 
 
@@ -112,15 +85,17 @@ def coset_partition(G: FFMatrix, Q: QMatrix, explicit: bool = True) -> CosetDeco
     """Assign each message v the label vQ; explicit mode materializes all cosets."""
     sub = kernel_subcode(G, Q)  # validates kernel dimension
     parent = LinearCode(G)
-    q, k = G.spec.q, G.rows
+    q, k, n = G.spec.q, G.rows, G.cols
     labels = None
     if explicit:
         if q ** k > MAX_EXPLICIT_CODEWORDS:
             raise TooLarge(f"q^k = {q}^{k} exceeds explicit-partition cap")
         labels = {}
-        for v in itertools.product(range(q), repeat=k):
-            cw = G.row_vector_mul(v)
-            labels.setdefault(Q.label(v), []).append(cw)
+        # each word of [G | Q] is a codeword vG followed by its label vQ;
+        # G has full row rank (checked above), so [G | Q] has too
+        GQ = LinearCode(G.hstack(Q.as_matrix()), _skip_rank_check=True)
+        for word in enumerate_codewords(GQ):
+            labels.setdefault(word[n:], []).append(word[:n])
     return CosetDecomposition(parent, sub, Q, labels)
 
 

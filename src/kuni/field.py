@@ -114,13 +114,15 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int, modulus=None):
-        if not _is_prime(p):
-            raise NonPrimeP(f"p={p} is not prime")
         if m < 1:
             raise UnsupportedSize(f"extension degree m={m} must be >= 1")
+        # before p ** m and the trial-division primality test, so a huge p or
+        # m read from a file fails fast
+        if p > MAX_FIELD_ORDER or m >= MAX_FIELD_ORDER.bit_length() or p ** m > MAX_FIELD_ORDER:
+            raise UnsupportedSize(f"q={p}^{m} exceeds cap {MAX_FIELD_ORDER}")
+        if not _is_prime(p):
+            raise NonPrimeP(f"p={p} is not prime")
         q = p ** m
-        if q > MAX_FIELD_ORDER:
-            raise UnsupportedSize(f"q={q} exceeds cap {MAX_FIELD_ORDER}")
         if m == 1:
             modulus = (0, 1) if modulus is None else tuple(int(c) % p for c in modulus)
         else:
@@ -273,6 +275,8 @@ def make_field(p: int, m: int = 1, modulus=None) -> FieldSpec:
 @lru_cache(maxsize=None)
 def gf(q: int) -> FieldSpec:
     """GF(q) with the default modulus, for q a prime power."""
+    if q > MAX_FIELD_ORDER:  # before trial factoring, which is linear in q
+        raise UnsupportedSize(f"q={q} exceeds cap {MAX_FIELD_ORDER}")
     p, m = _factor_prime_power(q)
     return FieldSpec(p, m)
 
@@ -358,13 +362,8 @@ def element_op(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
 
 def primitive_element(spec: FieldSpec) -> FieldElement:
     """Least-repr generator of the multiplicative group of the field."""
-    target = spec.q - 1
     for r in range(1, spec.q):
-        x, order = r, 1
-        while x != 1:
-            x = spec.mul(x, r)
-            order += 1
-        if order == target:
+        if multiplicative_order(spec, r) == spec.q - 1:
             return FieldElement(spec, r)
     raise AssertionError("no primitive element found (unreachable for a field)")
 
@@ -441,13 +440,7 @@ class FFMatrix:
             raise SpecMismatch("matmul spec mismatch")
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
-        sp = self.spec
-        ocols = [other.col(c) for c in range(other.cols)]
-        out = []
-        for r in range(self.rows):
-            row = self.data[r]
-            out.append([_dot(sp, row, col) for col in ocols])
-        return FFMatrix(sp, out)
+        return FFMatrix(self.spec, [other.row_vector_mul(row) for row in self.data])
 
     def row_vector_mul(self, v) -> tuple:
         """v (length rows, int reprs) times this matrix; returns int reprs."""
@@ -461,19 +454,13 @@ class FFMatrix:
         return tuple(acc)
 
 
-def _dot(spec: FieldSpec, u, v) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = spec.add(acc, spec.mul(a, b))
-    return acc
-
-
 def _rref_data(spec: FieldSpec, data):
-    """In-place RREF of a list-of-lists of int reprs; returns pivot columns."""
+    """In-place RREF of a list-of-lists of int reprs; returns (pivot columns,
+    det), det being the product of the pivots times the sign of the row swaps."""
     rows = len(data)
     cols = len(data[0]) if rows else 0
     pivots = []
+    det = 1
     r = 0
     for c in range(cols):
         if r == rows:
@@ -481,8 +468,11 @@ def _rref_data(spec: FieldSpec, data):
         pr = next((i for i in range(r, rows) if data[i][c]), None)
         if pr is None:
             continue
-        data[r], data[pr] = data[pr], data[r]
+        if pr != r:
+            data[r], data[pr] = data[pr], data[r]
+            det = spec.neg(det)
         piv = data[r][c]
+        det = spec.mul(det, piv)
         if piv != 1:
             inv = spec.inv(piv)
             data[r] = [spec.mul(inv, x) for x in data[r]]
@@ -498,48 +488,47 @@ def _rref_data(spec: FieldSpec, data):
                     data[i] = [spec.sub(a, spec.mul(f, b)) for a, b in zip(irow, prow)]
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, det
 
 
 def matrix_rref(M: FFMatrix):
     """Reduced row-echelon form; returns (rref, rank, pivot columns)."""
     data = [row[:] for row in M.data]
-    pivots = _rref_data(M.spec, data)
+    pivots, _ = _rref_data(M.spec, data)
     return FFMatrix(M.spec, data), len(pivots), pivots
 
 
 def matrix_rank(M: FFMatrix) -> int:
     data = [row[:] for row in M.data]
-    return len(_rref_data(M.spec, data))
+    return len(_rref_data(M.spec, data)[0])
 
 
 def matrix_det_inv(M: FFMatrix):
-    """Determinant and (when nonsingular) inverse of a square matrix."""
+    """Determinant and (when nonsingular) inverse of a square M, from RREF [M | I]."""
     if M.rows != M.cols:
         raise NotSquare(f"{M.rows}x{M.cols} matrix")
+    sp, n = M.spec, M.rows
+    data = M.hstack(FFMatrix.identity(sp, n)).data
+    pivots, det = _rref_data(sp, data)
+    if pivots != list(range(n)):  # a pivot in the I block: M is singular
+        return sp.zero(), None
+    return FieldElement(sp, det), FFMatrix(sp, [row[n:] for row in data])
+
+
+def null_space(M: FFMatrix) -> FFMatrix:
+    """Basis of {x : M x^T = 0}, one row per non-pivot column f of the RREF R:
+    x_f = 1, x_c = -R[r][f] at the pivot column c of row r, 0 elsewhere."""
     sp = M.spec
-    n = M.rows
-    data = [row[:] + ident_row for row, ident_row in
-            zip(M.data, FFMatrix.identity(sp, n).data)]
-    det = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if data[i][c]), None)
-        if pr is None:
-            return sp.zero(), None
-        if pr != c:
-            data[c], data[pr] = data[pr], data[c]
-            det = sp.neg(det)
-        piv = data[c][c]
-        det = sp.mul(det, piv)
-        inv = sp.inv(piv)
-        data[c] = [sp.mul(inv, x) for x in data[c]]
-        prow = data[c]
-        for i in range(n):
-            if i != c and data[i][c]:
-                f = data[i][c]
-                data[i] = [sp.sub(a, sp.mul(f, b)) for a, b in zip(data[i], prow)]
-    inverse = FFMatrix(sp, [row[n:] for row in data])
-    return FieldElement(sp, det), inverse
+    R, _, pivots = matrix_rref(M)
+    basis = []
+    for f in range(M.cols):
+        if f not in pivots:
+            x = [0] * M.cols
+            x[f] = 1
+            for r, c in enumerate(pivots):
+                x[c] = sp.neg(R.data[r][f])
+            basis.append(x)
+    return FFMatrix(sp, basis)
 
 
 def rank_of_rows(spec: FieldSpec, rows) -> int:
@@ -551,10 +540,14 @@ def rank_of_rows(spec: FieldSpec, rows) -> int:
     if spec.m == 1:
         return _rank_prime(spec.p, spec._inv_table, [list(r) for r in rows])
     data = [list(r) for r in rows]
-    return len(_rref_data(spec, data))
+    return len(_rref_data(spec, data)[0])
 
 
 def _rank_prime(p: int, inv_table, data) -> int:
+    # The one elimination kept apart from _rref_data: forward-only (no
+    # back-substitution, no determinant) on integers mod p.  It is about 92%
+    # of the self time of an AME certificate, and a full RREF would roughly
+    # double its work.
     rows = len(data)
     cols = len(data[0]) if rows else 0
     rank = 0
@@ -602,12 +595,17 @@ def parse_matrix(text: str) -> FFMatrix:
         rows, cols, p, m = (int(x) for x in lines[0].split())
     except ValueError as exc:
         raise FormatError(f"bad matrix header: {lines[0]!r}") from exc
+    if rows < 0 or cols < 0:
+        raise FormatError(f"negative matrix size in header: {lines[0]!r}")
     if len(lines) != rows + 1:
         raise FormatError(f"expected {rows} matrix rows, got {len(lines) - 1}")
     spec = make_field(p, m)
     data = []
     for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
+        try:
+            row = [int(x) for x in ln.split()]
+        except ValueError as exc:
+            raise FormatError(f"bad matrix row: {ln!r}") from exc
         if len(row) != cols:
             raise FormatError(f"expected {cols} entries per row, got {len(row)}")
         if any(x < 0 or x >= spec.q for x in row):

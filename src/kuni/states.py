@@ -22,6 +22,7 @@ from .decomposition import QMatrix, construct_G_Q, verify_decomposition
 from .errors import (
     CertificationMissing,
     FormatError,
+    KuniError,
     LayoutMismatch,
     ShapeMismatch,
     SizeMismatch,
@@ -36,11 +37,17 @@ DEFAULT_MAX_TERMS = 10 ** 7
 
 
 def max_terms() -> int:
-    """Materialization cap; KUNI_MAX_TERMS may raise it up to the hard limit."""
+    """Materialization cap; KUNI_MAX_TERMS (an integer >= 1) may set it up to the hard limit."""
     env = os.environ.get("KUNI_MAX_TERMS")
     if env is None:
         return DEFAULT_MAX_TERMS
-    return min(int(env), HARD_MAX_TERMS)
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise KuniError(f"KUNI_MAX_TERMS must be an integer >= 1, got {env!r}")
+    return min(cap, HARD_MAX_TERMS)
 
 
 class SparseState:
@@ -200,25 +207,13 @@ def cl_plus_q(code: LinearCode, quantum_seed: SparseState, variant: str = "direc
     # minimal-support seed from an [n_Q, r_Q] code this is r_Q, recovered as
     # log_q(support) when the seed is minimal
     zk = _z_block_size(quantum_seed)
-    sp = code.spec
     terms = {}
-    rows = [cl.G.row(r) for r in range(cl.k)]
-    for v in itertools.product(range(q), repeat=cl.k):
-        cw = _encode(sp, v, rows, cl.n)
+    messages = itertools.product(range(q), repeat=cl.k)
+    for v, cw in zip(messages, enumerate_codewords(cl)):
         basis_state = apply_weyl(quantum_seed, WeylWord.zx_split(nq, v, zk))
         for key, amp in basis_state.terms.items():
             terms[cw + key] = amp
-    return SparseState(cl.n + nq, sp, terms)
-
-
-def _encode(sp: FieldSpec, v, rows, n: int) -> tuple:
-    acc = [0] * n
-    for vi, row in zip(v, rows):
-        if vi:
-            for c, g in enumerate(row):
-                if g:
-                    acc[c] = sp.add(acc[c], sp.mul(vi, g))
-    return tuple(acc)
+    return SparseState(cl.n + nq, code.spec, terms)
 
 
 def _z_block_size(seed: SparseState) -> int:
@@ -268,11 +263,13 @@ def cl_plus_q_repetition(G: FFMatrix, Q: QMatrix, certified: bool = False) -> Sp
         raise TooLarge(f"q^k * q = {q}^{k} * {q} exceeds the term cap")
     terms = {}
     seed = bell_pair(sp)
-    for v in itertools.product(range(q), repeat=k):
-        cw = G.row_vector_mul(v)
-        alpha, beta = Q.label(v)
-        word = WeylWord(2, z=(((1, beta),) if beta else ()), x=(((0, alpha),) if alpha else ()))
-        for key, amp in apply_weyl(seed, word).terms.items():
+    # each word of [G | Q] is a codeword vG followed by its label vQ; G has
+    # full row rank (checked by verify_decomposition), so [G | Q] has too
+    GQ = LinearCode(G.hstack(Q.as_matrix()), _skip_rank_check=True)
+    for word in enumerate_codewords(GQ):
+        cw, (alpha, beta) = word[:n], word[n:]
+        weyl = WeylWord(2, z=(((1, beta),) if beta else ()), x=(((0, alpha),) if alpha else ()))
+        for key, amp in apply_weyl(seed, weyl).terms.items():
             terms[cw + key] = amp
     return SparseState(n + 2, sp, terms)
 
@@ -298,15 +295,11 @@ def local_fourier(state: SparseState, sites) -> SparseState:
 
 
 def ame_5_q(spec: FieldSpec) -> SparseState:
-    """sum_{l,m} |l, m, l+m> (x) X^l Z^m sum_r |r, r> over GF(q)."""
-    sp = spec
-    terms = {}
-    for l in range(sp.q):
-        for m in range(sp.q):
-            cl = (l, m, sp.add(l, m))
-            for key, amp in bell(sp, l, m).terms.items():
-                terms[cl + key] = amp
-    return SparseState(5, sp, terms)
+    """sum_{l,m} |l, m, l+m> (x) X^l Z^m sum_r |r, r> over GF(q): the repetition
+    construction with G = [[1,0,1],[0,1,1]] and Q = I, which passes the checks
+    for every q (the [3,2] parity code is MDS, the kernel is {0}, rank Q = 2)."""
+    G = FFMatrix(spec, [[1, 0, 1], [0, 1, 1]])
+    return cl_plus_q_repetition(G, QMatrix(spec, (1, 0), (0, 1)), certified=True)
 
 
 def ame_7_4() -> SparseState:
@@ -398,20 +391,30 @@ def parse_state(text: str) -> SparseState:
     if not lines or not lines[0].startswith("STATE"):
         raise FormatError("missing STATE header")
     parts = lines[0].split()
-    if len(parts) != 3:
+    try:
+        n, q = int(parts[1]), int(parts[2])
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"bad STATE header: {lines[0]!r}") from exc
+    if len(parts) != 3 or n < 1:
         raise FormatError(f"bad STATE header: {lines[0]!r}")
-    n, q = int(parts[1]), int(parts[2])
     spec = gf(q)
     terms = {}
     for ln in lines[1:]:
         if ":" not in ln:
             raise FormatError(f"bad term line: {ln!r}")
         left, right = ln.split(":", 1)
-        key = tuple(int(s) for s in left.split())
-        coeffs = [int(c) for c in right.split()]
+        try:
+            key = tuple(int(s) for s in left.split())
+            coeffs = [int(c) for c in right.split()]
+        except ValueError as exc:
+            raise FormatError(f"bad term line: {ln!r}") from exc
         if len(key) != n:
             raise FormatError(f"term has {len(key)} symbols, header says {n}")
+        if any(not 0 <= s < q for s in key):
+            raise FormatError(f"symbol out of range [0, {q}) in {ln!r}")
         if len(coeffs) != q:
             raise FormatError(f"term has {len(coeffs)} coefficients, expected {q}")
+        if key in terms:
+            raise FormatError(f"duplicate term {key}")
         terms[key] = Cyclotomic(q, coeffs)
     return SparseState(n, spec, terms)

@@ -76,6 +76,8 @@ def test_verify_refutes_ghz(tmp_path, capsys):
     state_path.write_text(format_state(ghz(4, gf(3))))
     code, out, _ = run(capsys, "verify", str(state_path))
     assert code == EXIT_REFUTED and "first failure" in out
+    # the label is the verdict, not the mode
+    assert "uniformity k = 1 [refuted]" in out and "certified" not in out
 
 
 def test_construct_builtin_state(tmp_path, capsys):
@@ -167,6 +169,36 @@ def test_usage_errors(tmp_path, capsys):
     bad = tmp_path / "bad.state"
     bad.write_text("garbage\n")
     assert run(capsys, "verify", str(bad))[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text", [
+    "STATE a 2\n",
+    "STATE 2 2147483647\n",
+    "STATE 2 2\n9 9 : 1 0\n",
+    "STATE 2 2\n0 0 : 1 0\n0 0 : 0 1\n",
+    "STATE 2 2\n0 x : 1 0\n",
+])
+def test_malformed_state_exits_usage(tmp_path, capsys, text):
+    bad = tmp_path / "bad.state"
+    bad.write_text(text)
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == EXIT_USAGE and err.startswith("error:")
+
+
+def test_malformed_matrix_exits_usage(tmp_path, capsys):
+    g_path, q_path = tmp_path / "g.txt", tmp_path / "q.txt"
+    g_path.write_text("2 3 3 1\n1 0 1\n1 x 1\n")
+    q_path.write_text("2 2 3 1\n1 0\n0 1\n")
+    code, _, err = run(capsys, "certify", "--g", str(g_path), "--q-matrix", str(q_path))
+    assert code == EXIT_USAGE and "bad matrix row" in err
+
+
+def test_invalid_term_cap_exits_usage(monkeypatch, tmp_path, capsys):
+    # ghz never reaches the cap, so main itself must validate it
+    monkeypatch.setenv("KUNI_MAX_TERMS", "abc")
+    code, _, err = run(capsys, "construct", "builtin", "--name", "ghz", "--n", "3",
+                       "--q", "2", "-o", str(tmp_path / "ghz.state"))
+    assert code == EXIT_USAGE and "KUNI_MAX_TERMS" in err
 
 
 def test_help_exits_cleanly(capsys):

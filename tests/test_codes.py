@@ -76,6 +76,10 @@ def test_enumerate_codewords_counts_and_order():
     assert cws[0] == (0, 0, 0)
     # lexicographic in the message, so the second word is 1 * (second row)
     assert cws[1] == (0, 1, 2)
+    # the incremental enumeration against encoding every message on its own
+    for code in (mds_from_singleton(5, 3, gf(4)), mds_from_singleton(6, 3, gf(5))):
+        messages = itertools.product(range(code.q), repeat=code.k)
+        assert list(enumerate_codewords(code)) == [code.G.row_vector_mul(v) for v in messages]
 
 
 def test_singleton_array_gf17_values():
@@ -184,6 +188,12 @@ def test_puncture_and_shorten_shapes():
     s = shorten(code, 0)
     assert (s.n, s.k) == (5, 2)
     assert min_distance(s) >= min_distance(code)
+    # shortening against the brute-force subcode, over a prime and an extension field
+    for code in (code, mds_from_singleton(6, 3, gf(8))):
+        words = code.codeword_set()
+        for c in range(code.n):
+            expected = {w[:c] + w[c + 1:] for w in words if w[c] == 0}
+            assert shorten(code, c).codeword_set() == expected
 
 
 def test_puncture_rank_drop():

@@ -1,5 +1,6 @@
 """Finite-field arithmetic: axioms, element wrappers, matrices."""
 
+import itertools
 import random
 
 import pytest
@@ -85,6 +86,8 @@ def test_make_field_rejects_bad_inputs():
         make_field(2, 2, modulus=(1, 0, 1))
     with pytest.raises(UnsupportedSize):
         make_field(2, 17)  # 2^17 > order cap
+    with pytest.raises(UnsupportedSize):
+        gf(2147483647)  # rejected before trial factoring
 
 
 def test_gf_rejects_non_prime_powers():
@@ -160,14 +163,28 @@ def test_rref_idempotent_and_rank():
             assert R2 == R and rank2 == rank
 
 
+def _leibniz_det(M):
+    """sum over permutations s of sign(s) * prod_i M[i][s(i)]."""
+    sp, n = M.spec, M.rows
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = sp.mul(term, M.data[i][j])
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        det = sp.add(det, sp.neg(term) if inversions % 2 else term)
+    return det
+
+
 def test_det_inv_roundtrip():
     rng = random.Random(7)
-    for q in (2, 3, 5, 7, 9):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         sp = gf(q)
         for _ in range(10):
             n = rng.randrange(1, 5)
             M = _random_matrix(rng, sp, n, n)
             det, inv = matrix_det_inv(M)
+            assert int(det) == _leibniz_det(M)
             if inv is None:
                 assert int(det) == 0
                 assert matrix_rank(M) < n
@@ -220,3 +237,12 @@ def test_parse_matrix_errors():
         parse_matrix("2 2 2 1\n0 1\n")  # missing row
     with pytest.raises(FormatError):
         parse_matrix("1 2 2 1\n5 0\n")  # entry out of range
+    with pytest.raises(FormatError):
+        parse_matrix("1 2 3 1\n1 x\n")  # non-integer entry
+    with pytest.raises(FormatError):
+        parse_matrix("-1 2 3 1\n")  # negative size
+    # a huge field order fails on the cap, before any primality test
+    with pytest.raises(UnsupportedSize):
+        parse_matrix("1 1 1000000000000000000000000000057 1\n0\n")
+    with pytest.raises(UnsupportedSize):
+        parse_matrix("1 1 2 1000000000\n0\n")

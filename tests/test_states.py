@@ -11,11 +11,13 @@ from kuni.decomposition import QMatrix, construct_G_Q
 from kuni.errors import (
     CertificationMissing,
     FormatError,
+    KuniError,
     LayoutMismatch,
     SizeMismatch,
     SpecMismatch,
     TooLarge,
     UnknownName,
+    UnsupportedSize,
 )
 from kuni.field import FFMatrix, gf
 from kuni.states import (
@@ -291,6 +293,10 @@ def test_term_cap_hard_limit(monkeypatch):
 
     monkeypatch.setenv("KUNI_MAX_TERMS", str(10 ** 12))
     assert max_terms() == HARD_MAX_TERMS
+    for bad in ("abc", "-5", "0", "", "1.5"):
+        monkeypatch.setenv("KUNI_MAX_TERMS", bad)
+        with pytest.raises(KuniError):
+            max_terms()
 
 
 def test_state_format_roundtrip():
@@ -310,3 +316,21 @@ def test_parse_state_errors():
         parse_state("STATE 2 2\n0 : 1 0\n")  # wrong arity
     with pytest.raises(FormatError):
         parse_state("STATE 2 2\n0 0 : 1\n")  # wrong coefficient count
+    with pytest.raises(FormatError):
+        parse_state("STATE a 2\n")  # non-integer header
+    with pytest.raises(FormatError):
+        parse_state("STATE 2\n")  # short header
+    with pytest.raises(FormatError):
+        parse_state("STATE 0 2\n")  # no parties
+    with pytest.raises(FormatError):
+        parse_state("STATE 2 2\n0 x : 1 0\n")  # non-integer symbol
+    with pytest.raises(FormatError):
+        parse_state("STATE 2 2\n0 0 : 1 y\n")  # non-integer coefficient
+    with pytest.raises(FormatError):
+        parse_state("STATE 2 2\n9 9 : 1 0\n")  # symbol outside GF(2)
+    with pytest.raises(FormatError):
+        parse_state("STATE 2 2\n0 -1 : 1 0\n")
+    with pytest.raises(FormatError):
+        parse_state("STATE 2 2\n0 0 : 1 0\n0 0 : 0 1\n")  # duplicate term
+    with pytest.raises(UnsupportedSize):
+        parse_state("STATE 2 2147483647\n")  # field order over the cap, fails fast

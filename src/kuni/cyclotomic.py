@@ -56,7 +56,7 @@ class Cyclotomic:
         if coeffs is None:
             self.coeffs = (0,) * order
         else:
-            coeffs = tuple(int(c) for c in coeffs)
+            coeffs = tuple(map(int, coeffs))
             if len(coeffs) != order:
                 raise ValueError(f"need {order} coefficients, got {len(coeffs)}")
             self.coeffs = coeffs
@@ -122,8 +122,11 @@ class Cyclotomic:
         return Cyclotomic(L, tuple(c[(-t) % L] for t in range(L)))
 
     def is_zero(self) -> bool:
-        if not any(self.coeffs):
-            return True
+        # c * w^t with c != 0 is a unit times c, never zero: only sums of two
+        # or more powers need the division by Phi_L
+        nonzero = self.order - self.coeffs.count(0)
+        if nonzero <= 1:
+            return nonzero == 0
         phi = cyclotomic_polynomial(self.order)
         _, rem = _poly_divmod_exact(self.coeffs, list(phi))
         return not rem

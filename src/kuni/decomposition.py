@@ -25,6 +25,7 @@ from .errors import (
     CertificationFailed,
     NotFound,
     OutOfRange,
+    SpecMismatch,
     TooLarge,
 )
 from .field import FFMatrix, FieldSpec, matrix_rank, null_space, rank_of_rows
@@ -66,8 +67,14 @@ class CosetDecomposition:
     certified: bool = False
 
 
+def _same_field(G: FFMatrix, Q: QMatrix) -> None:
+    if G.spec != Q.spec:
+        raise SpecMismatch(f"G is over {G.spec!r} but Q is over {Q.spec!r}")
+
+
 def kernel_subcode(G: FFMatrix, Q: QMatrix) -> LinearCode:
     """The [n, k-2] code {vG : vQ = 0}."""
+    _same_field(G, Q)
     k = G.rows
     if Q.k != k:
         raise BadKernelDimension(f"Q has {Q.k} rows but G has {k}")
@@ -78,7 +85,7 @@ def kernel_subcode(G: FFMatrix, Q: QMatrix) -> LinearCode:
             f"kernel dimension {basis.rows} != k-2 = {k - 2} (rank(Q) = {Q.rank()})"
         )
     rows = [G.row_vector_mul(v) for v in basis.data]
-    return LinearCode(FFMatrix(G.spec, rows))
+    return LinearCode(FFMatrix(G.spec, rows, G.cols))
 
 
 def coset_partition(G: FFMatrix, Q: QMatrix, explicit: bool = True) -> CosetDecomposition:
@@ -122,6 +129,7 @@ class DecompositionReport:
 
 def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
     """Check: parent MDS, kernel subcode MDS, rank(Q) = 2, labels onto GF(q)^2."""
+    _same_field(G, Q)  # before the parent checks, which would run for nothing
     parent = LinearCode(G)
     parent_cert = is_mds(parent, method="columns")
     q_rank = Q.rank()

@@ -381,11 +381,12 @@ def multiplicative_order(spec: FieldSpec, r: int) -> int:
 class FFMatrix:
     """Dense matrix over one FieldSpec; entries stored as integer reprs."""
 
-    def __init__(self, spec: FieldSpec, rows_data):
+    def __init__(self, spec: FieldSpec, rows_data, cols: int = 0):
+        """`cols` is the width of a matrix with no rows; rows set it otherwise."""
         self.spec = spec
         self.data = [list(int(x) for x in row) for row in rows_data]
         self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
+        self.cols = len(self.data[0]) if self.data else cols
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
@@ -399,7 +400,7 @@ class FFMatrix:
 
     @classmethod
     def zero(cls, spec: FieldSpec, rows: int, cols: int) -> "FFMatrix":
-        return cls(spec, [[0] * cols for _ in range(rows)])
+        return cls(spec, [[0] * cols for _ in range(rows)], cols)
 
     def __getitem__(self, rc):
         r, c = rc
@@ -415,6 +416,7 @@ class FFMatrix:
         return (
             isinstance(other, FFMatrix)
             and self.spec == other.spec
+            and self.cols == other.cols
             and self.data == other.data
         )
 
@@ -422,25 +424,27 @@ class FFMatrix:
         return f"FFMatrix({self.spec!r}, {self.data})"
 
     def copy(self) -> "FFMatrix":
-        return FFMatrix(self.spec, self.data)
+        return FFMatrix(self.spec, self.data, self.cols)
 
     def transpose(self) -> "FFMatrix":
-        return FFMatrix(self.spec, [self.col(c) for c in range(self.cols)])
+        return FFMatrix(self.spec, [self.col(c) for c in range(self.cols)], self.rows)
 
     def hstack(self, other: "FFMatrix") -> "FFMatrix":
         if self.spec != other.spec or self.rows != other.rows:
             raise SpecMismatch("hstack shape/spec mismatch")
-        return FFMatrix(self.spec, [self.data[r] + other.data[r] for r in range(self.rows)])
+        return FFMatrix(self.spec, [self.data[r] + other.data[r] for r in range(self.rows)],
+                        self.cols + other.cols)
 
     def select_columns(self, cols) -> "FFMatrix":
-        return FFMatrix(self.spec, [[self.data[r][c] for c in cols] for r in range(self.rows)])
+        return FFMatrix(self.spec, [[self.data[r][c] for c in cols] for r in range(self.rows)],
+                        len(cols))
 
     def matmul(self, other: "FFMatrix") -> "FFMatrix":
         if self.spec != other.spec:
             raise SpecMismatch("matmul spec mismatch")
         if self.cols != other.rows:
             raise ValueError("matmul shape mismatch")
-        return FFMatrix(self.spec, [other.row_vector_mul(row) for row in self.data])
+        return FFMatrix(self.spec, [other.row_vector_mul(row) for row in self.data], other.cols)
 
     def row_vector_mul(self, v) -> tuple:
         """v (length rows, int reprs) times this matrix; returns int reprs."""
@@ -528,7 +532,7 @@ def null_space(M: FFMatrix) -> FFMatrix:
             for r, c in enumerate(pivots):
                 x[c] = sp.neg(R.data[r][f])
             basis.append(x)
-    return FFMatrix(sp, basis)
+    return FFMatrix(sp, basis, M.cols)
 
 
 def rank_of_rows(spec: FieldSpec, rows) -> int:

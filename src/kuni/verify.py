@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random as _random
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
@@ -45,26 +46,50 @@ class ReducedDensity:
 
 
 def reduced_density(state: SparseState, subset) -> ReducedDensity:
-    """Trace out the complement of `subset` (sorted site indices)."""
+    """Trace out the complement of `subset` (sorted site indices).
+
+    Each amplitude is taken as its nonzero (exponent t, coefficient c) pairs,
+    so a product a * conj(b) adds c_a * c_b at phase (t_a - t_b) mod q of the
+    entry's integer vector.  Only the finished sums become Cyclotomic values,
+    each zero-tested once.
+    """
     S = tuple(sorted(subset))
     q = state.q
     if q ** len(S) > MAX_RHO_DIM:
         raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
     Sc = [i for i in range(state.n) if i not in set(S)]
+    row_of, group_of = _symbols_at(S), _symbols_at(Sc)
+    pairs_of = {}  # most states have only q distinct amplitudes
     groups = {}
     for key, amp in state.terms.items():
-        g = tuple(key[i] for i in Sc)
-        r = tuple(key[i] for i in S)
-        groups.setdefault(g, []).append((r, amp))
-    entries = {}
+        pairs = pairs_of.get(amp.coeffs)
+        if pairs is None:
+            pairs = pairs_of[amp.coeffs] = [(t, c) for t, c in enumerate(amp.coeffs) if c]
+        groups.setdefault(group_of(key), []).append((row_of(key), pairs))
+    sums = {}
     for members in groups.values():
-        for r, ar in members:
-            for c, ac in members:
-                v = ar * ac.conj()
-                prev = entries.get((r, c))
-                entries[(r, c)] = v if prev is None else prev + v
-    entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        for r, pr in members:
+            for c, pc in members:
+                vec = sums.get((r, c))
+                if vec is None:
+                    vec = sums[(r, c)] = [0] * q
+                for ta, ca in pr:
+                    for tb, cb in pc:
+                        vec[(ta - tb) % q] += ca * cb
+    entries = {}
+    for k, vec in sums.items():  # keep no zero entry alive beside the sums
+        v = Cyclotomic(q, vec)
+        if not v.is_zero():
+            entries[k] = v
     return ReducedDensity(S, q, entries)
+
+
+def _symbols_at(sites):
+    """key -> tuple of its symbols at `sites`; itemgetter alone gives a bare
+    symbol for one site."""
+    if len(sites) > 1:
+        return itemgetter(*sites)
+    return lambda key: tuple(key[i] for i in sites)
 
 
 def is_maximally_mixed(rho: ReducedDensity):

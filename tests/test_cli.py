@@ -193,6 +193,17 @@ def test_malformed_matrix_exits_usage(tmp_path, capsys):
     assert code == EXIT_USAGE and "bad matrix row" in err
 
 
+def test_certify_rejects_pair_over_two_fields(tmp_path, capsys):
+    # G over GF(5) with a GF(4) Q of matching height: a usage error, not a refutation
+    g_path, q_path = tmp_path / "g5.txt", tmp_path / "q4.txt"
+    run(capsys, "decompose", "--q", "5", "--emit-g", str(g_path))
+    q_path.write_text("3 2 2 2\n1 1\n1 0\n0 2\n")
+    for argv in (["certify"], ["construct", "clq-rep", "-o", str(tmp_path / "s.state")]):
+        code, out, err = run(capsys, *argv, "--g", str(g_path), "--q-matrix", str(q_path))
+        assert code == EXIT_USAGE and "FAILED" not in out
+        assert err.startswith("error:") and "GF(5)" in err and "GF(2^2)" in err
+
+
 def test_invalid_term_cap_exits_usage(monkeypatch, tmp_path, capsys):
     # ghz never reaches the cap, so main itself must validate it
     monkeypatch.setenv("KUNI_MAX_TERMS", "abc")

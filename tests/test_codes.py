@@ -176,6 +176,11 @@ def test_dual_code_orthogonality():
                 assert acc == 0
 
 
+def test_dual_of_full_length_code_keeps_n():
+    dual = dual_code(LinearCode(FFMatrix.identity(gf(5), 3)))
+    assert (dual.n, dual.k) == (3, 0) and repr(dual) == "[3,0]_5"
+
+
 def test_dual_of_dual_is_original():
     code = mds_from_singleton(5, 2, gf(4))
     assert code.codeword_set() == dual_code(dual_code(code)).codeword_set()

@@ -6,7 +6,7 @@ import random
 import mpmath
 import pytest
 
-from kuni.cyclotomic import Cyclotomic, cyc_op, cyclotomic_polynomial
+from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyc_op, cyclotomic_polynomial
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 17, 19]
 
@@ -100,6 +100,18 @@ def test_cyc_op_dispatch():
     assert cyc_op(a, b, "mul").equals(Cyclotomic.root(4, 1, 2))
     assert cyc_op(a, None, "conj_of_a").equals(a)
     assert cyc_op(Cyclotomic.zero(4), None, "is_zero_of_a") is True
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 6, 8, 9, 12])
+def test_monomials_are_never_zero(L):
+    # is_zero answers these without dividing by Phi_L; the division agrees
+    phi = list(cyclotomic_polynomial(L))
+    for c in (1, -1, 3, -3):
+        for t in range(L):
+            v = Cyclotomic.root(L, t, c)
+            assert not v.is_zero()
+            assert _poly_divmod_exact(v.coeffs, phi)[1]
+    assert Cyclotomic.zero(L).is_zero()
 
 
 @pytest.mark.parametrize("L", ORDERS)

@@ -22,6 +22,7 @@ from kuni.errors import (
     FormatError,
     NotFound,
     OutOfRange,
+    SpecMismatch,
 )
 from kuni.field import FFMatrix, gf
 
@@ -63,6 +64,23 @@ def test_kernel_subcode_dimensions():
     assert (sub.n, sub.k) == (5, 1)
     # kernel messages really map to the zero label
     assert is_mds(sub, method="columns").is_mds
+
+
+def test_kernel_subcode_of_k2_pair_keeps_its_length():
+    # k = 2 leaves the zero kernel; the [3, 0] code still has n = 3
+    sp = gf(5)
+    G = FFMatrix(sp, [[1, 0, 1], [0, 1, 1]])
+    sub = kernel_subcode(G, QMatrix(sp, (1, 0), (0, 1)))
+    assert (sub.n, sub.k) == (3, 0) and repr(sub) == "[3,0]_5"
+
+
+def test_pair_over_two_fields_rejected():
+    G, _ = construct_G_Q(gf(5))
+    Q = QMatrix(gf(4), (1, 1, 0), (1, 0, 2))
+    with pytest.raises(SpecMismatch):
+        kernel_subcode(G, Q)
+    with pytest.raises(SpecMismatch):
+        verify_decomposition(G, Q)
 
 
 def test_kernel_subcode_rejects_rank_deficient_q():

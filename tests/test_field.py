@@ -24,6 +24,7 @@ from kuni.field import (
     matrix_rank,
     matrix_rref,
     multiplicative_order,
+    null_space,
     parse_matrix,
     primitive_element,
     rank_of_rows,
@@ -207,6 +208,18 @@ def test_rank_of_rows_matches_matrix_rank():
             rows = [[rng.randrange(q) for _ in range(4)]
                     for _ in range(rng.randrange(1, 5))]
             assert rank_of_rows(sp, rows) == matrix_rank(FFMatrix(sp, rows))
+
+
+def test_null_space_of_full_rank_matrix_is_empty_and_keeps_width():
+    for q in (5, 8):
+        sp = gf(q)
+        N = null_space(FFMatrix.identity(sp, 3))
+        assert (N.rows, N.cols) == (0, 3) and N != FFMatrix(sp, [])
+        # the other row-building operations keep the width of a row-free matrix too
+        assert N.hstack(FFMatrix.zero(sp, 0, 2)).cols == 5
+        assert N.select_columns([0, 2]).cols == 2 and N.copy().cols == 3
+        assert N.matmul(FFMatrix.zero(sp, 3, 4)).cols == 4
+        assert N.transpose().rows == 3 and N.transpose().transpose().cols == 3
 
 
 def test_matrix_ops():

@@ -13,12 +13,17 @@ from kuni.errors import NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarg
 from kuni.field import FFMatrix, gf
 from kuni.states import (
     SparseState,
+    ame_5_q,
+    ame_7_4,
+    bell,
     bell_pair,
     cl_plus_q,
     ghz,
+    local_fourier,
     state_from_code,
 )
 from kuni.verify import (
+    ReducedDensity,
     certify_ame_via_codes,
     char_poly,
     gram_check,
@@ -31,13 +36,42 @@ from kuni.verify import (
 )
 
 
-def _random_state(rng, n, q, support):
+def _random_state(rng, n, q, support, powers=1):
+    """`powers` > 1 gives amplitudes that are sums of that many powers of w,
+    with coefficients in {-3, -2, 2, 3} (repeated powers add up)."""
     terms = {}
     while len(terms) < support:
         key = tuple(rng.randrange(q) for _ in range(n))
-        terms[key] = Cyclotomic.root(q, rng.randrange(q),
-                                     rng.choice([-2, -1, 1, 2]))
+        if powers == 1:
+            terms[key] = Cyclotomic.root(q, rng.randrange(q),
+                                         rng.choice([-2, -1, 1, 2]))
+        else:
+            coeffs = [0] * q
+            for _ in range(powers):
+                coeffs[rng.randrange(q)] += rng.choice([-3, -2, 2, 3])
+            terms[key] = Cyclotomic(q, coeffs)
     return SparseState(n, gf(q), terms)
+
+
+def _reference_reduced_density(state, subset):
+    """Product-by-product oracle: one Cyclotomic multiply, conjugate and add
+    per pair of amplitudes in a complement group.  Entries come in
+    first-occurrence order, zero entries dropped."""
+    S = tuple(sorted(subset))
+    Sc = [i for i in range(state.n) if i not in set(S)]
+    groups = {}
+    for key, amp in state.terms.items():
+        g = tuple(key[i] for i in Sc)
+        r = tuple(key[i] for i in S)
+        groups.setdefault(g, []).append((r, amp))
+    entries = {}
+    for members in groups.values():
+        for r, ar in members:
+            for c, ac in members:
+                v = ar * ac.conj()
+                prev = entries.get((r, c))
+                entries[(r, c)] = v if prev is None else prev + v
+    return {k: v for k, v in entries.items() if not v.is_zero()}
 
 
 def _dense_rho_oracle(state, subset):
@@ -71,6 +105,46 @@ def test_reduced_density_matches_dense_oracle():
             assert set(rho.entries) == set(oracle)
             for key, v in oracle.items():
                 assert rho.entry(*key).equals(v)
+
+
+def _oracle_states():
+    """(name, state, subsets): every subset up to n // 2 on the small states,
+    a seeded sample on the larger ones."""
+    rng = random.Random(41)
+
+    def all_subsets(s, top=None):
+        return [S for size in range(1, (top or s.n // 2) + 1)
+                for S in itertools.combinations(range(s.n), size)]
+
+    small = [(f"ame_5_{q}", ame_5_q(gf(q))) for q in (2, 3, 4, 5, 7)]
+    small += [("ghz", ghz(4, gf(3))), ("bell", bell(gf(5), 2, 3)),
+              ("cl_plus_q", cl_plus_q(mds_from_singleton(4, 2, gf(3)), bell_pair(gf(3)))),
+              ("local_fourier", local_fourier(_random_state(rng, 4, 4, 40), [0, 2])),
+              ("random", _random_state(rng, 5, 3, 30)),
+              ("random_multi", _random_state(rng, 5, 4, 30, powers=3)),
+              ("ame_7_4", ame_7_4())]
+    out = [(name, s, all_subsets(s)) for name, s in small]
+    big_clq = cl_plus_q(mds_from_singleton(7, 3, gf(7)), ghz(3, gf(7)))
+    # |S| <= 3: the 7^|S| x 7^|S| matrix cap stops larger reductions of this state
+    out.append(("cl_plus_q_10", big_clq, sorted(rng.sample(all_subsets(big_clq, 3), 12))))
+    return out
+
+
+def test_reduced_density_matches_product_by_product_oracle():
+    seen_multi = set()
+    for name, s, subsets in _oracle_states():
+        if any(len(amp.coeffs) - amp.coeffs.count(0) > 1 for amp in s.terms.values()):
+            seen_multi.add(name)
+        for S in subsets:
+            rho = reduced_density(s, S)
+            ref = _reference_reduced_density(s, S)
+            assert list(rho.entries) == list(ref), (name, S)  # same keys, same order
+            for key, v in ref.items():
+                assert rho.entries[key].coeffs == v.coeffs, (name, S, key)
+            assert is_maximally_mixed(rho) == is_maximally_mixed(
+                ReducedDensity(rho.subset, s.q, ref)), (name, S)
+    # the multi-term amplitudes really are exercised
+    assert {"local_fourier", "random_multi"} <= seen_multi
 
 
 def test_reduced_density_is_hermitian_with_real_trace():

@@ -37,7 +37,7 @@ from .states import (
     max_terms,
     parse_state,
 )
-from .verify import certify_ame_via_codes, uniformity
+from .verify import CertificateReport, certify_ame_via_codes, uniformity
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -203,13 +203,15 @@ def cmd_decompose(args) -> int:
     if args.search:
         G, _ = construct_G_Q(spec)
         Q = search_Q(G, budget=args.budget, seed=args.seed)
+        cert = certify_ame_via_codes(G, Q)
     else:
-        G, Q = construct_G_Q(spec)
+        # the construction has verified its own pair; certify from that report
+        G, Q, report = construct_G_Q(spec, with_report=True)
+        cert = CertificateReport.of(G, report)
     if args.emit_g:
         open(args.emit_g, "w").write(format_matrix(G))
     if args.emit_q:
         open(args.emit_q, "w").write(format_qmatrix(Q))
-    cert = certify_ame_via_codes(G, Q)
     result = {
         "q": args.q,
         "claim": cert.claim,

@@ -128,21 +128,16 @@ def _min_weight_brute(code: LinearCode) -> int:
 
 def _min_distance_rank(code: LinearCode) -> int:
     """Minimum distance as the smallest number of dependent parity-check columns."""
-    H = dual_code(code).G
-    sp = code.spec
-    cols = [H.col(c) for c in range(H.cols)]
     nk = code.n - code.k
-    # fast path: if every (n-k)-subset is independent the code is MDS and
-    # Singleton pins d = n-k+1 (this is the only feasible route for the big
-    # prime-field instances)
-    if all(
-        rank_of_rows(sp, list(zip(*sub))) == nk
-        for sub in itertools.combinations(cols, nk)
-    ):
+    # a code is MDS iff its dual is, and then Singleton pins d = n-k+1 (the
+    # only feasible route for the big prime-field instances)
+    if is_mds(code).is_mds:
         return nk + 1
+    H = dual_code(code).G
+    cols = [H.col(c) for c in range(H.cols)]
     for w in range(1, nk + 1):
         for sub in itertools.combinations(cols, w):
-            if rank_of_rows(sp, list(zip(*sub))) < w:
+            if rank_of_rows(code.spec, list(zip(*sub))) < w:
                 return w
     raise AssertionError("unreachable: some n-k+1 columns are always dependent")
 
@@ -180,7 +175,9 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
 
     methods: "distance" compares min_distance against the Singleton bound;
     "submatrix" checks every square submatrix of A (from the standard form)
-    nonsingular; "columns" checks every k columns of G linearly independent.
+    nonsingular; "columns" checks every k columns of G linearly independent,
+    each of the C(n, k) column sets decided by one pivot of a walk over the
+    minors of A, and names the lexicographically first dependent set.
     """
     n, k, sp = code.n, code.k, code.spec
     if method == "distance":
@@ -189,6 +186,16 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
                               None if d == n - k + 1 else ("distance", d))
     if method == "columns":
         total = _ncr(n, k)
+        A = _free_block(code)
+        walked = None if A is None else _nonzero_minors(sp, A)
+        if walked is not None:
+            if walked + 1 != total:
+                raise AssertionError(f"minor walk visited {walked} + 1 of C({n},{k}) = {total}")
+            if k and code._distance is None:  # a k = 0 code has no nonzero word
+                code._set_distance(n - k + 1)
+            return MdsCertificate(True, method, total)
+        # some minor vanishes: the lexicographic scan names the first
+        # dependent column set, as the certificate's witness
         cols = [code.G.col(c) for c in range(n)]
         checks = 0
         for idx in itertools.combinations(range(n), k):
@@ -196,9 +203,7 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
             sub = [cols[c] for c in idx]
             if rank_of_rows(sp, list(zip(*sub))) < k:
                 return MdsCertificate(False, method, checks, ("columns", idx))
-        if code._distance is None:
-            code._set_distance(n - k + 1)
-        return MdsCertificate(True, method, total)
+        raise AssertionError("the minor walk found a zero minor, the column scan none")
     if method == "submatrix":
         std, perm = standard_form(code)
         A = std.G.select_columns(range(k, n))
@@ -214,10 +219,59 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
                     if rank_of_rows(sp, sub) < t:
                         return MdsCertificate(False, method, checks,
                                               ("submatrix", rset, cset, perm))
-        if code._distance is None:
+        if k and code._distance is None:
             code._set_distance(n - k + 1)
         return MdsCertificate(True, method, total)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _free_block(code: LinearCode):
+    """The block A of G's RREF on its non-pivot columns (rows of int reprs),
+    or None when G is rank deficient.
+
+    G is [I | A] up to row operations and a column order, so k columns S are
+    independent iff the minor of A on the rows whose pivot is not in S and
+    the columns of S that are not pivots is nonzero.  This maps the C(n, k)
+    column sets one-to-one onto the square minors of A, the empty minor
+    standing for S = the pivot columns.
+    """
+    R, rank, pivots = matrix_rref(code.G)
+    if rank < code.k:
+        return None
+    free = [c for c in range(code.n) if c not in pivots]
+    return [[row[c] for c in free] for row in R.data]
+
+
+def _nonzero_minors(spec: FieldSpec, A) -> int | None:
+    """The number of nonempty square minors of A when none is zero, else None.
+
+    Walks the minors depth first with a stack of Schur complements.  Each
+    entry (i, j) of a matrix M on the stack is one minor, and is nonzero iff
+    that minor is.  Its complement on the rows below i and the columns right
+    of j, M[r][c] - M[r][j] M[i][j]^-1 M[i][c], holds the minors that extend
+    it: det M[{i} + R, {j} + C] = M[i][j] det complement[R, C].  A minor of A
+    on rows i1 < ... < it and columns j1 < ... < jt is reached exactly once,
+    by pivoting on (i1, j1) of A, then on (i2, j2) of that complement, and so
+    on, and is the product of those pivots.  So each minor costs one zero
+    test, and the minors through one pivot share its row updates.
+    """
+    if any(0 in row for row in A):
+        return None
+    visited = sum(map(len, A))
+    stack = [A]
+    while stack:
+        M = stack.pop()
+        for i, prow in enumerate(M[:-1]):
+            below = M[i + 1:]
+            for j in range(len(prow) - 1):
+                neg_inv, tail = spec.neg(spec.inv(prow[j])), prow[j + 1:]
+                S = [spec.axpy(spec.mul(row[j], neg_inv), row[j + 1:], tail) for row in below]
+                if any(0 in row for row in S):
+                    return None
+                visited += len(S) * len(tail)
+                if len(S) > 1 and len(tail) > 1:
+                    stack.append(S)
+    return visited
 
 
 def _ncr(n: int, r: int) -> int:

@@ -146,8 +146,9 @@ def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
     return DecompositionReport(parent_cert, kernel_cert, q_rank, labels_onto, kernel_error)
 
 
-def construct_G_Q(spec: FieldSpec):
-    """The closed-form (G, Q) pair for GF(q), q an odd prime power >= 5 or q = 4.
+def construct_G_Q(spec: FieldSpec, with_report: bool = False):
+    """The closed-form (G, Q) pair for GF(q), q an odd prime power >= 5 or q = 4,
+    verified; with_report=True returns (G, Q, its DecompositionReport).
 
     For odd q: G is the ceil(q/2) x q generator obtained by puncturing the
     [q+1, ceil(q/2)] Singleton-array code at its last identity column, i.e.
@@ -157,25 +158,26 @@ def construct_G_Q(spec: FieldSpec):
     """
     q = spec.q
     if q == 4:
-        return _g_q_gf4(spec)
-    if q % 2 == 0 or q < 5:
+        G, Q = _g_q_gf4(spec)
+    elif q % 2 == 0 or q < 5:
         raise OutOfRange(f"construction needs odd prime power q >= 5 (or q = 4), got {q}")
-    k = (q + 1) // 2
-    arr = singleton_array(spec)
-    A = arr.block(k, k)
-    ident_cols = FFMatrix(
-        spec,
-        [[1 if r == c else 0 for c in range(k - 1)] for r in range(k)],
-    )
-    G = ident_cols.hstack(A)
-    # Q1: entries of the (k+1)-th Singleton-array column (k-1 of them), then 0
-    q1 = tuple(arr.entry(r, k) for r in range(q - k)) + (0,) * (k - (q - k))
-    q2 = tuple(0 for _ in range(k - 1)) + (1,)
-    Q = QMatrix(spec, q1, q2)
+    else:
+        k = (q + 1) // 2
+        arr = singleton_array(spec)
+        A = arr.block(k, k)
+        ident_cols = FFMatrix(
+            spec,
+            [[1 if r == c else 0 for c in range(k - 1)] for r in range(k)],
+        )
+        G = ident_cols.hstack(A)
+        # Q1: entries of the (k+1)-th Singleton-array column (k-1 of them), then 0
+        q1 = tuple(arr.entry(r, k) for r in range(q - k)) + (0,) * (k - (q - k))
+        q2 = tuple(0 for _ in range(k - 1)) + (1,)
+        Q = QMatrix(spec, q1, q2)
     report = verify_decomposition(G, Q)
     if not report.all_pass:
         raise CertificationFailed(f"construction for GF({q}) failed verification: {report}")
-    return G, Q
+    return (G, Q, report) if with_report else (G, Q)
 
 
 def _g_q_gf4(spec: FieldSpec):
@@ -190,11 +192,7 @@ def _g_q_gf4(spec: FieldSpec):
         [0, 1, 0, 1, x],
         [0, 0, 1, 1, one_plus_x],
     ])
-    Q = QMatrix(spec, (1, 1, 0), (1, 0, x))
-    report = verify_decomposition(G, Q)
-    if not report.all_pass:
-        raise CertificationFailed(f"GF(4) construction failed verification: {report}")
-    return G, Q
+    return G, QMatrix(spec, (1, 1, 0), (1, 0, x))
 
 
 def search_Q(G: FFMatrix, budget: int = 10 ** 6, seed: int | None = None) -> QMatrix:

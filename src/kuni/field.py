@@ -35,7 +35,8 @@ _DEFAULT_MODULI = {
     (3, 2): (1, 0, 1),          # x^2 + 1
 }
 
-# Cache full multiplication tables only for small extension fields.
+# Cache full addition, negation and multiplication tables only for small
+# extension fields.
 _MUL_TABLE_MAX_Q = 64
 
 
@@ -137,6 +138,8 @@ class FieldSpec:
         self.m = m
         self.q = q
         self.modulus = modulus
+        self._add_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         if m > 1 and q <= _MUL_TABLE_MAX_Q:
@@ -164,8 +167,11 @@ class FieldSpec:
 
     def _build_tables(self):
         q = self.q
-        self._mul_table = [[0] * q for _ in range(q)]
         polys = [self._to_poly(a) for a in range(q)]
+        self._add_table = [[self._from_poly([x + y for x, y in zip(pa, pb)]) for pb in polys]
+                           for pa in polys]
+        self._neg_table = [self._from_poly([-x for x in pa]) for pa in polys]
+        self._mul_table = [[0] * q for _ in range(q)]
         for a in range(q):
             row = self._mul_table[a]
             for b in range(a, q):
@@ -184,6 +190,8 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
+        if self._add_table is not None:
+            return self._add_table[a][b]
         p = self.p
         r, pw = 0, 1
         while a or b:
@@ -196,6 +204,8 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
+        if self._neg_table is not None:
+            return self._neg_table[a]
         p = self.p
         r, pw = 0, 1
         while a:
@@ -215,6 +225,16 @@ class FieldSpec:
         return self._from_poly(
             _poly_mulmod(self._to_poly(a), self._to_poly(b), self.modulus, self.p)
         )
+
+    def axpy(self, f: int, xs, ys) -> list:
+        """[x + f*y for x, y in zip(xs, ys)]: one row update of an elimination."""
+        if self.m == 1:
+            p = self.p
+            return [(x + f * y) % p for x, y in zip(xs, ys)]
+        if self._mul_table is not None:
+            add, fy = self._add_table, self._mul_table[f]
+            return [add[x][fy[y]] for x, y in zip(xs, ys)]
+        return [self.add(x, self.mul(f, y)) for x, y in zip(xs, ys)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -483,13 +503,7 @@ def _rref_data(spec: FieldSpec, data):
         prow = data[r]
         for i in range(rows):
             if i != r and data[i][c]:
-                f = data[i][c]
-                irow = data[i]
-                if spec.m == 1:
-                    p = spec.p
-                    data[i] = [(a - f * b) % p for a, b in zip(irow, prow)]
-                else:
-                    data[i] = [spec.sub(a, spec.mul(f, b)) for a, b in zip(irow, prow)]
+                data[i] = spec.axpy(spec.neg(data[i][c]), data[i], prow)
         pivots.append(c)
         r += 1
     return pivots, det

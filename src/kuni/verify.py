@@ -247,8 +247,20 @@ class CertificateReport:
     n_parties: int
     q: int
     decomposition: DecompositionReport
-    parent_checks: int
-    kernel_checks: int
+
+    @classmethod
+    def of(cls, G: FFMatrix, report: DecompositionReport) -> "CertificateReport":
+        """The certificate of the pair (G, Q) that `report` verified."""
+        return cls(G.cols + 2, G.spec.q, report)
+
+    @property
+    def parent_checks(self) -> int:
+        return self.decomposition.parent_mds.checks
+
+    @property
+    def kernel_checks(self) -> int:
+        kernel = self.decomposition.kernel_mds
+        return kernel.checks if kernel else 0
 
     @property
     def certified(self) -> bool:
@@ -266,14 +278,7 @@ def certify_ame_via_codes(G: FFMatrix, Q: QMatrix) -> CertificateReport:
     repetition construction an AME(n+2, q) state; the check counts are
     recorded so the certificate is auditable.
     """
-    report = verify_decomposition(G, Q)
-    return CertificateReport(
-        n_parties=G.cols + 2,
-        q=G.spec.q,
-        decomposition=report,
-        parent_checks=report.parent_mds.checks,
-        kernel_checks=report.kernel_mds.checks if report.kernel_mds else 0,
-    )
+    return CertificateReport.of(G, verify_decomposition(G, Q))
 
 
 # --- exact characteristic polynomial (cross-check helper) -------------------

@@ -114,6 +114,25 @@ def test_decompose_certify_pipeline(tmp_path, capsys):
     assert doc["certificate"]["q_rank"] == 1
 
 
+def test_decompose_certifies_once(monkeypatch, capsys):
+    import kuni.decomposition
+    import kuni.verify
+
+    calls = []
+    original = kuni.decomposition.verify_decomposition
+
+    def counted(G, Q):
+        calls.append(G.spec.q)
+        return original(G, Q)
+
+    monkeypatch.setattr(kuni.decomposition, "verify_decomposition", counted)
+    monkeypatch.setattr(kuni.verify, "verify_decomposition", counted)
+    code, out, _ = run(capsys, "decompose", "--q", "5", "--json")
+    result = json.loads(out)["decomposition"]
+    assert code == EXIT_OK and calls == [5]
+    assert (result["claim"], result["parent_checks"], result["kernel_checks"]) == ("AME(7,5)", 10, 5)
+
+
 def test_decompose_search_mode(capsys):
     code, out, _ = run(capsys, "decompose", "--q", "5", "--search",
                        "--seed", "11", "--budget", "100000")

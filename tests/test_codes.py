@@ -1,12 +1,15 @@
 """Linear codes over GF(q): distance, MDS certification, duals, surgery."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from kuni.codes import (
     LinearCode,
+    _free_block,
+    _nonzero_minors,
     code_from_generator,
     dual_code,
     enumerate_codewords,
@@ -21,8 +24,10 @@ from kuni.codes import (
     singleton_array,
     standard_form,
 )
+from kuni.decomposition import kernel_subcode
 from kuni.errors import FormatError, OutOfRange, RankDeficient, RankDrop
-from kuni.field import FFMatrix, gf, matrix_rank
+from kuni.field import FFMatrix, gf, matrix_rank, rank_of_rows
+from kuni.states import ame_19_17_matrices, ame_21_19_matrices
 
 
 def random_mds_instances(count, seed=0, n_max=8, q_max=8):
@@ -148,6 +153,122 @@ def test_is_mds_methods_agree_and_record_checks():
     bad = code_from_generator(FFMatrix(gf(2), [[1, 0, 1, 0], [0, 1, 1, 1]]))
     cert = is_mds(bad, method="columns")
     assert cert.witness is not None
+
+
+def _reference_is_mds_columns(code):
+    """The per-subset column check the minor walk replaced: one rank per
+    k-subset in lexicographic order, stopping at the first dependent one."""
+    cols = [code.G.col(c) for c in range(code.n)]
+    checks = 0
+    for idx in itertools.combinations(range(code.n), code.k):
+        checks += 1
+        if rank_of_rows(code.spec, list(zip(*(cols[c] for c in idx)))) < code.k:
+            return False, checks, ("columns", idx)
+    return True, checks, None
+
+
+def _columns_result(code):
+    cert = is_mds(code, method="columns")
+    return cert.is_mds, cert.checks, cert.witness
+
+
+def _random_code(rng, spec, n, k):
+    """A random [n, k] code over spec, k = 0 included."""
+    while True:
+        G = FFMatrix(spec, [[rng.randrange(spec.q) for _ in range(n)] for _ in range(k)], n)
+        if matrix_rank(G) == k:
+            return LinearCode(G)
+
+
+def _dense_equivalent(rng, G):
+    """M.G.D.Pi: M random invertible, D random nonzero diagonal, Pi a random
+    column permutation; the same code up to a monomial map, so MDS alike."""
+    sp, k, n = G.spec, G.rows, G.cols
+    while True:
+        M = FFMatrix(sp, [[rng.randrange(sp.q) for _ in range(k)] for _ in range(k)])
+        if matrix_rank(M) == k:
+            break
+    scales = [rng.randrange(1, sp.q) for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    MG = M.matmul(G)
+    return FFMatrix(sp, [[sp.mul(row[c], scales[c]) for c in perm] for row in MG.data])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_columns_walk_matches_per_subset_scan(q):
+    rng = random.Random(q)
+    spec = gf(q)
+    codes = [_random_code(rng, spec, n, k) for n in range(1, 9) for k in range(n + 1)
+             for _ in range(2)]
+    codes += list(random_mds_instances(12, seed=q, n_max=9, q_max=16))
+    verdicts = set()
+    for code in codes:
+        expected = _reference_is_mds_columns(code)
+        assert _columns_result(code) == expected, code.G
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
+def test_columns_walk_matches_scan_on_dense_ame_19_17_pair():
+    rng = random.Random(1917)
+    G, Q = ame_19_17_matrices()
+    sp = G.spec
+    for base in (G, kernel_subcode(G, Q).G):
+        dense = LinearCode(_dense_equivalent(rng, base))
+        expected = _reference_is_mds_columns(dense)
+        assert expected == (True, math.comb(base.cols, base.rows), None)
+        assert _columns_result(dense) == expected
+        # one changed entry of a certified code: a refutation with a witness
+        data = [row[:] for row in dense.G.data]
+        data[base.rows // 2][base.cols // 2] = sp.add(data[base.rows // 2][base.cols // 2], 1)
+        broken = LinearCode(FFMatrix(sp, data))
+        expected = _reference_is_mds_columns(broken)
+        assert not expected[0] and _columns_result(broken) == expected
+
+
+@pytest.mark.parametrize("pair", [ame_19_17_matrices, ame_21_19_matrices])
+def test_minor_walk_visits_every_minor_once(pair):
+    G, Q = pair()
+    for code in (LinearCode(G), kernel_subcode(G, Q)):
+        assert _nonzero_minors(code.spec, _free_block(code)) == math.comb(code.n, code.k) - 1
+
+
+def _has_zero_minor(spec, A, size):
+    return any(matrix_rank(FFMatrix(spec, [[A[r][c] for c in cs] for r in rs])) < size
+               for rs in itertools.combinations(range(len(A)), size)
+               for cs in itertools.combinations(range(len(A[0])), size))
+
+
+def test_minor_walk_finds_a_deep_zero_minor():
+    # [I | A] of an MDS [10, 5]_101 code; set the last entry of one 4x4
+    # minor of A so that this minor vanishes while every smaller one stays
+    # nonzero: the walk must reach the fourth level to refute the code.  A
+    # gap before the minor's last row puts the zero below the first row of
+    # the last Schur complement.
+    sp = gf(101)
+    code = mds_from_singleton(10, 5, sp)
+    base = [row[5:] for row in code.G.data]
+    for rows, cols in itertools.product(itertools.combinations(range(5), 4), repeat=2):
+        r0, c0 = rows[-1], cols[-1]
+        if r0 - rows[-2] < 2:
+            continue
+        A = [row[:] for row in base]
+        for x in range(1, sp.q):
+            A[r0][c0] = x
+            minor = FFMatrix(sp, [[A[r][c] for c in cols] for r in rows])
+            if matrix_rank(minor) < 4:
+                break
+        else:
+            continue
+        if not any(_has_zero_minor(sp, A, size) for size in (1, 2, 3)):
+            break
+    else:
+        raise AssertionError("no 4x4 minor can vanish alone")
+    assert _nonzero_minors(sp, A) is None
+    broken = LinearCode(FFMatrix.identity(sp, 5).hstack(FFMatrix(sp, A)))
+    expected = _reference_is_mds_columns(broken)
+    assert not expected[0] and _columns_result(broken) == expected
 
 
 def test_standard_form():

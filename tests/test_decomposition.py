@@ -74,6 +74,18 @@ def test_kernel_subcode_of_k2_pair_keeps_its_length():
     assert (sub.n, sub.k) == (3, 0) and repr(sub) == "[3,0]_5"
 
 
+def test_zero_kernel_records_no_distance():
+    # a certified [3, 0] code has no nonzero codeword: no distance n - k + 1
+    sp = gf(5)
+    G = FFMatrix(sp, [[1, 0, 1], [0, 1, 1]])
+    Q = QMatrix(sp, (1, 0), (0, 1))
+    assert verify_decomposition(G, Q).all_pass
+    sub = kernel_subcode(G, Q)
+    cert = is_mds(sub, method="columns")
+    assert (cert.is_mds, cert.checks) == (True, 1)
+    assert sub.cached_distance is None and repr(sub) == "[3,0]_5"
+
+
 def test_pair_over_two_fields_rejected():
     G, _ = construct_G_Q(gf(5))
     Q = QMatrix(gf(4), (1, 1, 0), (1, 0, 2))

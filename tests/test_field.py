@@ -61,6 +61,35 @@ def test_field_axioms_exhaustive(q):
     check_field_axioms(gf(q))
 
 
+def _reference_add_digits(p, a, b):
+    r, pw = 0, 1
+    while a or b:
+        r += ((a + b) % p) * pw
+        a //= p
+        b //= p
+        pw *= p
+    return r
+
+
+def _reference_neg_digits(p, a):
+    r, pw = 0, 1
+    while a:
+        r += ((-a) % p) * pw
+        a //= p
+        pw *= p
+    return r
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_extension_add_neg_tables_match_digit_loop(q):
+    spec = gf(q)
+    assert spec._add_table is not None and spec._neg_table is not None
+    for a in range(q):
+        assert spec.neg(a) == _reference_neg_digits(spec.p, a)
+        for b in range(q):
+            assert spec.add(a, b) == _reference_add_digits(spec.p, a, b)
+
+
 def test_gf4_coefficient_encoding():
     # GF(4) = {0, 1, x, 1+x} -> {0, 1, 2, 3} with x^2 = x + 1
     sp = gf(4)

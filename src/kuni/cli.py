@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from pathlib import Path
 
 from . import __version__
 from .codes import (
@@ -36,6 +38,7 @@ from .states import (
     ghz,
     max_terms,
     parse_state,
+    state_from_code,
 )
 from .verify import CertificateReport, certify_ame_via_codes, uniformity
 
@@ -46,8 +49,7 @@ EXIT_USAGE = 64
 
 
 def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _manifest(args, inputs=()):
@@ -76,25 +78,16 @@ def _seed_state(name: str, spec, n_q: int) -> SparseState:
 
 
 def cmd_construct(args) -> int:
-    inputs = []
     if args.mode == "from-code":
-        code = _load_code(args)
-        if args.code:
-            inputs.append(args.code)
-        from .states import state_from_code
-
-        state = state_from_code(code)
+        state = state_from_code(_load_code(args))
     elif args.mode == "clq":
         code = _load_code(args)
-        if args.code:
-            inputs.append(args.code)
         seed = _seed_state(args.seed_state, code.spec,
                            code.k if args.variant == "direct" else code.n - code.k)
         state = cl_plus_q(code, seed, variant=args.variant)
     elif args.mode == "clq-rep":
-        G = parse_matrix(open(args.g).read())
-        Q = parse_qmatrix(open(args.q_matrix).read())
-        inputs += [args.g, args.q_matrix]
+        G = parse_matrix(Path(args.g).read_text())
+        Q = parse_qmatrix(Path(args.q_matrix).read_text())
         state = cl_plus_q_repetition(G, Q)
     elif args.mode == "builtin":
         kwargs = {k: v for k, v in
@@ -105,22 +98,22 @@ def cmd_construct(args) -> int:
             G, Q = obj
             g_path = args.emit_g or "g.txt"
             q_path = args.emit_q or "q.txt"
-            open(g_path, "w").write(format_matrix(G))
-            open(q_path, "w").write(format_qmatrix(Q))
+            Path(g_path).write_text(format_matrix(G))
+            Path(q_path).write_text(format_qmatrix(Q))
             print(f"wrote generator to {g_path} and label columns to {q_path}")
             return EXIT_OK
         state = obj
     else:
         raise KuniError(f"unknown construct mode {args.mode!r}")
     out = args.output or "out.state"
-    open(out, "w").write(format_state(state))
+    Path(out).write_text(format_state(state))
     print(f"wrote {state.n}-party state over GF({state.q}), support {state.support}, to {out}")
     return EXIT_OK
 
 
 def _load_code(args) -> LinearCode:
     if args.code:
-        return parse_code(open(args.code).read())
+        return parse_code(Path(args.code).read_text())
     if args.n is None or args.k is None or args.q is None:
         raise KuniError("need --code FILE or all of --n/--k/--q")
     return mds_from_singleton(args.n, args.k, gf(args.q))
@@ -129,7 +122,7 @@ def _load_code(args) -> LinearCode:
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    state = parse_state(open(args.state).read())
+    state = parse_state(Path(args.state).read_text())
     policy = "sample" if args.sample else "exhaustive"
     report = uniformity(
         state,
@@ -170,8 +163,8 @@ def cmd_verify(args) -> int:
 # --- certify ----------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    G = parse_matrix(open(args.g).read())
-    Q = parse_qmatrix(open(args.q_matrix).read())
+    G = parse_matrix(Path(args.g).read_text())
+    Q = parse_qmatrix(Path(args.q_matrix).read_text())
     cert = certify_ame_via_codes(G, Q)
     dec = cert.decomposition
     result = {
@@ -209,9 +202,9 @@ def cmd_decompose(args) -> int:
         G, Q, report = construct_G_Q(spec, with_report=True)
         cert = CertificateReport.of(G, report)
     if args.emit_g:
-        open(args.emit_g, "w").write(format_matrix(G))
+        Path(args.emit_g).write_text(format_matrix(G))
     if args.emit_q:
-        open(args.emit_q, "w").write(format_qmatrix(Q))
+        Path(args.emit_q).write_text(format_qmatrix(Q))
     result = {
         "q": args.q,
         "claim": cert.claim,
@@ -235,13 +228,13 @@ def cmd_codes(args) -> int:
         code = mds_from_singleton(args.n, args.k, gf(args.q))
         text = format_code(code)
         if args.output:
-            open(args.output, "w").write(text)
+            Path(args.output).write_text(text)
             print(f"wrote MDS [{code.n},{code.k}]_{code.q} code to {args.output}")
         else:
             sys.stdout.write(text)
         return EXIT_OK
     if args.codes_mode == "check":
-        code = parse_code(open(args.file).read())
+        code = parse_code(Path(args.file).read_text())
         cert = is_mds(code, method=args.method)
         d = code.cached_distance
         result = {
@@ -258,7 +251,7 @@ def cmd_codes(args) -> int:
                   f"via {cert.method} ({cert.checks} checks)")
         return EXIT_OK if cert.is_mds else EXIT_REFUTED
     if args.codes_mode == "distance":
-        code = parse_code(open(args.file).read())
+        code = parse_code(Path(args.file).read_text())
         d = min_distance(code, method=args.method)
         print(f"[{code.n},{code.k}]_{code.q}: d = {d}")
         return EXIT_OK
@@ -345,14 +338,10 @@ def _table1_verify(n_cl, k_cl, seed_kind, seed_n, q, k_target, seed):
     elif seed_kind == "ghz":
         quantum = ghz(seed_n, spec)
     else:
-        from .states import state_from_code
-
         sn, sk = _SEED_CODE[seed_kind]
         quantum = state_from_code(mds_from_singleton(sn, sk, spec))
     state = cl_plus_q(code, quantum, variant="direct")
     n = state.n
-    import math
-
     work = sum(math.comb(n, s) for s in range(1, k_target + 1)) * state.support
     if work <= _EXHAUSTIVE_WORK_CAP and q ** k_target <= 4096:
         rep = uniformity(state, k_max=k_target, policy="exhaustive")
@@ -453,11 +442,12 @@ def main(argv=None) -> int:
     try:
         max_terms()  # an invalid KUNI_MAX_TERMS is a usage error for every command
         return args.func(args)
-    except KuniError as exc:
+    except (KuniError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:  # a run that cannot finish is no verdict
+        print("error: out of memory; lower KUNI_MAX_TERMS or the problem size",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -8,10 +8,13 @@ records its column permutation so callers can undo it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
     DegenerateCoordinate,
+    FormatError,
+    KuniError,
     OutOfRange,
     RankDeficient,
     RankDrop,
@@ -21,9 +24,11 @@ from .field import (
     FFMatrix,
     FieldElement,
     FieldSpec,
+    format_matrix,
     matrix_rank,
     matrix_rref,
     null_space,
+    parse_matrix,
     primitive_element,
     rank_of_rows,
 )
@@ -82,12 +87,8 @@ def standard_form(code: LinearCode):
     """
     rref, rank, pivots = matrix_rref(code.G)
     assert rank == code.k
-    nonpivots = [c for c in range(code.n) if c not in set(pivots)]
-    perm = list(pivots) + nonpivots
-    if perm == list(range(code.n)):
-        return LinearCode(rref, _skip_rank_check=True), perm
-    permuted = rref.select_columns(perm)
-    return LinearCode(permuted, _skip_rank_check=True), perm
+    perm = list(pivots) + [c for c in range(code.n) if c not in set(pivots)]
+    return LinearCode(rref.select_columns(perm), _skip_rank_check=True), perm
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -118,12 +119,9 @@ def enumerate_codewords(code: LinearCode):
 
 
 def _min_weight_brute(code: LinearCode) -> int:
-    best = code.n + 1
-    for cw in enumerate_codewords(code):
-        w = sum(1 for x in cw if x)
-        if 0 < w < best:
-            best = w
-    return best
+    words = enumerate_codewords(code)
+    next(words)  # message 0 gives the zero word, every other message a nonzero one
+    return min(len(cw) - cw.count(0) for cw in words)
 
 
 def _min_distance_rank(code: LinearCode) -> int:
@@ -150,6 +148,8 @@ def min_distance(code: LinearCode, method: str = "auto") -> int:
     """
     if code._distance is not None:
         return code._distance
+    if code.k == 0:
+        raise KuniError(f"the [{code.n},0]_{code.q} code has no nonzero word, so no distance")
     if method == "auto":
         method = "brute" if code.q ** code.k <= 10 ** 5 else "rank"
     if method == "brute":
@@ -181,11 +181,13 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
     """
     n, k, sp = code.n, code.k, code.spec
     if method == "distance":
+        if k == 0:  # no nonzero word: MDS by every column criterion
+            return MdsCertificate(True, method, 1)
         d = min_distance(code)
         return MdsCertificate(d == n - k + 1, method, 1,
                               None if d == n - k + 1 else ("distance", d))
     if method == "columns":
-        total = _ncr(n, k)
+        total = math.comb(n, k)
         A = _free_block(code)
         walked = None if A is None else _nonzero_minors(sp, A)
         if walked is not None:
@@ -207,7 +209,7 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
     if method == "submatrix":
         std, perm = standard_form(code)
         A = std.G.select_columns(range(k, n))
-        total = sum(_ncr(k, t) * _ncr(n - k, t) for t in range(1, min(k, n - k) + 1))
+        total = sum(math.comb(k, t) * math.comb(n - k, t) for t in range(1, min(k, n - k) + 1))
         if total > MAX_DET_CHECKS:
             raise TooLarge(f"{total} determinant checks exceed cap {MAX_DET_CHECKS}")
         checks = 0
@@ -274,12 +276,6 @@ def _nonzero_minors(spec: FieldSpec, A) -> int | None:
     return visited
 
 
-def _ncr(n: int, r: int) -> int:
-    import math
-
-    return math.comb(n, r) if 0 <= r <= n else 0
-
-
 @dataclass
 class SingletonArray:
     """Triangular Cauchy-type array: first row/column all 1, a_i = 1/(1-g^i)."""
@@ -308,12 +304,11 @@ class SingletonArray:
 
 def singleton_array(spec: FieldSpec) -> SingletonArray:
     gamma = primitive_element(spec)
-    sp = spec
     a = [0] * max(spec.q - 1, 1)
     g = 1
     for i in range(1, spec.q - 1):
-        g = sp.mul(g, gamma.repr)
-        a[i] = sp.inv(sp.sub(1, g))
+        g = spec.mul(g, gamma.repr)
+        a[i] = spec.inv(spec.sub(1, g))
     return SingletonArray(spec, gamma, tuple(a))
 
 
@@ -326,8 +321,7 @@ def mds_from_singleton(n: int, k: int, spec: FieldSpec) -> LinearCode:
     A = arr.block(k, n - k)
     G = FFMatrix.identity(spec, k).hstack(A)
     code = LinearCode(G, _skip_rank_check=True)
-    cert = is_mds(code, method="columns")
-    if not cert.is_mds:
+    if not is_mds(code, method="columns").is_mds:
         raise AssertionError(f"Singleton-array code [{n},{k}]_{q} failed MDS check")
     return code
 
@@ -367,15 +361,10 @@ def mds_exists(n: int, k: int, q: int) -> bool:
 # "CODE n k" then the FFMatrix text block for G.
 
 def format_code(code: LinearCode) -> str:
-    from .field import format_matrix
-
     return f"CODE {code.n} {code.k}\n" + format_matrix(code.G)
 
 
 def parse_code(text: str) -> LinearCode:
-    from .errors import FormatError
-    from .field import parse_matrix
-
     lines = text.strip().splitlines()
     if not lines or not lines[0].startswith("CODE"):
         raise FormatError("missing CODE header")

@@ -220,11 +220,7 @@ def search_Q(G: FFMatrix, budget: int = 10 ** 6, seed: int | None = None) -> QMa
                     tuple(rng.randrange(q) for _ in range(k)),
                 )
 
-    attempts = 0
-    for q1, q2 in candidates():
-        if attempts >= budget:
-            break
-        attempts += 1
+    for q1, q2 in itertools.islice(candidates(), budget):
         Q = QMatrix(spec, q1, q2)
         if rank_of_rows(spec, [q1, q2]) != 2:
             continue

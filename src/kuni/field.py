@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from .errors import (
     DivisionByZero,
+    FormatError,
     NonPrimeP,
     NotSquare,
     ReducibleModulus,
@@ -604,8 +605,6 @@ def format_matrix(M: FFMatrix) -> str:
 
 
 def parse_matrix(text: str) -> FFMatrix:
-    from .errors import FormatError
-
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty matrix file")
@@ -629,4 +628,4 @@ def parse_matrix(text: str) -> FFMatrix:
         if any(x < 0 or x >= spec.q for x in row):
             raise FormatError(f"matrix entry out of range [0, {spec.q}) in {ln!r}")
         data.append(row)
-    return FFMatrix(spec, data)
+    return FFMatrix(spec, data, cols)

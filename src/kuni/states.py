@@ -12,9 +12,11 @@ integer repr at the site.  On a site carrying both, X acts first.
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .codes import LinearCode, dual_code, enumerate_codewords
 from .cyclotomic import Cyclotomic
@@ -64,6 +66,13 @@ class SparseState:
                 if not amp.is_zero():
                     self.terms[key] = amp
 
+    @classmethod
+    def _of_nonzero(cls, n: int, spec: FieldSpec, terms: dict) -> "SparseState":
+        """Adopt `terms` as is: every key has n symbols, no amplitude is zero."""
+        state = cls.__new__(cls)
+        state.n, state.spec, state.terms = n, spec, terms
+        return state
+
     @property
     def q(self) -> int:
         return self.spec.q
@@ -76,18 +85,9 @@ class SparseState:
         """Exact equality of the unnormalized representations."""
         if self.n != other.n or self.spec != other.spec:
             return False
-        for key in self.terms.keys() | other.terms.keys():
-            a = self.terms.get(key)
-            b = other.terms.get(key)
-            if a is None:
-                if not b.is_zero():
-                    return False
-            elif b is None:
-                if not a.is_zero():
-                    return False
-            elif not (a - b).is_zero():
-                return False
-        return True
+        zero = Cyclotomic.zero(self.q)
+        return all((self.terms.get(key, zero) - other.terms.get(key, zero)).is_zero()
+                   for key in self.terms.keys() | other.terms.keys())
 
     def __repr__(self):
         return f"SparseState(n={self.n}, q={self.q}, support={self.support})"
@@ -136,14 +136,67 @@ def apply_weyl(state: SparseState, word: WeylWord) -> SparseState:
     return SparseState(state.n, sp, out)
 
 
+@dataclass(frozen=True)
+class FibredState:
+    """sum_v |vG> (x) M(vW)|seed>, M(e) applying types[j]^(e_j), Z or X, at
+    seed site j.  Cl+Q has W = I_k; the repetition construction has W = Q, a
+    Bell seed and types "XZ"; a code state has W of width 0 and a 0-party
+    seed.  G must have full row rank, so each message gives one codeword."""
+
+    G: FFMatrix
+    W: FFMatrix
+    seed: SparseState
+    types: str
+
+    def terms(self):
+        """(key, amplitude) pairs, messages in lexicographic order, then seed
+        terms in seed order.  A word of [G | W] is a codeword and its label e;
+        X sites shift the seed symbol by e_j, Z sites add int(e_j) * int(symbol)
+        to the phase.  Shifted keys are tabled per X part of e, amplitudes per
+        Z part, and one amplitude object serves each (seed term, phase)."""
+        if not len(self.types) == self.W.cols == self.seed.n or set(self.types) - set("XZ"):
+            raise LayoutMismatch(f"types {self.types!r} (X or Z) for a {self.seed.n}-party seed")
+        sp = self.seed.spec
+        q, n = sp.q, self.G.cols
+        x_sites = [j for j, t in enumerate(self.types) if t == "X"]
+        z_sites = [j for j, t in enumerate(self.types) if t == "Z"]
+        seed = self.seed.terms
+        powers = [[amp.mul_root(t) for t in range(q)] for amp in seed.values()]
+
+        @lru_cache(maxsize=None)
+        def tails(ex):
+            shifted = []
+            for key in seed:
+                symbols = list(key)
+                for j, a in zip(x_sites, ex):
+                    symbols[j] = sp.add(symbols[j], a)
+                shifted.append(tuple(symbols))
+            return shifted
+
+        @lru_cache(maxsize=None)
+        def amps(ez):
+            return [p[sum(a * key[j] for j, a in zip(z_sites, ez)) % q]
+                    for key, p in zip(seed, powers)]
+
+        for word in enumerate_codewords(LinearCode(self.G.hstack(self.W), _skip_rank_check=True)):
+            e = word[n:]
+            ex, ez = tuple(map(e.__getitem__, x_sites)), tuple(map(e.__getitem__, z_sites))
+            yield from zip(map(word[:n].__add__, tails(ex)), amps(ez))
+
+    def materialize(self) -> SparseState:
+        q, k, s = self.seed.q, self.G.rows, self.seed.support
+        if q ** k * s > max_terms():
+            raise TooLarge(f"q^k * seed support = {q}^{k} * {s} exceeds the term cap")
+        # a root of unity times a nonzero seed amplitude is never zero
+        return SparseState._of_nonzero(self.G.cols + self.seed.n, self.seed.spec,
+                                       dict(self.terms()))
+
+
 def state_from_code(code: LinearCode) -> SparseState:
     """Equally weighted superposition of all codewords (amplitude 1 each)."""
-    if code.q ** code.k > max_terms():
-        raise TooLarge(f"q^k = {code.q}^{code.k} exceeds the term cap")
-    q = code.q
-    one = Cyclotomic.integer(q, 1)
-    terms = {cw: one for cw in enumerate_codewords(code)}
-    return SparseState(code.n, code.spec, terms)
+    spec = code.spec
+    point = SparseState(0, spec, {(): Cyclotomic.integer(spec.q, 1)})
+    return FibredState(code.G, FFMatrix(spec, [[]] * code.k), point, "").materialize()
 
 
 def weyl_basis(seed: SparseState, k: int):
@@ -170,12 +223,8 @@ def inner_product(s1: SparseState, s2: SparseState) -> Cyclotomic:
     if s1.n != s2.n or s1.spec != s2.spec:
         raise ShapeMismatch("states have different shape")
     acc = Cyclotomic.zero(s1.q)
-    small = s1.terms if len(s1.terms) <= len(s2.terms) else s2.terms
-    for key in small:
-        a = s1.terms.get(key)
-        b = s2.terms.get(key)
-        if a is not None and b is not None:
-            acc = acc + a.conj() * b
+    for key in s1.terms.keys() & s2.terms.keys():
+        acc = acc + s1.terms[key].conj() * s2.terms[key]
     return acc
 
 
@@ -200,32 +249,21 @@ def cl_plus_q(code: LinearCode, quantum_seed: SparseState, variant: str = "direc
         raise SizeMismatch(
             f"seed has {nq} parties but the classical code carries {cl.k} message symbols"
         )
-    q = code.q
-    if q ** cl.k * quantum_seed.support > max_terms():
-        raise TooLarge("Cl+Q state exceeds the term cap")
     # seed uniformity block size: number of leading Z sites in the word; for a
     # minimal-support seed from an [n_Q, r_Q] code this is r_Q, recovered as
     # log_q(support) when the seed is minimal
     zk = _z_block_size(quantum_seed)
-    terms = {}
-    messages = itertools.product(range(q), repeat=cl.k)
-    for v, cw in zip(messages, enumerate_codewords(cl)):
-        basis_state = apply_weyl(quantum_seed, WeylWord.zx_split(nq, v, zk))
-        for key, amp in basis_state.terms.items():
-            terms[cw + key] = amp
-    return SparseState(cl.n + nq, code.spec, terms)
+    types = "Z" * zk + "X" * (nq - zk)
+    return FibredState(cl.G, FFMatrix.identity(code.spec, cl.k), quantum_seed, types).materialize()
 
 
 def _z_block_size(seed: SparseState) -> int:
-    q = seed.q
-    s = seed.support
     k = 0
-    while q ** k < s:
+    while seed.q ** k < seed.support:
         k += 1
-    if q ** k != s:
-        raise SizeMismatch(
-            f"seed support {s} is not a power of q = {q}; need a minimal-support seed"
-        )
+    if seed.q ** k != seed.support:
+        raise SizeMismatch(f"seed support {seed.support} is not a power of q = {seed.q}; "
+                           "need a minimal-support seed")
     return k
 
 
@@ -257,21 +295,9 @@ def cl_plus_q_repetition(G: FFMatrix, Q: QMatrix, certified: bool = False) -> Sp
         report = verify_decomposition(G, Q)
         if not report.all_pass:
             raise CertificationMissing(f"(G, Q) failed decomposition checks: {report}")
-    sp = G.spec
-    q, k, n = sp.q, G.rows, G.cols
-    if q ** k * q > max_terms():
-        raise TooLarge(f"q^k * q = {q}^{k} * {q} exceeds the term cap")
-    terms = {}
-    seed = bell_pair(sp)
-    # each word of [G | Q] is a codeword vG followed by its label vQ; G has
-    # full row rank (checked by verify_decomposition), so [G | Q] has too
-    GQ = LinearCode(G.hstack(Q.as_matrix()), _skip_rank_check=True)
-    for word in enumerate_codewords(GQ):
-        cw, (alpha, beta) = word[:n], word[n:]
-        weyl = WeylWord(2, z=(((1, beta),) if beta else ()), x=(((0, alpha),) if alpha else ()))
-        for key, amp in apply_weyl(seed, weyl).terms.items():
-            terms[cw + key] = amp
-    return SparseState(n + 2, sp, terms)
+    # G has full row rank (checked by verify_decomposition); the label
+    # (alpha, beta) = vQ acts as X^alpha (x) Z^beta on the Bell pair
+    return FibredState(G, Q.as_matrix(), bell_pair(G.spec), "XZ").materialize()
 
 
 def local_fourier(state: SparseState, sites) -> SparseState:
@@ -377,13 +403,21 @@ def _shifted_identity_block(spec: FieldSpec, A_rows) -> FFMatrix:
 # sorted key order so equal states round-trip byte-identically.
 
 def format_state(state: SparseState) -> str:
-    lines = [f"STATE {state.n} {state.q}"]
-    for key in sorted(state.terms):
-        amp = state.terms[key]
-        lines.append(
-            " ".join(str(s) for s in key) + " : " + " ".join(str(c) for c in amp.coeffs)
-        )
-    return "\n".join(lines) + "\n"
+    # one line template per distinct coefficient vector, filled with each key;
+    # a StringIO keeps no string per line alive, which halves the peak memory
+    # of joining a list of lines
+    head = " ".join(["%d"] * state.n) + " : "
+    templates = {}
+    out = io.StringIO()
+    out.write(f"STATE {state.n} {state.q}\n")
+    terms = state.terms
+    for key in sorted(terms):
+        coeffs = terms[key].coeffs
+        fmt = templates.get(coeffs)
+        if fmt is None:
+            fmt = templates[coeffs] = head + " ".join(map(str, coeffs)) + "\n"
+        out.write(fmt % key)
+    return out.getvalue()
 
 
 def parse_state(text: str) -> SparseState:

@@ -206,18 +206,9 @@ def gram_check(states):
     gram = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
-            if j < i:
-                gram[i][j] = gram[j][i].conj()
-            else:
-                gram[i][j] = inner_product(states[i], states[j])
-    ok = True
-    first_diag = gram[0][0] if m else None
-    for i in range(m):
-        if not (gram[i][i] - first_diag).is_zero():
-            ok = False
-        for j in range(i + 1, m):
-            if not gram[i][j].is_zero():
-                ok = False
+            gram[i][j] = gram[j][i].conj() if j < i else inner_product(states[i], states[j])
+    ok = (all((gram[i][i] - gram[0][0]).is_zero() for i in range(m))
+          and all(gram[i][j].is_zero() for i, j in itertools.combinations(range(m), 2)))
     return ok, gram
 
 
@@ -295,9 +286,8 @@ def char_poly(rho: ReducedDensity):
     """Exact characteristic polynomial coefficients [c_d, ..., c_1, c_0]
     of the dense rho matrix, via Faddeev-LeVerrier."""
     q = rho.q
-    keys = sorted({r for r, _ in rho.entries} | {c for _, c in rho.entries})
-    # include all basis keys so spectra of complementary subsets compare
-    keys = sorted(set(keys) | set(itertools.product(range(q), repeat=len(rho.subset))))
+    # all basis keys, so spectra of complementary subsets compare
+    keys = list(itertools.product(range(q), repeat=len(rho.subset)))
     d = len(keys)
     idx = {k: i for i, k in enumerate(keys)}
     zero = Cyclotomic.zero(q)

@@ -1,9 +1,14 @@
 """End-to-end CLI tests driving kuni.cli.main with real files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kuni
 from kuni.cli import EXIT_OK, EXIT_REFUTED, EXIT_SAMPLED, EXIT_USAGE, main
 from kuni.states import format_state, ghz, parse_state
 from kuni.field import gf
@@ -229,6 +234,42 @@ def test_invalid_term_cap_exits_usage(monkeypatch, tmp_path, capsys):
     code, _, err = run(capsys, "construct", "builtin", "--name", "ghz", "--n", "3",
                        "--q", "2", "-o", str(tmp_path / "ghz.state"))
     assert code == EXIT_USAGE and "KUNI_MAX_TERMS" in err
+
+
+def test_zero_code_distance_exits_usage(tmp_path, capsys):
+    # a [3, 0] code has no nonzero word, hence no minimum distance
+    path = tmp_path / "zero.code"
+    path.write_text("CODE 3 0\n0 3 5 1\n")
+    for method in ("auto", "brute", "rank"):
+        code, out, err = run(capsys, "codes", "distance", str(path), "--method", method)
+        assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+    code, out, _ = run(capsys, "codes", "check", str(path), "--json")
+    assert code == EXIT_OK and json.loads(out)["mds"]["distance"] is None
+
+
+# Runs the CLI under an address-space limit of its current size plus 64 MB,
+# set in the child only, and asks for 9^7 = 4,782,969 terms (gigabytes).
+_UNDER_MEMORY_LIMIT = """
+import resource, sys
+from kuni.cli import main
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * resource.getpagesize()
+limit = size + 64 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")
+def test_out_of_memory_exits_usage_not_refuted(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "construct", "from-code",
+         "--n", "9", "--k", "7", "--q", "9", "-o", str(tmp_path / "big.state")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error:") and "memory" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "big.state").exists()
 
 
 def test_help_exits_cleanly(capsys):

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from kuni.codes import enumerate_codewords, is_mds
+from kuni.codes import LinearCode, enumerate_codewords, format_code, is_mds, min_distance, parse_code
 from kuni.decomposition import (
     QMatrix,
     construct_G_Q,
@@ -20,11 +20,12 @@ from kuni.errors import (
     BadKernelDimension,
     CertificationFailed,
     FormatError,
+    KuniError,
     NotFound,
     OutOfRange,
     SpecMismatch,
 )
-from kuni.field import FFMatrix, gf
+from kuni.field import FFMatrix, format_matrix, gf, parse_matrix
 
 
 def test_qmatrix_basics():
@@ -72,6 +73,28 @@ def test_kernel_subcode_of_k2_pair_keeps_its_length():
     G = FFMatrix(sp, [[1, 0, 1], [0, 1, 1]])
     sub = kernel_subcode(G, QMatrix(sp, (1, 0), (0, 1)))
     assert (sub.n, sub.k) == (3, 0) and repr(sub) == "[3,0]_5"
+
+
+def test_zero_code_has_no_minimum_distance():
+    # no nonzero word, so no distance: both methods refuse and cache nothing
+    for method in ("auto", "brute", "rank"):
+        sub = LinearCode(FFMatrix(gf(5), [], 3))
+        with pytest.raises(KuniError):
+            min_distance(sub, method=method)
+        assert sub.cached_distance is None and repr(sub) == "[3,0]_5"
+    # every MDS criterion holds vacuously, and none records a distance
+    for method in ("distance", "submatrix", "columns"):
+        sub = LinearCode(FFMatrix(gf(5), [], 3))
+        assert is_mds(sub, method=method).is_mds and sub.cached_distance is None
+
+
+def test_zero_code_file_roundtrip():
+    sp = gf(5)
+    sub = kernel_subcode(FFMatrix(sp, [[1, 0, 1], [0, 1, 1]]), QMatrix(sp, (1, 0), (0, 1)))
+    text = format_code(sub)
+    back = parse_code(text)
+    assert (back.n, back.k, back.G) == (3, 0, sub.G) and format_code(back) == text
+    assert parse_matrix(format_matrix(sub.G)).cols == 3
 
 
 def test_zero_kernel_records_no_distance():

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from kuni.codes import code_from_generator, mds_from_singleton
+from kuni.codes import code_from_generator, dual_code, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic
-from kuni.decomposition import QMatrix, construct_G_Q
+from kuni.decomposition import QMatrix, construct_G_Q, search_Q, verify_decomposition
 from kuni.errors import (
     CertificationMissing,
     FormatError,
@@ -19,8 +19,9 @@ from kuni.errors import (
     UnknownName,
     UnsupportedSize,
 )
-from kuni.field import FFMatrix, gf
+from kuni.field import FFMatrix, gf, matrix_rank
 from kuni.states import (
+    FibredState,
     SparseState,
     WeylWord,
     ame_5_q,
@@ -334,3 +335,176 @@ def test_parse_state_errors():
         parse_state("STATE 2 2\n0 0 : 1 0\n0 0 : 0 1\n")  # duplicate term
     with pytest.raises(UnsupportedSize):
         parse_state("STATE 2 2147483647\n")  # field order over the cap, fails fast
+
+
+# --- the fibred generator against the per-message constructions -------------
+
+def _reference_cl_plus_q(code, seed, variant="direct"):
+    """The per-message Cl+Q loop the fibred generator replaced: one apply_weyl
+    state per message v, Z^v on the first log_q(support) seed sites and X^v on
+    the rest."""
+    cl = code if variant == "direct" else dual_code(code)
+    zk = next(r for r in range(seed.n + 1) if seed.q ** r == seed.support)
+    terms = {}
+    for v in itertools.product(range(code.q), repeat=cl.k):
+        for key, amp in apply_weyl(seed, WeylWord.zx_split(seed.n, v, zk)).terms.items():
+            terms[cl.G.row_vector_mul(v) + key] = amp
+    return SparseState(cl.n + seed.n, code.spec, terms)
+
+
+def _reference_cl_plus_q_repetition(G, Q):
+    """The per-message repetition loop: X^alpha (x) Z^beta on the Bell pair for
+    the label (alpha, beta) = vQ of each message v, lexicographic."""
+    seed = bell_pair(G.spec)
+    terms = {}
+    for v in itertools.product(range(G.spec.q), repeat=G.rows):
+        alpha, beta = Q.label(v)
+        word = WeylWord(2, z=(((1, beta),) if beta else ()), x=(((0, alpha),) if alpha else ()))
+        for key, amp in apply_weyl(seed, word).terms.items():
+            terms[G.row_vector_mul(v) + key] = amp
+    return SparseState(G.cols + 2, G.spec, terms)
+
+
+def _assert_same_state(state, reference):
+    """Equal states with the same term order (witnesses depend on it) and
+    byte-identical files."""
+    assert state.equals(reference) and reference.equals(state)
+    assert list(state.terms) == list(reference.terms)
+    assert format_state(state) == format_state(reference)
+
+
+def _random_monomial_seed(rng, spec, n, r):
+    """An n-party seed on the words of a random [n, r] code (support q^r), in
+    shuffled order, with random monomial amplitudes c * w^t."""
+    q = spec.q
+    while True:
+        G = FFMatrix(spec, [[rng.randrange(q) for _ in range(n)] for _ in range(r)])
+        if matrix_rank(G) == r:
+            break
+    keys = sorted(code_from_generator(G).codeword_set())
+    rng.shuffle(keys)
+    return SparseState(n, spec, {key: Cyclotomic.root(q, rng.randrange(q),
+                                                      rng.choice([-2, -1, 1, 3]))
+                                 for key in keys})
+
+
+def _dense_pair(G, Q, rng):
+    """(M G D P, M Q) for a random invertible M, nonzero diagonal D and column
+    permutation P: the same certificate with every entry of G filled."""
+    sp, k, n = G.spec, G.rows, G.cols
+    while True:
+        M = FFMatrix(sp, [[rng.randrange(sp.q) for _ in range(k)] for _ in range(k)])
+        MG = M.matmul(G).data
+        if matrix_rank(M) == k and all(0 not in row for row in MG):
+            break
+    scale = [rng.randrange(1, sp.q) for _ in range(n)]
+    perm = rng.sample(range(n), n)
+    G2 = FFMatrix(sp, [[sp.mul(row[c], scale[c]) for c in perm] for row in MG])
+    q1, q2 = zip(*M.matmul(Q.as_matrix()).data)
+    return G2, QMatrix(sp, q1, q2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_ame_5_q_matches_per_message_oracle(q):
+    sp = gf(q)
+    G = FFMatrix(sp, [[1, 0, 1], [0, 1, 1]])
+    _assert_same_state(ame_5_q(sp), _reference_cl_plus_q_repetition(G, QMatrix(sp, (1, 0), (0, 1))))
+
+
+def test_ame_7_4_matches_per_message_oracle():
+    _assert_same_state(ame_7_4(), _reference_cl_plus_q_repetition(*construct_G_Q(gf(4))))
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+@pytest.mark.parametrize("variant", ["direct", "dual"])
+@pytest.mark.parametrize("seed_kind", ["bell", "ghz", "monomial"])
+def test_cl_plus_q_matches_per_message_oracle(q, variant, seed_kind):
+    sp = gf(q)
+    rng = random.Random(q * 100 + len(variant) * 10 + len(seed_kind))
+    n_seed = 2 if seed_kind == "bell" else 3
+    # the classical code carries n_seed message symbols in either variant
+    k = n_seed if variant == "direct" else 5 - n_seed
+    code = mds_from_singleton(5, k, sp)
+    seed = {"bell": lambda: bell_pair(sp), "ghz": lambda: ghz(3, sp),
+            "monomial": lambda: _random_monomial_seed(rng, sp, 3, 2)}[seed_kind]()
+    _assert_same_state(cl_plus_q(code, seed, variant=variant),
+                       _reference_cl_plus_q(code, seed, variant=variant))
+
+
+def test_clq_rep_on_dense_pairs_matches_per_message_oracle():
+    rng = random.Random(6)
+    G7, Q7 = construct_G_Q(gf(7))
+    G9 = mds_from_singleton(6, 3, gf(9)).G
+    for G, Q in ((G7, Q7), (G9, search_Q(G9))):
+        G2, Q2 = _dense_pair(G, Q, rng)
+        assert verify_decomposition(G2, Q2).all_pass
+        assert all(0 not in row for row in G2.data)  # dense: no zero entry
+        _assert_same_state(cl_plus_q_repetition(G2, Q2), _reference_cl_plus_q_repetition(G2, Q2))
+
+
+def test_fibred_state_shares_amplitude_objects():
+    s = ame_5_q(gf(9))
+    assert len({id(amp) for amp in s.terms.values()}) <= 9 * 9  # per (seed term, phase)
+    code = mds_from_singleton(6, 3, gf(8))
+    assert len({id(amp) for amp in state_from_code(code).terms.values()}) == 1
+
+
+def test_fibred_state_rejects_mismatched_types():
+    sp = gf(3)
+    G = FFMatrix(sp, [[1, 1, 1]])
+    for W, types in (([[1, 0]], "Z"), ([[1]], "XZ"), ([[1, 0]], "XY")):
+        with pytest.raises(LayoutMismatch):
+            FibredState(G, FFMatrix(sp, W), bell_pair(sp), types).materialize()
+
+
+# --- the state file formatter ------------------------------------------------
+
+def _reference_format_state(state):
+    """The formatter before line templates: every symbol and coefficient
+    converted one by one."""
+    lines = [f"STATE {state.n} {state.q}"]
+    for key in sorted(state.terms):
+        amp = state.terms[key]
+        lines.append(" ".join(str(s) for s in key) + " : " + " ".join(str(c) for c in amp.coeffs))
+    return "\n".join(lines) + "\n"
+
+
+def _random_powers_state(rng, n, q, support, powers):
+    """Amplitudes that are sums of `powers` powers of w with coefficients in
+    {-3, -2, 2, 3}; an amplitude that sums to zero drops its term."""
+    terms = {}
+    for _ in range(support):
+        coeffs = [0] * q
+        for _ in range(powers):
+            coeffs[rng.randrange(q)] += rng.choice([-3, -2, 2, 3])
+        terms[tuple(rng.randrange(q) for _ in range(n))] = Cyclotomic(q, coeffs)
+    return SparseState(n, gf(q), terms)
+
+
+def _format_cases():
+    rng = random.Random(11)
+    sp = gf(5)
+    code = mds_from_singleton(4, 2, sp)
+    yield "fourier", local_fourier(state_from_code(code), [2, 3])
+    yield "fourier_bell", local_fourier(bell_pair(gf(4)), [0])
+    for q in (2, 3, 7, 9):
+        yield f"powers_{q}", _random_powers_state(rng, 4, q, 60, powers=3)
+    yield "one_party", _random_powers_state(rng, 1, 5, 5, powers=2)
+    yield "zero_party", SparseState(0, sp, {(): Cyclotomic(5, [1, -2, 0, 3, 0])})
+    yield "empty", SparseState(3, sp, {})
+    # distinct objects with equal coefficients, and equal values written with
+    # different coefficients (1 + w + ... + w^4 = 0, so both are -w)
+    yield "shared", SparseState(2, sp, {(0, 1): Cyclotomic(5, [0, 1, 0, 0, 0]),
+                                        (1, 0): Cyclotomic(5, [0, 1, 0, 0, 0]),
+                                        (2, 2): Cyclotomic(5, [0, -1, 0, 0, 0]),
+                                        (3, 4): Cyclotomic(5, [1, 0, 1, 1, 1])})
+    yield "ame_7_4", ame_7_4()
+
+
+@pytest.mark.parametrize("state", [pytest.param(s, id=name) for name, s in _format_cases()])
+def test_format_state_matches_per_symbol_formatter(state):
+    text = format_state(state)
+    assert text == _reference_format_state(state)
+    if state.n >= 1:  # the file format needs at least one party
+        back = parse_state(text)
+        assert back.equals(state) and format_state(back) == text

@@ -3,7 +3,8 @@
 A value is a length-L integer coefficient vector for sum_t c_t w^t.  The
 representation is redundant (the ring has rank phi(L)); zero is decided
 exactly by reducing the coefficient polynomial modulo the L-th cyclotomic
-polynomial, so all equality tests go through is_zero of a difference.
+polynomial (for prime L, by testing that all coefficients are equal), so
+all equality tests go through is_zero of a difference.
 """
 
 from __future__ import annotations
@@ -122,13 +123,18 @@ class Cyclotomic:
         return Cyclotomic(L, tuple(c[(-t) % L] for t in range(L)))
 
     def is_zero(self) -> bool:
+        c, L = self.coeffs, self.order
+        phi = cyclotomic_polynomial(L)
+        if len(phi) == L:
+            # prime L: Phi_L = 1 + x + ... + x^(L-1) divides a polynomial of
+            # degree < L only as a constant multiple, so all c_t are equal
+            return min(c) == max(c)
         # c * w^t with c != 0 is a unit times c, never zero: only sums of two
         # or more powers need the division by Phi_L
-        nonzero = self.order - self.coeffs.count(0)
+        nonzero = L - c.count(0)
         if nonzero <= 1:
             return nonzero == 0
-        phi = cyclotomic_polynomial(self.order)
-        _, rem = _poly_divmod_exact(self.coeffs, list(phi))
+        _, rem = _poly_divmod_exact(c, list(phi))
         return not rem
 
     def equals(self, other: "Cyclotomic") -> bool:

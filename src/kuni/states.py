@@ -433,22 +433,28 @@ def parse_state(text: str) -> SparseState:
         raise FormatError(f"bad STATE header: {lines[0]!r}")
     spec = gf(q)
     terms = {}
+    amps = {}  # coefficient text -> its one amplitude, or None when it is zero
     for ln in lines[1:]:
-        if ":" not in ln:
+        left, colon, right = ln.partition(":")
+        if not colon:
             raise FormatError(f"bad term line: {ln!r}")
-        left, right = ln.split(":", 1)
         try:
-            key = tuple(int(s) for s in left.split())
-            coeffs = [int(c) for c in right.split()]
+            key = tuple(map(int, left.split()))
+            coeffs = None if right in amps else tuple(map(int, right.split()))
         except ValueError as exc:
             raise FormatError(f"bad term line: {ln!r}") from exc
         if len(key) != n:
             raise FormatError(f"term has {len(key)} symbols, header says {n}")
-        if any(not 0 <= s < q for s in key):
+        if min(key) < 0 or max(key) >= q:
             raise FormatError(f"symbol out of range [0, {q}) in {ln!r}")
-        if len(coeffs) != q:
-            raise FormatError(f"term has {len(coeffs)} coefficients, expected {q}")
+        if coeffs is not None:
+            if len(coeffs) != q:
+                raise FormatError(f"term has {len(coeffs)} coefficients, expected {q}")
+            amp = Cyclotomic(q, coeffs)
+            amps[right] = None if amp.is_zero() else amp
         if key in terms:
             raise FormatError(f"duplicate term {key}")
-        terms[key] = Cyclotomic(q, coeffs)
-    return SparseState(n, spec, terms)
+        terms[key] = amps[right]
+    if None in amps.values():  # a zero line is checked like any other, then dropped
+        terms = {key: amp for key, amp in terms.items() if amp is not None}
+    return SparseState._of_nonzero(n, spec, terms)

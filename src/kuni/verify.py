@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random as _random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
@@ -51,17 +52,22 @@ def reduced_density(state: SparseState, subset) -> ReducedDensity:
     Each amplitude is taken as its nonzero (exponent t, coefficient c) pairs,
     so a product a * conj(b) adds c_a * c_b at phase (t_a - t_b) mod q of the
     entry's integer vector.  Only the finished sums become Cyclotomic values,
-    each zero-tested once.
+    each zero-tested once.  When the support projects injectively onto the
+    complement, rho_S is diagonal and is counted instead (`_diagonal`).
     """
     S = tuple(sorted(subset))
     q = state.q
     if q ** len(S) > MAX_RHO_DIM:
         raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
-    Sc = [i for i in range(state.n) if i not in set(S)]
+    in_S = set(S)
+    Sc = [i for i in range(state.n) if i not in in_S]
     row_of, group_of = _symbols_at(S), _symbols_at(Sc)
+    terms = state.terms
+    if len(set(map(group_of, terms))) == len(terms):
+        return ReducedDensity(S, q, _diagonal(terms, row_of, q))
     pairs_of = {}  # most states have only q distinct amplitudes
     groups = {}
-    for key, amp in state.terms.items():
+    for key, amp in terms.items():
         pairs = pairs_of.get(amp.coeffs)
         if pairs is None:
             pairs = pairs_of[amp.coeffs] = [(t, c) for t, c in enumerate(amp.coeffs) if c]
@@ -84,12 +90,37 @@ def reduced_density(state: SparseState, subset) -> ReducedDensity:
     return ReducedDensity(S, q, entries)
 
 
+def _diagonal(terms, row_of, q):
+    """rho_S entries when every complement group holds one term: (r, r) is
+    the sum of |amp|^2 over the terms in row r, rows in first-occurrence
+    order (the general loop's order for singleton groups).  amp * conj(amp)
+    has the general loop's phase vector for a = b, and a sum of |amp|^2 > 0
+    is never zero, so nothing is zero-tested."""
+    distinct = {amp.coeffs: amp for amp in terms.values()}
+    norms = {coeffs: (amp * amp.conj()).coeffs for coeffs, amp in distinct.items()}
+    if len(set(norms.values())) == 1:  # as for monomials c * w^t with one |c|
+        norm = next(iter(norms.values()))
+        rows = Counter(map(row_of, terms))
+        shared = {m: Cyclotomic(q, [m * x for x in norm]) for m in set(rows.values())}
+        return {(r, r): shared[m] for r, m in rows.items()}
+    sums = {}
+    for (r, coeffs), m in Counter(zip(map(row_of, terms),
+                                      map(attrgetter("coeffs"), terms.values()))).items():
+        vec = sums.get(r)
+        if vec is None:
+            vec = sums[r] = [0] * q
+        for t, x in enumerate(norms[coeffs]):
+            vec[t] += m * x
+    return {(r, r): Cyclotomic(q, vec) for r, vec in sums.items()}
+
+
 def _symbols_at(sites):
-    """key -> tuple of its symbols at `sites`; itemgetter alone gives a bare
-    symbol for one site."""
+    """key -> tuple of its symbols at `sites`; itemgetter of several indices
+    gives a tuple, of a slice a tuple of zero or one symbols."""
     if len(sites) > 1:
         return itemgetter(*sites)
-    return lambda key: tuple(key[i] for i in sites)
+    i = sites[0] if sites else 0
+    return itemgetter(slice(i, i + len(sites)))
 
 
 def is_maximally_mixed(rho: ReducedDensity):
@@ -106,7 +137,7 @@ def is_maximally_mixed(rho: ReducedDensity):
     vals = list(diag.items())
     first_key, first = vals[0]
     for key, v in vals[1:]:
-        if not (v - first).is_zero():
+        if v.coeffs != first.coeffs and not (v - first).is_zero():
             return False, ("diag", first_key, key)
     return True, None
 

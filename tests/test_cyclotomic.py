@@ -126,3 +126,28 @@ def test_is_zero_against_float_evaluation(L):
             val = sum(c * w ** t for t, c in enumerate(coeffs))
             exact = Cyclotomic(L, coeffs).is_zero()
             assert exact == (abs(val) < mpmath.mpf("1e-18"))
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 7, 11, 13, 4, 6, 8, 9, 12])
+def test_prime_order_zero_test_matches_division(L):
+    """is_zero against the remainder modulo Phi_L: prime orders take the
+    equal-coefficient test, composite orders still divide."""
+    rng = random.Random(f"zero-test/{L}")
+    phi = list(cyclotomic_polynomial(L))
+    vectors = [[rng.randint(-4, 4) for _ in range(L)] for _ in range(200)]
+    for _ in range(50):
+        c = rng.choice([-5, -1, 1, 2, 7])
+        vectors.append([c] * L)  # c * (1 + w + ... + w^(L-1)) = 0
+        odd = list(vectors[-1])
+        odd[rng.randrange(L)] += rng.choice([-2, -1, 1, 3])
+        vectors.append(odd)  # d * w^t with d != 0: never zero
+        # a multiple of Phi_L within degree L - 1, zero at every order
+        mult = [rng.randint(-3, 3) for _ in range(L - len(phi) + 1)]
+        vectors.append([sum(mult[i] * phi[t - i] for i in range(len(mult))
+                            if 0 <= t - i < len(phi)) for t in range(L)])
+    zeros = 0
+    for coeffs in vectors:
+        want = not _poly_divmod_exact(coeffs, phi)[1]
+        assert Cyclotomic(L, coeffs).is_zero() == want, coeffs
+        zeros += want
+    assert 100 <= zeros < len(vectors)

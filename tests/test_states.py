@@ -337,6 +337,21 @@ def test_parse_state_errors():
         parse_state("STATE 2 2147483647\n")  # field order over the cap, fails fast
 
 
+def test_parse_state_shares_amplitudes_and_drops_zero_lines():
+    s = ame_5_q(gf(5))
+    back = parse_state(format_state(s))
+    assert back.equals(s)
+    # one amplitude object per distinct coefficient text
+    assert len({id(a) for a in back.terms.values()}) == len({a.coeffs for a in s.terms.values()})
+    # 0 0 0 and, at prime q, 1 1 1 are zero: dropped, yet each key counts once
+    back = parse_state("STATE 2 3\n0 0 : 0 0 0\n1 1 : 1 1 1\n2 2 : 1 0 0\n1 2 : 1 1 1\n")
+    assert list(back.terms) == [(2, 2)]
+    with pytest.raises(FormatError, match="duplicate"):
+        parse_state("STATE 2 3\n0 0 : 1 1 1\n0 0 : 1 0 0\n")
+    with pytest.raises(FormatError, match="duplicate"):
+        parse_state("STATE 2 3\n0 0 : 1 0 0\n0 0 : 1 1 1\n")
+
+
 # --- the fibred generator against the per-message constructions -------------
 
 def _reference_cl_plus_q(code, seed, variant="direct"):

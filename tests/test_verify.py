@@ -18,6 +18,7 @@ from kuni.states import (
     bell,
     bell_pair,
     cl_plus_q,
+    cl_plus_q_repetition,
     ghz,
     local_fourier,
     state_from_code,
@@ -34,6 +35,8 @@ from kuni.verify import (
     support_census,
     uniformity,
 )
+
+from test_states import _dense_pair
 
 
 def _random_state(rng, n, q, support, powers=1):
@@ -107,6 +110,20 @@ def test_reduced_density_matches_dense_oracle():
                 assert rho.entry(*key).equals(v)
 
 
+def _with_pool_amplitudes(rng, state, pool_size=3):
+    """The support of `state` with amplitudes drawn from a pool of sums of
+    powers of w whose norm vectors |amp|^2 all differ."""
+    q = state.q
+    pool, norms = [], set()
+    while len(pool) < pool_size:
+        amp = _random_state(rng, 1, q, 1, powers=3).terms.popitem()[1]
+        norm = (amp * amp.conj()).coeffs
+        if norm not in norms:
+            pool.append(amp)
+            norms.add(norm)
+    return SparseState(state.n, state.spec, {key: rng.choice(pool) for key in state.terms})
+
+
 def _oracle_states():
     """(name, state, subsets): every subset up to n // 2 on the small states,
     a seeded sample on the larger ones."""
@@ -122,20 +139,35 @@ def _oracle_states():
               ("local_fourier", local_fourier(_random_state(rng, 4, 4, 40), [0, 2])),
               ("random", _random_state(rng, 5, 3, 30)),
               ("random_multi", _random_state(rng, 5, 4, 30, powers=3)),
-              ("ame_7_4", ame_7_4())]
+              ("random_sparse_multi", _random_state(rng, 8, 3, 12, powers=3)),
+              ("ame_7_4", ame_7_4()),
+              ("ame_7_4_pool", _with_pool_amplitudes(rng, ame_7_4()))]
     out = [(name, s, all_subsets(s)) for name, s in small]
     big_clq = cl_plus_q(mds_from_singleton(7, 3, gf(7)), ghz(3, gf(7)))
     # |S| <= 3: the 7^|S| x 7^|S| matrix cap stops larger reductions of this state
     out.append(("cl_plus_q_10", big_clq, sorted(rng.sample(all_subsets(big_clq, 3), 12))))
+    # a seeded dense AME(9,7), 16,807 terms, one subset of each size
+    ame_9_7 = cl_plus_q_repetition(*_dense_pair(*construct_G_Q(gf(7)), random.Random(7)))
+    out.append(("ame_9_7_dense", ame_9_7,
+                [tuple(sorted(rng.sample(range(9), size))) for size in range(1, 5)]))
     return out
 
 
 def test_reduced_density_matches_product_by_product_oracle():
     seen_multi = set()
+    # which way each reduction goes: diagonal by one norm vector, diagonal by
+    # several, or the general product loop
+    seen = {"one_norm": set(), "norms": set(), "general": set()}
     for name, s, subsets in _oracle_states():
         if any(len(amp.coeffs) - amp.coeffs.count(0) > 1 for amp in s.terms.values()):
             seen_multi.add(name)
+        norms = {(amp * amp.conj()).coeffs for amp in s.terms.values()}
         for S in subsets:
+            Sc = [i for i in range(s.n) if i not in S]
+            if len({tuple(key[i] for i in Sc) for key in s.terms}) < s.support:
+                seen["general"].add(name)
+            else:
+                seen["one_norm" if len(norms) == 1 else "norms"].add(name)
             rho = reduced_density(s, S)
             ref = _reference_reduced_density(s, S)
             assert list(rho.entries) == list(ref), (name, S)  # same keys, same order
@@ -144,7 +176,11 @@ def test_reduced_density_matches_product_by_product_oracle():
             assert is_maximally_mixed(rho) == is_maximally_mixed(
                 ReducedDensity(rho.subset, s.q, ref)), (name, S)
     # the multi-term amplitudes really are exercised
-    assert {"local_fourier", "random_multi"} <= seen_multi
+    assert {"local_fourier", "random_multi", "random_sparse_multi", "ame_7_4_pool"} <= seen_multi
+    # every branch runs, the diagonal one on injective supports with unequal norms too
+    assert {"ame_5_3", "ame_7_4", "ame_9_7_dense"} <= seen["one_norm"]
+    assert {"random_sparse_multi", "ame_7_4_pool"} <= seen["norms"]
+    assert {"local_fourier", "random_sparse_multi", "ame_7_4_pool"} <= seen["general"]
 
 
 def test_reduced_density_is_hermitian_with_real_trace():

@@ -11,7 +11,7 @@ import itertools
 import random as _random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
@@ -53,7 +53,8 @@ def reduced_density(state: SparseState, subset) -> ReducedDensity:
     so a product a * conj(b) adds c_a * c_b at phase (t_a - t_b) mod q of the
     entry's integer vector.  Only the finished sums become Cyclotomic values,
     each zero-tested once.  When the support projects injectively onto the
-    complement, rho_S is diagonal and is counted instead (`_diagonal`).
+    complement and all amplitudes have one norm, rho_S is diagonal and is
+    counted instead (`_diagonal`).
     """
     S = tuple(sorted(subset))
     q = state.q
@@ -63,8 +64,9 @@ def reduced_density(state: SparseState, subset) -> ReducedDensity:
     Sc = [i for i in range(state.n) if i not in in_S]
     row_of, group_of = _symbols_at(S), _symbols_at(Sc)
     terms = state.terms
-    if len(set(map(group_of, terms))) == len(terms):
-        return ReducedDensity(S, q, _diagonal(terms, row_of, q))
+    diagonal = _diagonal(terms, row_of, group_of, q)
+    if diagonal is not None:
+        return ReducedDensity(S, q, diagonal)
     pairs_of = {}  # most states have only q distinct amplitudes
     groups = {}
     for key, amp in terms.items():
@@ -90,28 +92,22 @@ def reduced_density(state: SparseState, subset) -> ReducedDensity:
     return ReducedDensity(S, q, entries)
 
 
-def _diagonal(terms, row_of, q):
-    """rho_S entries when every complement group holds one term: (r, r) is
-    the sum of |amp|^2 over the terms in row r, rows in first-occurrence
-    order (the general loop's order for singleton groups).  amp * conj(amp)
-    has the general loop's phase vector for a = b, and a sum of |amp|^2 > 0
-    is never zero, so nothing is zero-tested."""
+def _diagonal(terms, row_of, group_of, q):
+    """rho_S entries by counting, or None for the general loop: when every
+    complement group holds one term and all amplitudes have one |amp|^2 (as
+    monomials c * w^t of one |c| do), (r, r) is m * |amp|^2 for the m terms
+    in row r, in the general loop's first-occurrence order; it is never
+    zero, so nothing is zero-tested."""
+    if len(set(map(group_of, terms))) != len(terms):
+        return None
     distinct = {amp.coeffs: amp for amp in terms.values()}
-    norms = {coeffs: (amp * amp.conj()).coeffs for coeffs, amp in distinct.items()}
-    if len(set(norms.values())) == 1:  # as for monomials c * w^t with one |c|
-        norm = next(iter(norms.values()))
-        rows = Counter(map(row_of, terms))
-        shared = {m: Cyclotomic(q, [m * x for x in norm]) for m in set(rows.values())}
-        return {(r, r): shared[m] for r, m in rows.items()}
-    sums = {}
-    for (r, coeffs), m in Counter(zip(map(row_of, terms),
-                                      map(attrgetter("coeffs"), terms.values()))).items():
-        vec = sums.get(r)
-        if vec is None:
-            vec = sums[r] = [0] * q
-        for t, x in enumerate(norms[coeffs]):
-            vec[t] += m * x
-    return {(r, r): Cyclotomic(q, vec) for r, vec in sums.items()}
+    norms = {(amp * amp.conj()).coeffs for amp in distinct.values()}
+    if len(norms) != 1:
+        return None
+    (norm,) = norms
+    rows = Counter(map(row_of, terms))
+    shared = {m: Cyclotomic(q, [m * x for x in norm]) for m in set(rows.values())}
+    return {(r, r): shared[m] for r, m in rows.items()}
 
 
 def _symbols_at(sites):

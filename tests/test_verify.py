@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from kuni import verify
 from kuni.codes import code_from_generator, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic
 from kuni.decomposition import QMatrix, construct_G_Q
@@ -153,22 +154,35 @@ def _oracle_states():
     return out
 
 
-def test_reduced_density_matches_product_by_product_oracle():
+def test_reduced_density_matches_product_by_product_oracle(monkeypatch):
+    counted = []  # per reduced_density call: did _diagonal count rho_S?
+    diagonal = verify._diagonal
+
+    def observed(*args):
+        out = diagonal(*args)
+        counted.append(out is not None)
+        return out
+
+    monkeypatch.setattr(verify, "_diagonal", observed)
     seen_multi = set()
-    # which way each reduction goes: diagonal by one norm vector, diagonal by
-    # several, or the general product loop
-    seen = {"one_norm": set(), "norms": set(), "general": set()}
+    # the way each reduction went: counted, the general loop on an injective
+    # support (amplitudes of several norms), or the general loop otherwise
+    seen = {"counted": set(), "injective_general": set(), "general": set()}
     for name, s, subsets in _oracle_states():
         if any(len(amp.coeffs) - amp.coeffs.count(0) > 1 for amp in s.terms.values()):
             seen_multi.add(name)
-        norms = {(amp * amp.conj()).coeffs for amp in s.terms.values()}
+        one_norm = len({(amp * amp.conj()).coeffs for amp in s.terms.values()}) == 1
         for S in subsets:
-            Sc = [i for i in range(s.n) if i not in S]
-            if len({tuple(key[i] for i in Sc) for key in s.terms}) < s.support:
-                seen["general"].add(name)
-            else:
-                seen["one_norm" if len(norms) == 1 else "norms"].add(name)
             rho = reduced_density(s, S)
+            assert len(counted) == 1, (name, S)
+            took_count = counted.pop()
+            Sc = [i for i in range(s.n) if i not in S]
+            injective = len({tuple(key[i] for i in Sc) for key in s.terms}) == s.support
+            assert took_count == (injective and one_norm), (name, S)
+            if took_count:
+                seen["counted"].add(name)
+            else:
+                seen["injective_general" if injective else "general"].add(name)
             ref = _reference_reduced_density(s, S)
             assert list(rho.entries) == list(ref), (name, S)  # same keys, same order
             for key, v in ref.items():
@@ -177,9 +191,9 @@ def test_reduced_density_matches_product_by_product_oracle():
                 ReducedDensity(rho.subset, s.q, ref)), (name, S)
     # the multi-term amplitudes really are exercised
     assert {"local_fourier", "random_multi", "random_sparse_multi", "ame_7_4_pool"} <= seen_multi
-    # every branch runs, the diagonal one on injective supports with unequal norms too
-    assert {"ame_5_3", "ame_7_4", "ame_9_7_dense"} <= seen["one_norm"]
-    assert {"random_sparse_multi", "ame_7_4_pool"} <= seen["norms"]
+    # every way runs; injective supports with unequal norms take the general loop
+    assert {"ame_5_3", "ame_7_4", "ame_9_7_dense"} <= seen["counted"]
+    assert {"random_sparse_multi", "ame_7_4_pool"} <= seen["injective_general"]
     assert {"local_fourier", "random_sparse_multi", "ame_7_4_pool"} <= seen["general"]
 
 

@@ -26,6 +26,8 @@ COMMANDS = [
     ("construct", "builtin", "--name", "ame_7_4", "-o", "ame74.state"),
     ("decompose", "--q", "7", "--emit-g", "g7.txt", "--emit-q", "q7.txt", "--json"),
     ("construct", "clq-rep", "--g", "g7.txt", "--q-matrix", "q7.txt", "-o", "rep7.state"),
+    ("decompose", "--q", "9", "--emit-g", "g9.txt", "--emit-q", "q9.txt"),
+    ("construct", "clq-rep", "--g", "g9.txt", "--q-matrix", "q9.txt", "-o", "rep9.state"),
     ("certify", "--g", "g7.txt", "--q-matrix", "q7.txt", "--json"),
     ("verify", "ame53.state", "--json"),
 ]
@@ -55,6 +57,10 @@ GOLDEN_COMMANDS = {
         "d80d5da7d8ef48ef769166d616c26bcc27af3e27b644206be1f60596582c9a06",
     "construct clq-rep --g g7.txt --q-matrix q7.txt -o rep7.state":
         "e540703a4a0a1ae7c3c703d42f7d65094fe775f445d9574b58e81f5b6894fdb7",
+    "decompose --q 9 --emit-g g9.txt --emit-q q9.txt":
+        "9bec23f19c2502388e4a986793d6afc6da8ac235549c5376b17c0549c1f113b5",
+    "construct clq-rep --g g9.txt --q-matrix q9.txt -o rep9.state":
+        "3e368b7f83ee94dfec13f009289be9075badecf96a1e246009f4af77a5187d60",
     "certify --g g7.txt --q-matrix q7.txt --json":
         "566efb1a36462fe970009bd1054003e546aa97d133300f093ecd658755db3ef5",
     "verify ame53.state --json":
@@ -70,8 +76,11 @@ GOLDEN_FILES = {
     "clq7dual.state": "63d7e66c54bdeff1c0f1a310d176f5e9e552aed84c4e7065d244e1483e8d81fb",
     "code8.state": "5d3a921e2738fe701e08de49e0ecf2439ba25634daec9553abcf885acb9a81fd",
     "g7.txt": "a3a72549f7f25fa878bbb3fec751cefa0adc209a8ef37166ba257a610450657f",
+    "g9.txt": "5d565f4aff29045e6be6db16ee787e80e3c45f18d9407adcc98918ea12b3613e",
     "q7.txt": "cf41e53916b274e331e64b0bc20dafe298c3d10cf3b329b7f0b97c7d5b0ab957",
+    "q9.txt": "d445554b9f92c283a0b566f08f0256085c091f08e339c3ab32a332dc4e9590f5",
     "rep7.state": "229e09cc246cf7ee58d578e465605cb98e3cb8c49dd22fe433febdfb9eb3f039",
+    "rep9.state": "b15c9854ec2a03bc8b92112128b8b8ce0778e03483aff0a2b82e5e73b8857eeb",
 }
 
 

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -29,15 +30,18 @@ from .decomposition import QMatrix, construct_G_Q, format_qmatrix, parse_qmatrix
 from .errors import KuniError
 from .field import format_matrix, gf, parse_matrix
 from .states import (
+    FibredState,
     SparseState,
     bell_pair,
     builtin_state,
     cl_plus_q,
-    cl_plus_q_repetition,
+    cl_plus_q_fibred,
+    code_fibred,
     format_state,
     ghz,
     max_terms,
     parse_state,
+    repetition_fibred,
     state_from_code,
 )
 from .verify import CertificateReport, certify_ame_via_codes, uniformity
@@ -79,16 +83,16 @@ def _seed_state(name: str, spec, n_q: int) -> SparseState:
 
 def cmd_construct(args) -> int:
     if args.mode == "from-code":
-        state = state_from_code(_load_code(args))
+        state = code_fibred(_load_code(args))
     elif args.mode == "clq":
         code = _load_code(args)
         seed = _seed_state(args.seed_state, code.spec,
                            code.k if args.variant == "direct" else code.n - code.k)
-        state = cl_plus_q(code, seed, variant=args.variant)
+        state = cl_plus_q_fibred(code, seed, variant=args.variant)
     elif args.mode == "clq-rep":
         G = parse_matrix(Path(args.g).read_text())
         Q = parse_qmatrix(Path(args.q_matrix).read_text())
-        state = cl_plus_q_repetition(G, Q)
+        state = repetition_fibred(G, Q)
     elif args.mode == "builtin":
         kwargs = {k: v for k, v in
                   (("q", args.q), ("n", args.n), ("l", args.l), ("m", args.m))
@@ -106,7 +110,18 @@ def cmd_construct(args) -> int:
     else:
         raise KuniError(f"unknown construct mode {args.mode!r}")
     out = args.output or "out.state"
-    Path(out).write_text(format_state(state))
+    # a code-fibred state streams in sorted order; chunks() checks the term
+    # cap before the file is opened
+    chunks = state.chunks() if isinstance(state, FibredState) else [format_state(state)]
+    tmp = out + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, out)
+    except BaseException:  # leave neither a partial file nor a clobbered one
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     print(f"wrote {state.n}-party state over GF({state.q}), support {state.support}, to {out}")
     return EXIT_OK
 

@@ -103,19 +103,19 @@ def enumerate_codewords(code: LinearCode):
     q multiples are tabled, so each word costs one vector addition."""
     if code.q ** code.k > MAX_ENUM_CODEWORDS:
         raise TooLarge(f"q^k = {code.q}^{code.k} exceeds enumeration cap")
-    sp = code.spec
-    add = sp.add
+    sp, k = code.spec, code.k
     multiples = [[tuple(sp.mul(a, g) for g in row) for a in range(code.q)]
                  for row in code.G.data]
 
     def extend(partial, r):
-        if r == code.k:
-            yield partial
+        words = sp.add_each(partial, multiples[r])
+        if r == k - 1:
+            yield from words
             return
-        for m in multiples[r]:
-            yield from extend(tuple(map(add, partial, m)), r + 1)
+        for word in words:
+            yield from extend(word, r + 1)
 
-    yield from extend((0,) * code.n, 0)
+    yield from extend((0,) * code.n, 0) if k else [(0,) * code.n]
 
 
 def _min_weight_brute(code: LinearCode) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem
 
 from .errors import (
     DivisionByZero,
@@ -201,6 +202,17 @@ class FieldSpec:
             b //= p
             pw *= p
         return r
+
+    def add_each(self, xs, ys_list) -> list:
+        """[xs + ys for ys in ys_list] as tuples; the field's kind is tested
+        and each entry of xs looked up once for the whole list."""
+        if self.m == 1:
+            p = self.p
+            return [tuple([(x + y) % p for x, y in zip(xs, ys)]) for ys in ys_list]
+        if self._add_table is not None:
+            rows = list(map(self._add_table.__getitem__, xs))
+            return [tuple(map(getitem, rows, ys)) for ys in ys_list]
+        return [tuple(map(self.add, xs, ys)) for ys in ys_list]
 
     def neg(self, a: int) -> int:
         if self.m == 1:

@@ -17,6 +17,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem
 
 from .codes import LinearCode, dual_code, enumerate_codewords
 from .cyclotomic import Cyclotomic
@@ -141,62 +142,144 @@ class FibredState:
     """sum_v |vG> (x) M(vW)|seed>, M(e) applying types[j]^(e_j), Z or X, at
     seed site j.  Cl+Q has W = I_k; the repetition construction has W = Q, a
     Bell seed and types "XZ"; a code state has W of width 0 and a 0-party
-    seed.  G must have full row rank, so each message gives one codeword."""
+    seed.  G must have full row rank, so each message gives one codeword and
+    the q^k * s terms are distinct."""
 
     G: FFMatrix
     W: FFMatrix
     seed: SparseState
     types: str
 
-    def terms(self):
-        """(key, amplitude) pairs, messages in lexicographic order, then seed
-        terms in seed order.  A word of [G | W] is a codeword and its label e;
-        X sites shift the seed symbol by e_j, Z sites add int(e_j) * int(symbol)
-        to the phase.  Shifted keys are tabled per X part of e, amplitudes per
-        Z part, and one amplitude object serves each (seed term, phase)."""
+    @property
+    def n(self) -> int:
+        return self.G.cols + self.seed.n
+
+    @property
+    def q(self) -> int:
+        return self.seed.q
+
+    @property
+    def support(self) -> int:
+        return self.q ** self.G.rows * self.seed.support
+
+    def _check_cap(self) -> None:
+        if self.support > max_terms():
+            raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
+                           f"{self.seed.support} exceeds the term cap")
+
+    def _words(self):
+        """Words of [G | W]: a codeword, then its label e."""
+        return enumerate_codewords(LinearCode(self.G.hstack(self.W), _skip_rank_check=True))
+
+    def _action(self):
+        """How a word's label acts on the seed: (x_part, z_part, shifted, phases).
+        x_part and z_part pick the label's exponents at the X and Z sites;
+        shifted(ex) lists the seed keys with each X site moved by field
+        addition of its exponent, phases(ez) each seed term's power of w, the
+        sum of int(e_j) * int(symbol) over the Z sites; both in seed order."""
         if not len(self.types) == self.W.cols == self.seed.n or set(self.types) - set("XZ"):
             raise LayoutMismatch(f"types {self.types!r} (X or Z) for a {self.seed.n}-party seed")
-        sp = self.seed.spec
-        q, n = sp.q, self.G.cols
+        sp, n = self.seed.spec, self.G.cols
         x_sites = [j for j, t in enumerate(self.types) if t == "X"]
         z_sites = [j for j, t in enumerate(self.types) if t == "Z"]
-        seed = self.seed.terms
-        powers = [[amp.mul_root(t) for t in range(q)] for amp in seed.values()]
+        keys = list(self.seed.terms)
 
-        @lru_cache(maxsize=None)
-        def tails(ex):
-            shifted = []
-            for key in seed:
+        def part(sites):
+            at = [n + j for j in sites]
+            return lambda word: tuple(map(word.__getitem__, at))
+
+        def shifted(ex):
+            out = []
+            for key in keys:
                 symbols = list(key)
                 for j, a in zip(x_sites, ex):
                     symbols[j] = sp.add(symbols[j], a)
-                shifted.append(tuple(symbols))
-            return shifted
+                out.append(tuple(symbols))
+            return out
+
+        def phases(ez):
+            return [sum(a * key[j] for j, a in zip(z_sites, ez)) % sp.q for key in keys]
+
+        return part(x_sites), part(z_sites), shifted, phases
+
+    def terms(self):
+        """(key, amplitude) pairs, messages in lexicographic order, then seed
+        terms in seed order.  Shifted keys are tabled per X part of the label,
+        amplitudes per Z part, and one amplitude object serves each (seed
+        term, phase)."""
+        x_part, z_part, shifted, phases = self._action()
+        powers = [[amp.mul_root(t) for t in range(self.q)] for amp in self.seed.terms.values()]
+        tails = lru_cache(maxsize=None)(shifted)
 
         @lru_cache(maxsize=None)
         def amps(ez):
-            return [p[sum(a * key[j] for j, a in zip(z_sites, ez)) % q]
-                    for key, p in zip(seed, powers)]
+            return list(map(getitem, powers, phases(ez)))
 
-        for word in enumerate_codewords(LinearCode(self.G.hstack(self.W), _skip_rank_check=True)):
-            e = word[n:]
-            ex, ez = tuple(map(e.__getitem__, x_sites)), tuple(map(e.__getitem__, z_sites))
-            yield from zip(map(word[:n].__add__, tails(ex)), amps(ez))
+        n = self.G.cols
+        for word in self._words():
+            yield from zip(map(word[:n].__add__, tails(x_part(word))), amps(z_part(word)))
 
     def materialize(self) -> SparseState:
-        q, k, s = self.seed.q, self.G.rows, self.seed.support
-        if q ** k * s > max_terms():
-            raise TooLarge(f"q^k * seed support = {q}^{k} * {s} exceeds the term cap")
+        self._check_cap()
         # a root of unity times a nonzero seed amplitude is never zero
-        return SparseState._of_nonzero(self.G.cols + self.seed.n, self.seed.spec,
-                                       dict(self.terms()))
+        return SparseState._of_nonzero(self.n, self.seed.spec, dict(self.terms()))
+
+    def chunks(self):
+        """The text of format_state(self.materialize()), one piece per word,
+        without building the state.  Keys are codeword + shifted seed key, and
+        codewords are distinct, so the words of [G | W] sorted by codeword, each
+        followed by its label's seed lines sorted by shifted key, give the
+        sorted key order.  The term cap is checked and the words are sorted
+        here, before the first piece is asked for.
+
+        A label's lines are tabled per label, and their heads per X part, only
+        where the table can hold no more lines than there are words: memory
+        grows with the q^k words, never with the q^k * s terms."""
+        self._check_cap()
+        x_part, z_part, shifted, phases = self._action()
+        words = sorted(self._words())
+        n, q, s = self.G.cols, self.q, self.seed.support
+        sep = " " if self.seed.n else ""  # a code state's lines have no seed key
+        # " : coefficients" of each seed amplitude times each power of w
+        texts = {}
+        for amp in self.seed.terms.values():
+            if amp.coeffs not in texts:
+                texts[amp.coeffs] = [" : " + " ".join(map(str, amp.mul_root(t).coeffs)) + "\n"
+                                     for t in range(q)]
+        amp_texts = [texts[amp.coeffs] for amp in self.seed.terms.values()]
+
+        def tabled(fn, sites):
+            return lru_cache(maxsize=None)(fn) if q ** sites * s <= len(words) else fn
+
+        def heads(ex):
+            """(seed term, its shifted key's text) in shifted key order."""
+            tails = shifted(ex)
+            return [(i, sep + " ".join(map(str, tails[i])))
+                    for i in sorted(range(s), key=tails.__getitem__)]
+
+        def block(ex, ez):
+            # led by "", so that joining with the codeword's text starts each line
+            ph = phases(ez)
+            return ["", *(head + amp_texts[i][ph[i]] for i, head in heads(ex))]
+
+        heads = tabled(heads, self.types.count("X"))
+        block = tabled(block, self.W.cols)
+        prefix = " ".join(["%d"] * n)
+        return itertools.chain(
+            [f"STATE {self.n} {q}\n"],
+            ((prefix % word[:n]).join(block(x_part(word), z_part(word))) for word in words))
+
+
+def code_fibred(code: LinearCode) -> FibredState:
+    """state_from_code's description: W of width 0 and a 0-party seed."""
+    spec = code.spec
+    point = SparseState(0, spec, {(): Cyclotomic.integer(spec.q, 1)})
+    return FibredState(code.G, FFMatrix(spec, [[]] * code.k), point, "")
 
 
 def state_from_code(code: LinearCode) -> SparseState:
     """Equally weighted superposition of all codewords (amplitude 1 each)."""
-    spec = code.spec
-    point = SparseState(0, spec, {(): Cyclotomic.integer(spec.q, 1)})
-    return FibredState(code.G, FFMatrix(spec, [[]] * code.k), point, "").materialize()
+    return code_fibred(code).materialize()
 
 
 def weyl_basis(seed: SparseState, k: int):
@@ -229,6 +312,12 @@ def inner_product(s1: SparseState, s2: SparseState) -> Cyclotomic:
 
 
 def cl_plus_q(code: LinearCode, quantum_seed: SparseState, variant: str = "direct") -> SparseState:
+    """The state that cl_plus_q_fibred describes."""
+    return cl_plus_q_fibred(code, quantum_seed, variant).materialize()
+
+
+def cl_plus_q_fibred(code: LinearCode, quantum_seed: SparseState,
+                     variant: str = "direct") -> FibredState:
     """Concatenate codewords with Weyl-basis states over the seed.
 
     direct: the code itself supplies the classical part, needs n_Q = k;
@@ -254,7 +343,7 @@ def cl_plus_q(code: LinearCode, quantum_seed: SparseState, variant: str = "direc
     # log_q(support) when the seed is minimal
     zk = _z_block_size(quantum_seed)
     types = "Z" * zk + "X" * (nq - zk)
-    return FibredState(cl.G, FFMatrix.identity(code.spec, cl.k), quantum_seed, types).materialize()
+    return FibredState(cl.G, FFMatrix.identity(code.spec, cl.k), quantum_seed, types)
 
 
 def _z_block_size(seed: SparseState) -> int:
@@ -285,6 +374,11 @@ def ghz(n: int, spec: FieldSpec) -> SparseState:
 
 
 def cl_plus_q_repetition(G: FFMatrix, Q: QMatrix, certified: bool = False) -> SparseState:
+    """The state that repetition_fibred describes."""
+    return repetition_fibred(G, Q, certified).materialize()
+
+
+def repetition_fibred(G: FFMatrix, Q: QMatrix, certified: bool = False) -> FibredState:
     """sum_v |vG> (x) X^(vQ1) Z^(vQ2) sum_l |l, l>; AME(n+2, q) when (G, Q)
     passes the decomposition checks.
 
@@ -297,7 +391,7 @@ def cl_plus_q_repetition(G: FFMatrix, Q: QMatrix, certified: bool = False) -> Sp
             raise CertificationMissing(f"(G, Q) failed decomposition checks: {report}")
     # G has full row rank (checked by verify_decomposition); the label
     # (alpha, beta) = vQ acts as X^alpha (x) Z^beta on the Bell pair
-    return FibredState(G, Q.as_matrix(), bell_pair(G.spec), "XZ").materialize()
+    return FibredState(G, Q.as_matrix(), bell_pair(G.spec), "XZ")
 
 
 def local_fourier(state: SparseState, sites) -> SparseState:
@@ -324,27 +418,31 @@ def ame_5_q(spec: FieldSpec) -> SparseState:
     """sum_{l,m} |l, m, l+m> (x) X^l Z^m sum_r |r, r> over GF(q): the repetition
     construction with G = [[1,0,1],[0,1,1]] and Q = I, which passes the checks
     for every q (the [3,2] parity code is MDS, the kernel is {0}, rank Q = 2)."""
-    G = FFMatrix(spec, [[1, 0, 1], [0, 1, 1]])
-    return cl_plus_q_repetition(G, QMatrix(spec, (1, 0), (0, 1)), certified=True)
+    return repetition_fibred(*_ame_5_q_matrices(spec), certified=True).materialize()
+
+
+def _ame_5_q_matrices(spec: FieldSpec):
+    return FFMatrix(spec, [[1, 0, 1], [0, 1, 1]]), QMatrix(spec, (1, 0), (0, 1))
 
 
 def ame_7_4() -> SparseState:
     """The closed-form AME(7,4): [5,3]_4 codewords with Bell labels
     alpha = i+j, beta = i+x*l."""
-    G, Q = construct_G_Q(gf(4))
-    return cl_plus_q_repetition(G, Q, certified=True)
+    return repetition_fibred(*construct_G_Q(gf(4)), certified=True).materialize()
 
 
 def builtin_state(name: str, **kwargs):
-    """Named built-ins; matrix entries return (G, Q) pairs, not states."""
+    """Named built-ins; matrix entries return (G, Q) pairs, not states, and
+    the AME states their FibredState descriptions (materialize() gives the
+    state)."""
     if name == "ghz":
         return ghz(int(kwargs["n"]), gf(int(kwargs["q"])))
     if name == "bell":
         return bell(gf(int(kwargs["q"])), int(kwargs["l"]), int(kwargs["m"]))
     if name == "ame_5_q":
-        return ame_5_q(gf(int(kwargs["q"])))
+        return repetition_fibred(*_ame_5_q_matrices(gf(int(kwargs["q"]))), certified=True)
     if name == "ame_7_4":
-        return ame_7_4()
+        return repetition_fibred(*construct_G_Q(gf(4)), certified=True)
     if name == "ame_19_17_matrices":
         return ame_19_17_matrices()
     if name == "ame_21_19_matrices":

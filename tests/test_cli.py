@@ -10,7 +10,7 @@ import pytest
 
 import kuni
 from kuni.cli import EXIT_OK, EXIT_REFUTED, EXIT_SAMPLED, EXIT_USAGE, main
-from kuni.states import format_state, ghz, parse_state
+from kuni.states import FibredState, format_state, ghz, parse_state
 from kuni.field import gf
 
 
@@ -270,6 +270,51 @@ def test_out_of_memory_exits_usage_not_refuted(tmp_path):
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert proc.stderr.startswith("error:") and "memory" in proc.stderr
     assert "Traceback" not in proc.stderr and not (tmp_path / "big.state").exists()
+
+
+def test_failed_construct_keeps_an_existing_output(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "big.state"
+    out.write_bytes(b"an earlier run\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "construct", "from-code",
+         "--n", "9", "--k", "7", "--q", "9", "-o", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_USAGE and "memory" in proc.stderr
+    monkeypatch.setenv("KUNI_MAX_TERMS", "10")
+    code, _, err = run(capsys, "construct", "clq", "--n", "7", "--k", "4", "--q", "7",
+                       "--seed-state", "ghz", "-o", str(out))
+    assert code == EXIT_USAGE and "term cap" in err
+    monkeypatch.delenv("KUNI_MAX_TERMS")
+
+    def fail_midway(self):  # a file system that fills up after the header
+        yield f"STATE {self.n} {self.q}\n"
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(FibredState, "chunks", fail_midway)
+    code, _, err = run(capsys, "construct", "builtin", "--name", "ame_7_4", "-o", str(out))
+    assert code == EXIT_USAGE and "No space" in err
+    assert out.read_bytes() == b"an earlier run\n"
+    assert list(tmp_path.iterdir()) == [out]  # no partial file beside it
+
+
+def test_construct_streams_without_materializing(monkeypatch, tmp_path, capsys):
+    def refuse(self):
+        raise AssertionError("construct materialized a code-fibred state")
+
+    monkeypatch.setattr(FibredState, "materialize", refuse)
+    d = str(tmp_path)
+    run(capsys, "decompose", "--q", "5", "--emit-g", f"{d}/g.txt", "--emit-q", f"{d}/q.txt")
+    for argv, support in (
+            (["from-code", "--n", "5", "--k", "3", "--q", "4"], 4 ** 3),
+            (["clq", "--n", "5", "--k", "2", "--q", "5", "--seed-state", "ghz"], 5 ** 3),
+            (["clq-rep", "--g", f"{d}/g.txt", "--q-matrix", f"{d}/q.txt"], 5 ** 4),
+            (["builtin", "--name", "ame_7_4"], 4 ** 4)):
+        out = tmp_path / f"{argv[0]}.state"
+        code, stdout, err = run(capsys, "construct", *argv, "-o", str(out))
+        assert code == EXIT_OK, err
+        assert f"support {support}," in stdout
+        assert parse_state(out.read_text()).support == support
 
 
 def test_help_exits_cleanly(capsys):

@@ -33,12 +33,15 @@ from kuni.states import (
     bell_pair,
     builtin_state,
     cl_plus_q,
+    cl_plus_q_fibred,
     cl_plus_q_repetition,
+    code_fibred,
     format_state,
     ghz,
     inner_product,
     local_fourier,
     parse_state,
+    repetition_fibred,
     state_from_code,
     tensor,
     weyl_basis,
@@ -380,12 +383,18 @@ def _reference_cl_plus_q_repetition(G, Q):
     return SparseState(G.cols + 2, G.spec, terms)
 
 
-def _assert_same_state(state, reference):
-    """Equal states with the same term order (witnesses depend on it) and
-    byte-identical files."""
+def _assert_same_state(fib, reference):
+    """The description materializes to the reference with the same term order
+    (witnesses depend on it), and its streamed file is byte-identical to the
+    formatted one."""
+    state = fib.materialize()
     assert state.equals(reference) and reference.equals(state)
     assert list(state.terms) == list(reference.terms)
-    assert format_state(state) == format_state(reference)
+    text = format_state(reference)
+    assert format_state(state) == text
+    # lines first: a failure names the first differing line instead of diffing the files
+    streamed = "".join(fib.chunks())
+    assert streamed.splitlines() == text.splitlines() and streamed == text
 
 
 def _random_monomial_seed(rng, spec, n, r):
@@ -423,11 +432,12 @@ def _dense_pair(G, Q, rng):
 def test_ame_5_q_matches_per_message_oracle(q):
     sp = gf(q)
     G = FFMatrix(sp, [[1, 0, 1], [0, 1, 1]])
-    _assert_same_state(ame_5_q(sp), _reference_cl_plus_q_repetition(G, QMatrix(sp, (1, 0), (0, 1))))
+    _assert_same_state(builtin_state("ame_5_q", q=q),
+                       _reference_cl_plus_q_repetition(G, QMatrix(sp, (1, 0), (0, 1))))
 
 
 def test_ame_7_4_matches_per_message_oracle():
-    _assert_same_state(ame_7_4(), _reference_cl_plus_q_repetition(*construct_G_Q(gf(4))))
+    _assert_same_state(builtin_state("ame_7_4"), _reference_cl_plus_q_repetition(*construct_G_Q(gf(4))))
 
 
 @pytest.mark.parametrize("q", [4, 5, 7])
@@ -442,7 +452,7 @@ def test_cl_plus_q_matches_per_message_oracle(q, variant, seed_kind):
     code = mds_from_singleton(5, k, sp)
     seed = {"bell": lambda: bell_pair(sp), "ghz": lambda: ghz(3, sp),
             "monomial": lambda: _random_monomial_seed(rng, sp, 3, 2)}[seed_kind]()
-    _assert_same_state(cl_plus_q(code, seed, variant=variant),
+    _assert_same_state(cl_plus_q_fibred(code, seed, variant=variant),
                        _reference_cl_plus_q(code, seed, variant=variant))
 
 
@@ -454,7 +464,30 @@ def test_clq_rep_on_dense_pairs_matches_per_message_oracle():
         G2, Q2 = _dense_pair(G, Q, rng)
         assert verify_decomposition(G2, Q2).all_pass
         assert all(0 not in row for row in G2.data)  # dense: no zero entry
-        _assert_same_state(cl_plus_q_repetition(G2, Q2), _reference_cl_plus_q_repetition(G2, Q2))
+        _assert_same_state(repetition_fibred(G2, Q2), _reference_cl_plus_q_repetition(G2, Q2))
+
+
+def test_code_state_matches_codeword_oracle():
+    code = mds_from_singleton(6, 3, gf(8))
+    reference = SparseState(6, code.spec, {code.G.row_vector_mul(v): one(8)
+                                           for v in itertools.product(range(8), repeat=3)})
+    _assert_same_state(code_fibred(code), reference)
+
+
+def test_streamed_file_without_tables_matches_formatter():
+    # 5 words against 5^2 * 25 lines per X part: neither the blocks nor their
+    # heads are tabled, and the seed has several amplitude norms
+    sp = gf(5)
+    seed = _random_monomial_seed(random.Random(3), sp, 3, 2)
+    fib = FibredState(FFMatrix(sp, [[1, 2, 3, 4]]), FFMatrix(sp, [[1, 2, 3]]), seed, "XZX")
+    streamed, text = "".join(fib.chunks()), format_state(fib.materialize())
+    assert streamed.splitlines() == text.splitlines() and streamed == text
+
+
+def test_chunks_checks_the_cap_before_any_text(monkeypatch):
+    monkeypatch.setenv("KUNI_MAX_TERMS", "10")
+    with pytest.raises(TooLarge, match="exceeds the term cap"):
+        builtin_state("ame_5_q", q=3).chunks()
 
 
 def test_fibred_state_shares_amplitude_objects():

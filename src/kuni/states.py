@@ -501,6 +501,8 @@ def _shifted_identity_block(spec: FieldSpec, A_rows) -> FFMatrix:
 # sorted key order so equal states round-trip byte-identically.
 
 def format_state(state: SparseState) -> str:
+    if state.n < 1:  # parse_state reads only states of at least one party
+        raise ShapeMismatch(f"a state file needs at least one party, state has {state.n}")
     # one line template per distinct coefficient vector, filled with each key;
     # a StringIO keeps no string per line alive, which halves the peak memory
     # of joining a list of lines

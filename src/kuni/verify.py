@@ -11,7 +11,7 @@ import itertools
 import random as _random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
+from operator import and_, lshift
 
 from .cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
@@ -46,13 +46,49 @@ class ReducedDensity:
         return acc
 
 
-def reduced_density(state: SparseState, subset) -> ReducedDensity:
+class KeyTable:
+    """What the reductions of one state share, in term order: each site's
+    symbols as a column (`bytes` when q <= 256); each key as one integer
+    code, b = bit_length(q - 1) bits per site, so that its row code for S is
+    the code masked to the bits of S and its complement code the rest; the
+    one |amp|^2 of all amplitudes (None when they differ); and each
+    amplitude's nonzero (exponent t, coefficient c) pairs."""
+
+    def __init__(self, state: SparseState):
+        q, n, terms = state.q, state.n, state.terms
+        self.q, self.size = q, len(terms)
+        self.bits = (q - 1).bit_length()
+        self.span = 1 << (self.bits * n)  # above every code
+        cols = list(zip(*terms)) or [()] * n
+        self.columns = [bytes(c) if q <= 256 else list(c) for c in cols]
+        self.shifts = [self.bits * (n - 1 - i) for i in range(n)]
+        self.codes = [sum(map(lshift, key, self.shifts)) for key in terms]
+        distinct = {amp.coeffs: amp for amp in terms.values()}
+        norms = {(amp * amp.conj()).coeffs for amp in distinct.values()}
+        self.norm = next(iter(norms)) if len(norms) == 1 else None
+        pairs_of = {c: [(t, x) for t, x in enumerate(c) if x] for c in distinct}
+        self.pairs = [pairs_of[amp.coeffs] for amp in terms.values()]
+
+    def masks(self, S):
+        """(row mask, complement mask) of the sorted sites S."""
+        digit = (1 << self.bits) - 1
+        row = sum(digit << self.shifts[i] for i in S)
+        return row, self.span - 1 - row
+
+    def row_tuples(self, S):
+        """The symbols of each key at S, in term order."""
+        return zip(*[self.columns[i] for i in S]) if S else itertools.repeat((), self.size)
+
+
+def reduced_density(state: SparseState, subset, table: KeyTable | None = None) -> ReducedDensity:
     """Trace out the complement of `subset` (sorted site indices).
 
-    Each amplitude is taken as its nonzero (exponent t, coefficient c) pairs,
-    so a product a * conj(b) adds c_a * c_b at phase (t_a - t_b) mod q of the
-    entry's integer vector.  Only the finished sums become Cyclotomic values,
-    each zero-tested once.  When the support projects injectively onto the
+    A sweep passes the `table` of `state` to every call; a call without one
+    builds its own.  Complement groups and (row, col) sums are keyed by its
+    integer codes.  A product a * conj(b) adds c_a * c_b at phase
+    (t_a - t_b) mod q of the entry's integer vector; a finished vector is
+    zero-tested once, for prime q by the equality of its coefficients before
+    any Cyclotomic is built.  When the support projects injectively onto the
     complement and all amplitudes have one norm, rho_S is diagonal and is
     counted instead (`_diagonal`).
     """
@@ -60,63 +96,62 @@ def reduced_density(state: SparseState, subset) -> ReducedDensity:
     q = state.q
     if q ** len(S) > MAX_RHO_DIM:
         raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
-    in_S = set(S)
-    Sc = [i for i in range(state.n) if i not in in_S]
-    row_of, group_of = _symbols_at(S), _symbols_at(Sc)
-    terms = state.terms
-    diagonal = _diagonal(terms, row_of, group_of, q)
+    if table is None:
+        table = KeyTable(state)
+    diagonal = _diagonal(table, S)
     if diagonal is not None:
         return ReducedDensity(S, q, diagonal)
-    pairs_of = {}  # most states have only q distinct amplitudes
+    row_mask, group_mask = table.masks(S)
+    codes = table.codes
+    rows = list(map(and_, codes, itertools.repeat(row_mask)))
+    # a term of amplitude sum_t c_t w^t joins its group once per pair (t, c):
+    # the sums are bilinear, and the first pair of each term creates the
+    # (row, col) sums in the order the terms do
     groups = {}
-    for key, amp in terms.items():
-        pairs = pairs_of.get(amp.coeffs)
-        if pairs is None:
-            pairs = pairs_of[amp.coeffs] = [(t, c) for t, c in enumerate(amp.coeffs) if c]
-        groups.setdefault(group_of(key), []).append((row_of(key), pairs))
+    for g, r, pairs in zip(map(and_, codes, itertools.repeat(group_mask)), rows, table.pairs):
+        members = groups.get(g)
+        if members is None:
+            members = groups[g] = []
+        for t, c in pairs:
+            members.append((r, t, c))
+    span = table.span  # r * span + c keys the (r, c) sum
     sums = {}
     for members in groups.values():
-        for r, pr in members:
-            for c, pc in members:
-                vec = sums.get((r, c))
+        for r, ta, ca in members:
+            r *= span
+            for c, tb, cb in members:
+                vec = sums.get(r + c)
                 if vec is None:
-                    vec = sums[(r, c)] = [0] * q
-                for ta, ca in pr:
-                    for tb, cb in pc:
-                        vec[(ta - tb) % q] += ca * cb
+                    vec = sums[r + c] = [0] * q
+                vec[(ta - tb) % q] += ca * cb
+    del groups
+    symbols = dict(zip(rows, table.row_tuples(S)))
+    prime = len(cyclotomic_polynomial(q)) == q
     entries = {}
-    for k, vec in sums.items():  # keep no zero entry alive beside the sums
+    for rc, vec in sums.items():  # keep no zero entry alive beside the sums
+        if prime and vec.count(vec[0]) == q:
+            continue
         v = Cyclotomic(q, vec)
-        if not v.is_zero():
-            entries[k] = v
+        if prime or not v.is_zero():
+            r, c = divmod(rc, span)
+            entries[(symbols[r], symbols[c])] = v
     return ReducedDensity(S, q, entries)
 
 
-def _diagonal(terms, row_of, group_of, q):
+def _diagonal(table: KeyTable, S):
     """rho_S entries by counting, or None for the general loop: when every
-    complement group holds one term and all amplitudes have one |amp|^2 (as
-    monomials c * w^t of one |c| do), (r, r) is m * |amp|^2 for the m terms
-    in row r, in the general loop's first-occurrence order; it is never
-    zero, so nothing is zero-tested."""
-    if len(set(map(group_of, terms))) != len(terms):
+    complement group holds one term (the complement codes are distinct) and
+    all amplitudes have one |amp|^2 (as monomials c * w^t of one |c| do),
+    (r, r) is m * |amp|^2 for the m terms in row r, in the general loop's
+    first-occurrence order; it is never zero, so nothing is zero-tested."""
+    if table.norm is None:
         return None
-    distinct = {amp.coeffs: amp for amp in terms.values()}
-    norms = {(amp * amp.conj()).coeffs for amp in distinct.values()}
-    if len(norms) != 1:
+    group_mask = table.masks(S)[1]
+    if len(set(map(and_, table.codes, itertools.repeat(group_mask)))) != table.size:
         return None
-    (norm,) = norms
-    rows = Counter(map(row_of, terms))
-    shared = {m: Cyclotomic(q, [m * x for x in norm]) for m in set(rows.values())}
-    return {(r, r): shared[m] for r, m in rows.items()}
-
-
-def _symbols_at(sites):
-    """key -> tuple of its symbols at `sites`; itemgetter of several indices
-    gives a tuple, of a slice a tuple of zero or one symbols."""
-    if len(sites) > 1:
-        return itemgetter(*sites)
-    i = sites[0] if sites else 0
-    return itemgetter(slice(i, i + len(sites)))
+    counts = Counter(table.row_tuples(S))
+    shared = {m: Cyclotomic(table.q, [m * x for x in table.norm]) for m in set(counts.values())}
+    return {(r, r): shared[m] for r, m in counts.items()}
 
 
 def is_maximally_mixed(rho: ReducedDensity):
@@ -172,6 +207,7 @@ def uniformity(
     report = UniformityReport(n, state.q, mode="exhaustive" if policy == "exhaustive" else "sampled",
                               sample_seed=seed)
     rng = _random.Random(seed) if policy == "sample" else None
+    table = KeyTable(state)
     for size in range(1, top + 1):
         subsets = list(itertools.combinations(range(n), size))
         if policy == "sample" and len(subsets) > sample_count:
@@ -180,7 +216,7 @@ def uniformity(
         failure = None
         for S in subsets:
             checked += 1
-            ok, witness = is_maximally_mixed(reduced_density(state, S))
+            ok, witness = is_maximally_mixed(reduced_density(state, S, table))
             if ok:
                 passed += 1
             elif failure is None:
@@ -220,8 +256,9 @@ def slocc_witness(state: SparseState, k: int, classical_cut: int | None = None):
                 preferred.append(tuple(sorted(cl + (qsite,))))
     seen = set(preferred)
     rest = [S for S in itertools.combinations(range(n), k + 1) if S not in seen]
+    table = KeyTable(state)
     for S in preferred + rest:
-        ok, _ = is_maximally_mixed(reduced_density(state, S))
+        ok, _ = is_maximally_mixed(reduced_density(state, S, table))
         if ok:
             return S
     return None

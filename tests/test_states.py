@@ -13,6 +13,7 @@ from kuni.errors import (
     FormatError,
     KuniError,
     LayoutMismatch,
+    ShapeMismatch,
     SizeMismatch,
     SpecMismatch,
     TooLarge,
@@ -538,7 +539,6 @@ def _format_cases():
     for q in (2, 3, 7, 9):
         yield f"powers_{q}", _random_powers_state(rng, 4, q, 60, powers=3)
     yield "one_party", _random_powers_state(rng, 1, 5, 5, powers=2)
-    yield "zero_party", SparseState(0, sp, {(): Cyclotomic(5, [1, -2, 0, 3, 0])})
     yield "empty", SparseState(3, sp, {})
     # distinct objects with equal coefficients, and equal values written with
     # different coefficients (1 + w + ... + w^4 = 0, so both are -w)
@@ -553,6 +553,12 @@ def _format_cases():
 def test_format_state_matches_per_symbol_formatter(state):
     text = format_state(state)
     assert text == _reference_format_state(state)
-    if state.n >= 1:  # the file format needs at least one party
-        back = parse_state(text)
-        assert back.equals(state) and format_state(back) == text
+    back = parse_state(text)
+    assert back.equals(state) and format_state(back) == text
+
+
+def test_format_state_rejects_zero_parties():
+    # the parser rejects `STATE 0 q`, so the writer must not produce it
+    state = SparseState(0, gf(5), {(): Cyclotomic(5, [1, -2, 0, 3, 0])})
+    with pytest.raises(ShapeMismatch):
+        format_state(state)

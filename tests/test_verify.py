@@ -125,6 +125,12 @@ def _with_pool_amplitudes(rng, state, pool_size=3):
     return SparseState(state.n, state.spec, {key: rng.choice(pool) for key in state.terms})
 
 
+def _dense_ame_9_7():
+    """The repetition state of a seeded dense equivalent of the GF(7) pair:
+    16,807 terms, and complement groups of 7 terms on (7, 8)."""
+    return cl_plus_q_repetition(*_dense_pair(*construct_G_Q(gf(7)), random.Random(7)))
+
+
 def _oracle_states():
     """(name, state, subsets): every subset up to n // 2 on the small states,
     a seeded sample on the larger ones."""
@@ -148,7 +154,7 @@ def _oracle_states():
     # |S| <= 3: the 7^|S| x 7^|S| matrix cap stops larger reductions of this state
     out.append(("cl_plus_q_10", big_clq, sorted(rng.sample(all_subsets(big_clq, 3), 12))))
     # a seeded dense AME(9,7), 16,807 terms, one subset of each size
-    ame_9_7 = cl_plus_q_repetition(*_dense_pair(*construct_G_Q(gf(7)), random.Random(7)))
+    ame_9_7 = _dense_ame_9_7()
     out.append(("ame_9_7_dense", ame_9_7,
                 [tuple(sorted(rng.sample(range(9), size))) for size in range(1, 5)]))
     return out
@@ -195,6 +201,84 @@ def test_reduced_density_matches_product_by_product_oracle(monkeypatch):
     assert {"ame_5_3", "ame_7_4", "ame_9_7_dense"} <= seen["counted"]
     assert {"random_sparse_multi", "ame_7_4_pool"} <= seen["injective_general"]
     assert {"local_fourier", "random_sparse_multi", "ame_7_4_pool"} <= seen["general"]
+
+
+def _oracle_rho(state, subset, table=None):
+    return ReducedDensity(tuple(sorted(subset)), state.q,
+                          _reference_reduced_density(state, subset))
+
+
+def _injective(state, S):
+    Sc = [i for i in range(state.n) if i not in S]
+    return len({tuple(key[i] for i in Sc) for key in state.terms}) == state.support
+
+
+def test_sweep_matches_product_by_product_oracle(monkeypatch):
+    """uniformity builds one KeyTable and passes it to every reduction of
+    the sweep; each subset it checks, exhaustive or sampled, must give the
+    oracle's entries, order and coefficients."""
+    reduced = verify.reduced_density
+    tables = []
+
+    def checked_rho(state, S, table=None):
+        rho = reduced(state, S, table)
+        ref = _reference_reduced_density(state, S)
+        assert list(rho.entries) == list(ref), S  # same keys, same order
+        for key, v in ref.items():
+            assert rho.entries[key].coeffs == v.coeffs, (S, key)
+        tables.append(table)
+        return rho
+
+    monkeypatch.setattr(verify, "reduced_density", checked_rho)
+    swept = set()
+    for name, s, _ in _oracle_states():
+        # |S| <= 4 keeps the 10-party state under the matrix cap
+        sweeps = {"sampled": dict(k_max=4, policy="sample", sample_count=2, seed=3)}
+        if s.support <= 256:
+            sweeps["exhaustive"] = dict(k_max=4)
+        for mode, kwargs in sweeps.items():
+            rep = uniformity(s, **kwargs)
+            assert len(tables) == sum(c for c, _ in rep.tallies.values()), (name, mode)
+            assert isinstance(tables[0], verify.KeyTable), (name, mode)
+            assert all(t is tables[0] for t in tables), (name, mode)
+            if max(rep.tallies) > 1:
+                swept.add(name)
+            tables.clear()
+    # sweeps that get past the singletons: prime and composite q, counted
+    # and general reductions, supports from 16 to 16,807 terms
+    assert {"ame_5_4", "cl_plus_q", "ame_7_4", "cl_plus_q_10", "ame_9_7_dense"} <= swept
+
+
+def test_phase_flip_refutes_dense_ame_where_groups_interfere():
+    # w * (one amplitude) keeps every |amp|^2, so the injective reductions
+    # still count maximally mixed; (7, 8) is the first subset whose
+    # complement groups hold several terms, and there the flip leaves an
+    # off-diagonal sum
+    s = _dense_ame_9_7()
+    assert is_maximally_mixed(reduced_density(s, (7, 8)))[0]
+    key = next(iter(s.terms))
+    flipped = SparseState(s.n, s.spec, {**s.terms, key: s.terms[key].mul_root(1)})
+    rep = uniformity(flipped)
+    S, witness = rep.first_failure
+    assert S == (7, 8) and not _injective(flipped, S) and witness[0] == "offdiag"
+    assert rep.tallies == {1: (9, 9), 2: (36, 35)}
+    assert is_maximally_mixed(_oracle_rho(flipped, S)) == (False, witness)
+
+
+def test_sweep_over_gf257_uses_list_columns(monkeypatch):
+    # symbols up to 256 do not fit a bytes column; the GHZ reductions are
+    # counted, the random state's (amplitudes of several norms) take the
+    # general loop
+    rng = random.Random(23)
+    states = [ghz(3, gf(257)), _random_state(rng, 4, 257, 30, powers=2)]
+    assert all(isinstance(col, list) for col in verify.KeyTable(states[0]).columns)
+    assert all(isinstance(col, bytes) for col in verify.KeyTable(ame_7_4()).columns)
+    reports = [uniformity(s, k_max=1) for s in states]
+    monkeypatch.setattr(verify, "reduced_density", _oracle_rho)
+    for s, rep in zip(states, reports):
+        ref = uniformity(s, k_max=1)
+        assert (rep.tallies, rep.first_failure) == (ref.tallies, ref.first_failure)
+    assert reports[0].tallies == {1: (3, 3)}
 
 
 def test_reduced_density_is_hermitian_with_real_trace():

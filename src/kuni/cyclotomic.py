@@ -47,6 +47,22 @@ def cyclotomic_polynomial(L: int) -> tuple:
     return tuple(num)
 
 
+def is_zero_vector(L: int, c) -> bool:
+    """Exactly whether sum_t c[t] w_L^t = 0, for a length-L sequence c."""
+    phi = cyclotomic_polynomial(L)
+    if len(phi) == L:
+        # prime L: Phi_L = 1 + x + ... + x^(L-1) divides a polynomial of
+        # degree < L only as a constant multiple, so all c_t are equal
+        return c.count(c[0]) == L
+    # c * w^t with c != 0 is a unit times c, never zero: only sums of two
+    # or more powers need the division by Phi_L
+    nonzero = L - c.count(0)
+    if nonzero <= 1:
+        return nonzero == 0
+    _, rem = _poly_divmod_exact(c, list(phi))
+    return not rem
+
+
 class Cyclotomic:
     """Element of Z[w_L] with exact zero test."""
 
@@ -123,19 +139,7 @@ class Cyclotomic:
         return Cyclotomic(L, tuple(c[(-t) % L] for t in range(L)))
 
     def is_zero(self) -> bool:
-        c, L = self.coeffs, self.order
-        phi = cyclotomic_polynomial(L)
-        if len(phi) == L:
-            # prime L: Phi_L = 1 + x + ... + x^(L-1) divides a polynomial of
-            # degree < L only as a constant multiple, so all c_t are equal
-            return min(c) == max(c)
-        # c * w^t with c != 0 is a unit times c, never zero: only sums of two
-        # or more powers need the division by Phi_L
-        nonzero = L - c.count(0)
-        if nonzero <= 1:
-            return nonzero == 0
-        _, rem = _poly_divmod_exact(c, list(phi))
-        return not rem
+        return is_zero_vector(self.order, self.coeffs)
 
     def equals(self, other: "Cyclotomic") -> bool:
         return (self - other).is_zero()

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import and_, lshift
 
-from .cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
+from .cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
 from .errors import NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
 from .field import FFMatrix
@@ -70,9 +70,9 @@ class KeyTable:
         self.pairs = [pairs_of[amp.coeffs] for amp in terms.values()]
 
     def masks(self, S):
-        """(row mask, complement mask) of the sorted sites S."""
+        """(row mask, complement mask) of the sites S."""
         digit = (1 << self.bits) - 1
-        row = sum(digit << self.shifts[i] for i in S)
+        row = sum(digit << self.shifts[i] for i in set(S))
         return row, self.span - 1 - row
 
     def row_tuples(self, S):
@@ -87,10 +87,9 @@ def reduced_density(state: SparseState, subset, table: KeyTable | None = None) -
     builds its own.  Complement groups and (row, col) sums are keyed by its
     integer codes.  A product a * conj(b) adds c_a * c_b at phase
     (t_a - t_b) mod q of the entry's integer vector; a finished vector is
-    zero-tested once, for prime q by the equality of its coefficients before
-    any Cyclotomic is built.  When the support projects injectively onto the
-    complement and all amplitudes have one norm, rho_S is diagonal and is
-    counted instead (`_diagonal`).
+    zero-tested once, before any Cyclotomic is built.  When the support
+    projects injectively onto the complement and all amplitudes have one
+    norm, rho_S is diagonal and is counted instead (`_diagonal`).
     """
     S = tuple(sorted(subset))
     q = state.q
@@ -124,17 +123,13 @@ def reduced_density(state: SparseState, subset, table: KeyTable | None = None) -
                 if vec is None:
                     vec = sums[r + c] = [0] * q
                 vec[(ta - tb) % q] += ca * cb
-    del groups
+    del groups  # its members are dead weight while the entries are built
     symbols = dict(zip(rows, table.row_tuples(S)))
-    prime = len(cyclotomic_polynomial(q)) == q
     entries = {}
-    for rc, vec in sums.items():  # keep no zero entry alive beside the sums
-        if prime and vec.count(vec[0]) == q:
-            continue
-        v = Cyclotomic(q, vec)
-        if prime or not v.is_zero():
+    for rc, vec in sums.items():  # a Cyclotomic only for each nonzero entry
+        if not is_zero_vector(q, vec):
             r, c = divmod(rc, span)
-            entries[(symbols[r], symbols[c])] = v
+            entries[(symbols[r], symbols[c])] = Cyclotomic(q, vec)
     return ReducedDensity(S, q, entries)
 
 

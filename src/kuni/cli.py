@@ -26,7 +26,7 @@ from .codes import (
     min_distance,
     parse_code,
 )
-from .decomposition import QMatrix, construct_G_Q, format_qmatrix, parse_qmatrix, search_Q
+from .decomposition import construct_G_Q, format_qmatrix, parse_qmatrix, search_Q
 from .errors import KuniError
 from .field import format_matrix, gf, parse_matrix
 from .states import (
@@ -44,7 +44,7 @@ from .states import (
     repetition_fibred,
     state_from_code,
 )
-from .verify import CertificateReport, certify_ame_via_codes, uniformity
+from .verify import MAX_RHO_DIM, certify_ame_via_codes, uniformity
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -207,15 +207,10 @@ def cmd_certify(args) -> int:
 # --- decompose --------------------------------------------------------------
 
 def cmd_decompose(args) -> int:
-    spec = gf(args.q)
+    G, Q = construct_G_Q(gf(args.q))
     if args.search:
-        G, _ = construct_G_Q(spec)
         Q = search_Q(G, budget=args.budget, seed=args.seed)
-        cert = certify_ame_via_codes(G, Q)
-    else:
-        # the construction has verified its own pair; certify from that report
-        G, Q, report = construct_G_Q(spec, with_report=True)
-        cert = CertificateReport.of(G, report)
+    cert = certify_ame_via_codes(G, Q)
     if args.emit_g:
         Path(args.emit_g).write_text(format_matrix(G))
     if args.emit_q:
@@ -348,17 +343,15 @@ def cmd_table1(args) -> int:
 def _table1_verify(n_cl, k_cl, seed_kind, seed_n, q, k_target, seed):
     spec = gf(q)
     code = mds_from_singleton(n_cl, k_cl, spec)
-    if seed_kind == "bell":
-        quantum = bell_pair(spec)
-    elif seed_kind == "ghz":
-        quantum = ghz(seed_n, spec)
+    if seed_kind in ("bell", "ghz"):
+        quantum = _seed_state(seed_kind, spec, seed_n)
     else:
         sn, sk = _SEED_CODE[seed_kind]
         quantum = state_from_code(mds_from_singleton(sn, sk, spec))
     state = cl_plus_q(code, quantum, variant="direct")
     n = state.n
     work = sum(math.comb(n, s) for s in range(1, k_target + 1)) * state.support
-    if work <= _EXHAUSTIVE_WORK_CAP and q ** k_target <= 4096:
+    if work <= _EXHAUSTIVE_WORK_CAP and q ** k_target <= MAX_RHO_DIM:
         rep = uniformity(state, k_max=k_target, policy="exhaustive")
     else:
         rep = uniformity(state, k_max=k_target, policy="sample",

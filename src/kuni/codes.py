@@ -1,8 +1,8 @@
 """Linear codes over GF(q): construction, duals, surgery, distance, MDS checks.
 
 Generator matrices are kept exactly as given (the Singleton-array punctured
-generators are deliberately non-standard); `standard_form` is explicit and
-records its column permutation so callers can undo it.
+generators are deliberately non-standard); `standard_form` is a separate step
+that records its column permutation so callers can undo it.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .errors import (
     SpecMismatch,
     TooLarge,
 )
-from .field import FFMatrix, FieldSpec, matrix_rank, null_space, rank_of_rows
+from .field import FFMatrix, FieldSpec, matrix_rank, null_space
 
 MAX_EXPLICIT_CODEWORDS = 10 ** 6
 
@@ -63,8 +63,7 @@ class CosetDecomposition:
     parent: LinearCode
     subcode: LinearCode
     Q: QMatrix
-    labels: dict | None  # explicit mode: (alpha, beta) -> list of codewords
-    certified: bool = False
+    labels: dict  # (alpha, beta) -> list of codewords
 
 
 def _same_field(G: FFMatrix, Q: QMatrix) -> None:
@@ -82,27 +81,25 @@ def kernel_subcode(G: FFMatrix, Q: QMatrix) -> LinearCode:
     basis = null_space(FFMatrix(Q.spec, [Q.q1, Q.q2]))
     if basis.rows != k - 2:
         raise BadKernelDimension(
-            f"kernel dimension {basis.rows} != k-2 = {k - 2} (rank(Q) = {Q.rank()})"
+            f"kernel dimension {basis.rows} != k-2 = {k - 2} (rank(Q) = {k - basis.rows})"
         )
     rows = [G.row_vector_mul(v) for v in basis.data]
     return LinearCode(FFMatrix(G.spec, rows, G.cols))
 
 
-def coset_partition(G: FFMatrix, Q: QMatrix, explicit: bool = True) -> CosetDecomposition:
-    """Assign each message v the label vQ; explicit mode materializes all cosets."""
+def coset_partition(G: FFMatrix, Q: QMatrix) -> CosetDecomposition:
+    """Assign each message v the label vQ, and list every coset's codewords."""
     sub = kernel_subcode(G, Q)  # validates kernel dimension
     parent = LinearCode(G)
     q, k, n = G.spec.q, G.rows, G.cols
-    labels = None
-    if explicit:
-        if q ** k > MAX_EXPLICIT_CODEWORDS:
-            raise TooLarge(f"q^k = {q}^{k} exceeds explicit-partition cap")
-        labels = {}
-        # each word of [G | Q] is a codeword vG followed by its label vQ;
-        # G has full row rank (checked above), so [G | Q] has too
-        GQ = LinearCode(G.hstack(Q.as_matrix()), _skip_rank_check=True)
-        for word in enumerate_codewords(GQ):
-            labels.setdefault(word[n:], []).append(word[:n])
+    if q ** k > MAX_EXPLICIT_CODEWORDS:
+        raise TooLarge(f"q^k = {q}^{k} exceeds the partition cap")
+    labels = {}
+    # each word of [G | Q] is a codeword vG followed by its label vQ;
+    # G has full row rank (checked above), so [G | Q] has too
+    GQ = LinearCode(G.hstack(Q.as_matrix()), _skip_rank_check=True)
+    for word in enumerate_codewords(GQ):
+        labels.setdefault(word[n:], []).append(word[:n])
     return CosetDecomposition(parent, sub, Q, labels)
 
 
@@ -146,9 +143,9 @@ def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
     return DecompositionReport(parent_cert, kernel_cert, q_rank, labels_onto, kernel_error)
 
 
-def construct_G_Q(spec: FieldSpec, with_report: bool = False):
+def construct_G_Q(spec: FieldSpec):
     """The closed-form (G, Q) pair for GF(q), q an odd prime power >= 5 or q = 4,
-    verified; with_report=True returns (G, Q, its DecompositionReport).
+    unverified: its user certifies it (certify_ame_via_codes, repetition_fibred).
 
     For odd q: G is the ceil(q/2) x q generator obtained by puncturing the
     [q+1, ceil(q/2)] Singleton-array code at its last identity column, i.e.
@@ -174,10 +171,7 @@ def construct_G_Q(spec: FieldSpec, with_report: bool = False):
         q1 = tuple(arr.entry(r, k) for r in range(q - k)) + (0,) * (k - (q - k))
         q2 = tuple(0 for _ in range(k - 1)) + (1,)
         Q = QMatrix(spec, q1, q2)
-    report = verify_decomposition(G, Q)
-    if not report.all_pass:
-        raise CertificationFailed(f"construction for GF({q}) failed verification: {report}")
-    return (G, Q, report) if with_report else (G, Q)
+    return G, Q
 
 
 def _g_q_gf4(spec: FieldSpec):
@@ -222,9 +216,7 @@ def search_Q(G: FFMatrix, budget: int = 10 ** 6, seed: int | None = None) -> QMa
 
     for q1, q2 in itertools.islice(candidates(), budget):
         Q = QMatrix(spec, q1, q2)
-        if rank_of_rows(spec, [q1, q2]) != 2:
-            continue
-        try:
+        try:  # a Q of rank < 2 leaves a kernel of the wrong dimension
             sub = kernel_subcode(G, Q)
         except BadKernelDimension:
             continue

@@ -282,9 +282,6 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1)
 
-    def elements(self):
-        return (FieldElement(self, r) for r in range(self.q))
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldSpec)
@@ -526,7 +523,7 @@ def matrix_rref(M: FFMatrix):
     """Reduced row-echelon form; returns (rref, rank, pivot columns)."""
     data = [row[:] for row in M.data]
     pivots, _ = _rref_data(M.spec, data)
-    return FFMatrix(M.spec, data), len(pivots), pivots
+    return FFMatrix(M.spec, data, M.cols), len(pivots), pivots
 
 
 def matrix_rank(M: FFMatrix) -> int:
@@ -565,8 +562,10 @@ def null_space(M: FFMatrix) -> FFMatrix:
 def rank_of_rows(spec: FieldSpec, rows) -> int:
     """Rank of a list of row tuples (int reprs) over the field.
 
-    Hot path for column-subset MDS certification; prime fields take a
-    specialized integer-mod route.
+    One rank per column subset or submatrix: is_mds's witness scan of a
+    non-MDS code (each kernel that search_Q rejects), its "submatrix"
+    method and the rank distance.  Prime fields take a specialized
+    integer-mod route.
     """
     if spec.m == 1:
         return _rank_prime(spec.p, spec._inv_table, [list(r) for r in rows])
@@ -576,9 +575,9 @@ def rank_of_rows(spec: FieldSpec, rows) -> int:
 
 def _rank_prime(p: int, inv_table, data) -> int:
     # The one elimination kept apart from _rref_data: forward-only (no
-    # back-substitution, no determinant) on integers mod p.  It is about 92%
-    # of the self time of an AME certificate, and a full RREF would roughly
-    # double its work.
+    # back-substitution, no determinant) on integers mod p.  A random 10 x 10
+    # rank over GF(19) takes about 70 us in this loop and 240 us through _rref_data
+    # (CPython 3.11 on a shared 2-core x86-64 machine).
     rows = len(data)
     cols = len(data[0]) if rows else 0
     rank = 0

@@ -33,7 +33,7 @@ from .errors import (
     TooLarge,
     UnknownName,
 )
-from .field import FFMatrix, FieldSpec, gf
+from .field import FFMatrix, FieldSpec, gf, matrix_rref
 
 HARD_MAX_TERMS = 5 * 10 ** 7
 DEFAULT_MAX_TERMS = 10 ** 7
@@ -227,17 +227,23 @@ class FibredState:
     def chunks(self):
         """The text of format_state(self.materialize()), one piece per word,
         without building the state.  Keys are codeword + shifted seed key, and
-        codewords are distinct, so the words of [G | W] sorted by codeword, each
+        codewords are distinct, so the words of [G | W] in codeword order, each
         followed by its label's seed lines sorted by shifted key, give the
-        sorted key order.  The term cap is checked and the words are sorted
-        here, before the first piece is asked for.
+        sorted key order.  The words come in that order from the RREF R of
+        [G | W]: G has full row rank, so every pivot of R lies in G's columns,
+        where R's rows are unit vectors; a word's symbols up to the i-th pivot
+        depend only on its first i message symbols, and message order is
+        codeword order.  The term cap is checked here, before the first piece
+        is asked for.
 
         A label's lines are tabled per label, and their heads per X part, only
-        where the table can hold no more lines than there are words: memory
-        grows with the q^k words, never with the q^k * s terms."""
+        where the table can hold no more lines than there are words; no word
+        is kept, so memory grows with neither the q^k words nor the q^k * s
+        terms."""
         self._check_cap()
         x_part, z_part, shifted, phases = self._action()
-        words = sorted(self._words())
+        R = matrix_rref(self.G.hstack(self.W))[0]
+        words = enumerate_codewords(LinearCode(R, _skip_rank_check=True))
         n, q, s = self.G.cols, self.q, self.seed.support
         sep = " " if self.seed.n else ""  # a code state's lines have no seed key
         # " : coefficients" of each seed amplitude times each power of w
@@ -249,7 +255,7 @@ class FibredState:
         amp_texts = [texts[amp.coeffs] for amp in self.seed.terms.values()]
 
         def tabled(fn, sites):
-            return lru_cache(maxsize=None)(fn) if q ** sites * s <= len(words) else fn
+            return lru_cache(maxsize=None)(fn) if q ** sites * s <= q ** self.G.rows else fn
 
         def heads(ex):
             """(seed term, its shifted key's text) in shifted key order."""
@@ -373,22 +379,17 @@ def ghz(n: int, spec: FieldSpec) -> SparseState:
     return SparseState(n, spec, {(r,) * n: one for r in range(spec.q)})
 
 
-def cl_plus_q_repetition(G: FFMatrix, Q: QMatrix, certified: bool = False) -> SparseState:
+def cl_plus_q_repetition(G: FFMatrix, Q: QMatrix) -> SparseState:
     """The state that repetition_fibred describes."""
-    return repetition_fibred(G, Q, certified).materialize()
+    return repetition_fibred(G, Q).materialize()
 
 
-def repetition_fibred(G: FFMatrix, Q: QMatrix, certified: bool = False) -> FibredState:
-    """sum_v |vG> (x) X^(vQ1) Z^(vQ2) sum_l |l, l>; AME(n+2, q) when (G, Q)
-    passes the decomposition checks.
-
-    Pass certified=True only when verify_decomposition already passed on
-    this exact pair; otherwise the checks run here.
-    """
-    if not certified:
-        report = verify_decomposition(G, Q)
-        if not report.all_pass:
-            raise CertificationMissing(f"(G, Q) failed decomposition checks: {report}")
+def repetition_fibred(G: FFMatrix, Q: QMatrix) -> FibredState:
+    """sum_v |vG> (x) X^(vQ1) Z^(vQ2) sum_l |l, l>, an AME(n+2, q) state: the
+    pair must pass the decomposition checks, which run here."""
+    report = verify_decomposition(G, Q)
+    if not report.all_pass:
+        raise CertificationMissing(f"(G, Q) failed decomposition checks: {report}")
     # G has full row rank (checked by verify_decomposition); the label
     # (alpha, beta) = vQ acts as X^alpha (x) Z^beta on the Bell pair
     return FibredState(G, Q.as_matrix(), bell_pair(G.spec), "XZ")
@@ -418,7 +419,7 @@ def ame_5_q(spec: FieldSpec) -> SparseState:
     """sum_{l,m} |l, m, l+m> (x) X^l Z^m sum_r |r, r> over GF(q): the repetition
     construction with G = [[1,0,1],[0,1,1]] and Q = I, which passes the checks
     for every q (the [3,2] parity code is MDS, the kernel is {0}, rank Q = 2)."""
-    return repetition_fibred(*_ame_5_q_matrices(spec), certified=True).materialize()
+    return repetition_fibred(*_ame_5_q_matrices(spec)).materialize()
 
 
 def _ame_5_q_matrices(spec: FieldSpec):
@@ -428,7 +429,7 @@ def _ame_5_q_matrices(spec: FieldSpec):
 def ame_7_4() -> SparseState:
     """The closed-form AME(7,4): [5,3]_4 codewords with Bell labels
     alpha = i+j, beta = i+x*l."""
-    return repetition_fibred(*construct_G_Q(gf(4)), certified=True).materialize()
+    return repetition_fibred(*construct_G_Q(gf(4))).materialize()
 
 
 def builtin_state(name: str, **kwargs):
@@ -440,9 +441,9 @@ def builtin_state(name: str, **kwargs):
     if name == "bell":
         return bell(gf(int(kwargs["q"])), int(kwargs["l"]), int(kwargs["m"]))
     if name == "ame_5_q":
-        return repetition_fibred(*_ame_5_q_matrices(gf(int(kwargs["q"]))), certified=True)
+        return repetition_fibred(*_ame_5_q_matrices(gf(int(kwargs["q"]))))
     if name == "ame_7_4":
-        return repetition_fibred(*construct_G_Q(gf(4)), certified=True)
+        return repetition_fibred(*construct_G_Q(gf(4)))
     if name == "ame_19_17_matrices":
         return ame_19_17_matrices()
     if name == "ame_21_19_matrices":

@@ -192,13 +192,13 @@ def uniformity(
 ) -> UniformityReport:
     """Sweep subset sizes 1..min(k_max, n//2), ascending, lexicographic.
 
-    Sampled sweeps require an explicit seed and are reported as
+    Sampled sweeps require a caller-given seed and are reported as
     non-certifying.  The sweep stops at the first size with a failure.
     """
     n = state.n
     top = n // 2 if k_max is None else min(k_max, n // 2)
     if policy == "sample" and seed is None:
-        raise ValueError("sample policy requires an explicit seed")
+        raise ValueError("sample policy requires a seed")
     report = UniformityReport(n, state.q, mode="exhaustive" if policy == "exhaustive" else "sampled",
                               sample_seed=seed)
     rng = _random.Random(seed) if policy == "sample" else None
@@ -298,11 +298,6 @@ class CertificateReport:
     q: int
     decomposition: DecompositionReport
 
-    @classmethod
-    def of(cls, G: FFMatrix, report: DecompositionReport) -> "CertificateReport":
-        """The certificate of the pair (G, Q) that `report` verified."""
-        return cls(G.cols + 2, G.spec.q, report)
-
     @property
     def parent_checks(self) -> int:
         return self.decomposition.parent_mds.checks
@@ -328,7 +323,7 @@ def certify_ame_via_codes(G: FFMatrix, Q: QMatrix) -> CertificateReport:
     repetition construction an AME(n+2, q) state; the check counts are
     recorded so the certificate is auditable.
     """
-    return CertificateReport.of(G, verify_decomposition(G, Q))
+    return CertificateReport(G.cols + 2, G.spec.q, verify_decomposition(G, Q))
 
 
 # --- exact characteristic polynomial (cross-check helper) -------------------

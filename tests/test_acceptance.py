@@ -119,7 +119,7 @@ def test_criterion_4_ame_7_5_dual_oracles_agree():
     G, Q = construct_G_Q(gf(5))
     cert = certify_ame_via_codes(G, Q)
     assert cert.certified and cert.claim == "AME(7,5)"
-    rep = uniformity(cl_plus_q_repetition(G, Q, certified=True))
+    rep = uniformity(cl_plus_q_repetition(G, Q))
     assert rep.certifying and rep.max_verified_k == 3
     assert time.monotonic() - start < 120.0
 

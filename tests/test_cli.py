@@ -138,6 +138,44 @@ def test_decompose_certifies_once(monkeypatch, capsys):
     assert (result["claim"], result["parent_checks"], result["kernel_checks"]) == ("AME(7,5)", 10, 5)
 
 
+def test_decompose_search_certifies_the_parent_twice(monkeypatch, capsys):
+    # once as search_Q's precondition, once in the final certificate; the
+    # closed-form pair, whose Q the search replaces, is not certified
+    import kuni.decomposition
+
+    codes = []
+    original = kuni.decomposition.is_mds
+
+    def counted(code, method="columns"):
+        codes.append((code.n, code.k))
+        return original(code, method)
+
+    monkeypatch.setattr(kuni.decomposition, "is_mds", counted)
+    code, out, _ = run(capsys, "decompose", "--q", "7", "--search", "--seed", "3", "--json")
+    assert code == EXIT_OK and json.loads(out)["decomposition"]["claim"] == "AME(9,7)"
+    assert codes.count((7, 4)) == 2
+
+
+def test_builtin_ame_state_is_verified_once(monkeypatch, tmp_path, capsys):
+    import kuni.decomposition
+    import kuni.states
+    import kuni.verify
+
+    calls = []
+    original = kuni.decomposition.verify_decomposition
+
+    def counted(G, Q):
+        calls.append((G.rows, G.cols))
+        return original(G, Q)
+
+    for module in (kuni.decomposition, kuni.states, kuni.verify):
+        monkeypatch.setattr(module, "verify_decomposition", counted)
+    code, out, err = run(capsys, "construct", "builtin", "--name", "ame_5_q", "--q", "5",
+                         "-o", str(tmp_path / "ame55.state"))
+    assert code == EXIT_OK, err
+    assert "support 125," in out and calls == [(2, 3)]
+
+
 def test_decompose_search_mode(capsys):
     code, out, _ = run(capsys, "decompose", "--q", "5", "--search",
                        "--seed", "11", "--budget", "100000")
@@ -248,7 +286,7 @@ def test_zero_code_distance_exits_usage(tmp_path, capsys):
 
 
 # Runs the CLI under an address-space limit of its current size plus 64 MB,
-# set in the child only, and asks for 9^7 = 4,782,969 terms (gigabytes).
+# set in the child only.
 _UNDER_MEMORY_LIMIT = """
 import resource, sys
 from kuni.cli import main
@@ -260,38 +298,58 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")
-def test_out_of_memory_exits_usage_not_refuted(tmp_path):
+def _run_under_memory_limit(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "construct", "from-code",
-         "--n", "9", "--k", "7", "--q", "9", "-o", str(tmp_path / "big.state")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", _UNDER_MEMORY_LIMIT, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")
+def test_out_of_memory_exits_usage_not_refuted():
+    # the n = 15 row materializes its 9^7 = 4,782,969 terms (gigabytes)
+    proc = _run_under_memory_limit("table1", "--k", "3", "--n-min", "15", "--n-max", "15",
+                                   "--verify")
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert proc.stderr.startswith("error:") and "memory" in proc.stderr
-    assert "Traceback" not in proc.stderr and not (tmp_path / "big.state").exists()
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")
+def test_code_state_file_streams_within_a_memory_limit(tmp_path):
+    # 9^6 = 531,441 words: the writer keeps none of them
+    out = tmp_path / "code.state"
+    proc = _run_under_memory_limit("construct", "from-code", "--n", "8", "--k", "6", "--q", "9",
+                                   "-o", str(out))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "support 531441," in proc.stdout
+    with open(out) as fh:
+        assert next(fh) == "STATE 8 9\n"
+        assert sum(1 for _ in fh) == 9 ** 6
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_failed_construct_keeps_an_existing_output(monkeypatch, tmp_path, capsys):
     out = tmp_path / "big.state"
     out.write_bytes(b"an earlier run\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-c", _UNDER_MEMORY_LIMIT, "construct", "from-code",
-         "--n", "9", "--k", "7", "--q", "9", "-o", str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == EXIT_USAGE and "memory" in proc.stderr
+
+    def fail_midway(error):  # a writer that fails after the header
+        def chunks(self):
+            yield f"STATE {self.n} {self.q}\n"
+            raise error
+        return chunks
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FibredState, "chunks", fail_midway(MemoryError()))
+        code, _, err = run(capsys, "construct", "from-code", "--n", "9", "--k", "7", "--q", "9",
+                           "-o", str(out))
+    assert code == EXIT_USAGE and "memory" in err
     monkeypatch.setenv("KUNI_MAX_TERMS", "10")
     code, _, err = run(capsys, "construct", "clq", "--n", "7", "--k", "4", "--q", "7",
                        "--seed-state", "ghz", "-o", str(out))
     assert code == EXIT_USAGE and "term cap" in err
     monkeypatch.delenv("KUNI_MAX_TERMS")
-
-    def fail_midway(self):  # a file system that fills up after the header
-        yield f"STATE {self.n} {self.q}\n"
-        raise OSError("No space left on device")
-
-    monkeypatch.setattr(FibredState, "chunks", fail_midway)
+    # a file system that fills up after the header
+    monkeypatch.setattr(FibredState, "chunks", fail_midway(OSError("No space left on device")))
     code, _, err = run(capsys, "construct", "builtin", "--name", "ame_7_4", "-o", str(out))
     assert code == EXIT_USAGE and "No space" in err
     assert out.read_bytes() == b"an earlier run\n"

@@ -228,7 +228,7 @@ def test_cl_plus_q_repetition_rejects_bad_pair():
 
 def test_ame_7_4_is_the_gf4_repetition_state():
     G, Q = construct_G_Q(gf(4))
-    assert ame_7_4().equals(cl_plus_q_repetition(G, Q, certified=True))
+    assert ame_7_4().equals(cl_plus_q_repetition(G, Q))
 
 
 def test_state_from_code_eq3_invariants():

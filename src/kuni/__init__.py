@@ -17,7 +17,7 @@ from .codes import (
     singleton_array,
     standard_form,
 )
-from .cyclotomic import Cyclotomic, cyc_op
+from .cyclotomic import Cyclotomic
 from .decomposition import (
     CosetDecomposition,
     QMatrix,
@@ -31,7 +31,6 @@ from .field import (
     FFMatrix,
     FieldElement,
     FieldSpec,
-    element_op,
     gf,
     make_field,
     matrix_det_inv,

@@ -137,6 +137,8 @@ def _load_code(args) -> LinearCode:
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    if args.sample and args.seed is None:
+        raise KuniError("--sample needs --seed, so that the sampled subsets can be drawn again")
     state = parse_state(Path(args.state).read_text())
     policy = "sample" if args.sample else "exhaustive"
     report = uniformity(

@@ -255,10 +255,13 @@ def _nonzero_minors(spec: FieldSpec, A) -> int | None:
     on rows i1 < ... < it and columns j1 < ... < jt is reached exactly once,
     by pivoting on (i1, j1) of A, then on (i2, j2) of that complement, and so
     on, and is the product of those pivots.  So each minor costs one zero
-    test, and the minors through one pivot share its row updates.
+    test, and the minors through one pivot share its row updates.  Over a
+    prime field each complement is one packed integer (`_packed_minors`).
     """
     if any(0 in row for row in A):
         return None
+    if spec.m == 1 and A and A[0]:
+        return _packed_minors(spec, A)
     visited = sum(map(len, A))
     stack = [A]
     while stack:
@@ -273,6 +276,51 @@ def _nonzero_minors(spec: FieldSpec, A) -> int | None:
                 visited += len(S) * len(tail)
                 if len(S) > 1 and len(tail) > 1:
                     stack.append(S)
+    return visited
+
+
+def _packed_minors(spec: FieldSpec, A) -> int | None:
+    """`_nonzero_minors` over GF(p) for a nonempty A, each matrix on the stack
+    one integer: entry (r, c) in the W-bit lane r w + c, w the width of A.  A
+    complement is the block below and right of its pivot plus one product
+    column * factor * row (column lanes are w apart, the row is shorter than
+    w), reduced by one Barrett step and zero-tested in all lanes at once.
+    Lanes stay below V = p^3; W leaves no carry between lanes and makes the
+    quotient floor(x mu / 2^s) exactly floor(x / p) for every x < V.
+    """
+    p, inv, w = spec.p, spec.inv, len(A[0])
+    V = p ** 3
+    s = (V * p).bit_length()
+    mu = (1 << s) // p + 1
+    W = max((V * mu).bit_length(), s + (V // p).bit_length()) + 1
+    lane, stride = (1 << W) - 1, W * w
+
+    def lanes(R, C):  # the masks of an R x C complement
+        column = ((1 << stride * R) - 1) // ((1 << stride) - 1)  # a 1 in lane t w, t < R
+        ones = ((1 << W * C) - 1) // lane * column
+        top = ones << W - 1
+        return (column * lane, (1 << W * C) - 1, ones * lane,
+                ones * ((1 << W - s) - 1), top - ones, top)
+
+    masks = {(R, C): lanes(R, C) for R in range(1, len(A)) for C in range(1, w)}
+    M = sum(x << W * (r * w + c) for r, row in enumerate(A) for c, x in enumerate(row))
+    visited = len(A) * w
+    stack = [(M, len(A), w)]
+    while stack:
+        M, rows, cols = stack.pop()
+        for R in range(rows - 1, 0, -1):
+            at = M >> stride * (rows - 1 - R)
+            for C in range(cols - 1, 0, -1):
+                col, row, block, quotient, fill, top = masks[R, C]
+                below = at >> stride
+                S = (below >> W & block) + (below & col) * (p - inv(at & lane)) * (at >> W & row)
+                S -= (S * mu >> s & quotient) * p
+                if (S + fill) & top != top:
+                    return None
+                visited += R * C
+                if R > 1 and C > 1:
+                    stack.append((S, R, C))
+                at >>= W
     return visited
 
 

@@ -171,18 +171,3 @@ class Cyclotomic:
     def __repr__(self):
         terms = [f"{c}*w^{t}" for t, c in enumerate(self.coeffs) if c]
         return f"Cyc{self.order}({' + '.join(terms) or '0'})"
-
-
-def cyc_op(a: Cyclotomic, b: Cyclotomic | None, op: str):
-    """Named operation; conj/is_zero act on `a` alone."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "conj_of_a":
-        return a.conj()
-    if op == "is_zero_of_a":
-        return a.is_zero()
-    raise ValueError(f"unknown op {op!r}")

@@ -25,6 +25,7 @@ from .errors import (
     CertificationFailed,
     NotFound,
     OutOfRange,
+    ShapeMismatch,
     SpecMismatch,
     TooLarge,
 )
@@ -69,6 +70,15 @@ class CosetDecomposition:
 def _same_field(G: FFMatrix, Q: QMatrix) -> None:
     if G.spec != Q.spec:
         raise SpecMismatch(f"G is over {G.spec!r} but Q is over {Q.spec!r}")
+
+
+def _ame_shape(G: FFMatrix) -> None:
+    """The four checks make the repetition state AME(n+2, q) only for the
+    shape of the closed-form pairs, n = G.cols odd and k = G.rows = (n+1)/2;
+    a [7,3]_7 pair can pass all four while its state fails at four parties."""
+    if G.cols % 2 == 0 or 2 * G.rows != G.cols + 1:
+        raise ShapeMismatch(f"an AME pair needs an [n, (n+1)/2] parent with n odd, "
+                            f"G is {G.rows}x{G.cols}")
 
 
 def kernel_subcode(G: FFMatrix, Q: QMatrix) -> LinearCode:
@@ -125,8 +135,10 @@ class DecompositionReport:
 
 
 def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
-    """Check: parent MDS, kernel subcode MDS, rank(Q) = 2, labels onto GF(q)^2."""
+    """Check: parent MDS, kernel subcode MDS, rank(Q) = 2, labels onto GF(q)^2.
+    A pair of another shape than [n, (n+1)/2], n odd, raises ShapeMismatch."""
     _same_field(G, Q)  # before the parent checks, which would run for nothing
+    _ame_shape(G)
     parent = LinearCode(G)
     parent_cert = is_mds(parent, method="columns")
     q_rank = Q.rank()
@@ -196,6 +208,7 @@ def search_Q(G: FFMatrix, budget: int = 10 ** 6, seed: int | None = None) -> QMa
     k = G.rows
     if k <= 2:
         raise BadKernelDimension(f"k = {k} leaves no room for a rank-2 label map")
+    _ame_shape(G)
     parent_cert = is_mds(LinearCode(G), method="columns")
     if not parent_cert.is_mds:
         raise CertificationFailed(f"search_Q needs an MDS parent code: {parent_cert}")

@@ -373,23 +373,6 @@ class FieldElement:
         return f"{self.repr}∈{self.spec!r}"
 
 
-def element_op(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Named binary field operation; pow treats b's repr as an integer exponent."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        if a.spec != b.spec:
-            raise SpecMismatch("operands live in different fields")
-        return a ** b.repr
-    raise ValueError(f"unknown op {op!r}")
-
-
 def primitive_element(spec: FieldSpec) -> FieldElement:
     """Least-repr generator of the multiplicative group of the field."""
     for r in range(1, spec.q):

@@ -385,8 +385,9 @@ def cl_plus_q_repetition(G: FFMatrix, Q: QMatrix) -> SparseState:
 
 
 def repetition_fibred(G: FFMatrix, Q: QMatrix) -> FibredState:
-    """sum_v |vG> (x) X^(vQ1) Z^(vQ2) sum_l |l, l>, an AME(n+2, q) state: the
-    pair must pass the decomposition checks, which run here."""
+    """sum_v |vG> (x) X^(vQ1) Z^(vQ2) sum_l |l, l>.  The decomposition checks
+    run here: a pair that passes them is an [n, (n+1)/2] pair with n odd, and
+    its state is AME(n+2, q); any other pair raises."""
     report = verify_decomposition(G, Q)
     if not report.all_pass:
         raise CertificationMissing(f"(G, Q) failed decomposition checks: {report}")

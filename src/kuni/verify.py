@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from operator import and_, lshift
 
-from .cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial, is_zero_vector
+from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
 from .errors import NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
 from .field import FFMatrix
@@ -324,46 +324,3 @@ def certify_ame_via_codes(G: FFMatrix, Q: QMatrix) -> CertificateReport:
     recorded so the certificate is auditable.
     """
     return CertificateReport(G.cols + 2, G.spec.q, verify_decomposition(G, Q))
-
-
-# --- exact characteristic polynomial (cross-check helper) -------------------
-
-def _cyc_div_int(a: Cyclotomic, k: int) -> Cyclotomic:
-    _, rem = _poly_divmod_exact(a.coeffs, list(cyclotomic_polynomial(a.order)))
-    if any(c % k for c in rem):
-        raise ArithmeticError(f"inexact division of {a!r} by {k}")
-    coeffs = [c // k for c in rem] + [0] * (a.order - len(rem))
-    return Cyclotomic(a.order, coeffs)
-
-
-def char_poly(rho: ReducedDensity):
-    """Exact characteristic polynomial coefficients [c_d, ..., c_1, c_0]
-    of the dense rho matrix, via Faddeev-LeVerrier."""
-    q = rho.q
-    # all basis keys, so spectra of complementary subsets compare
-    keys = list(itertools.product(range(q), repeat=len(rho.subset)))
-    d = len(keys)
-    idx = {k: i for i, k in enumerate(keys)}
-    zero = Cyclotomic.zero(q)
-    A = [[zero] * d for _ in range(d)]
-    for (r, c), v in rho.entries.items():
-        A[idx[r]][idx[c]] = v
-    M = [[Cyclotomic.integer(q, 1 if i == j else 0) for j in range(d)] for i in range(d)]
-    coeffs = [Cyclotomic.integer(q, 1)]
-    for k in range(1, d + 1):
-        AM = [[_row_dot(A[i], [M[t][j] for t in range(d)], q) for j in range(d)]
-              for i in range(d)]
-        tr = zero
-        for i in range(d):
-            tr = tr + AM[i][i]
-        ck = -_cyc_div_int(tr, k)
-        coeffs.append(ck)
-        M = [[(AM[i][j] + ck) if i == j else AM[i][j] for j in range(d)] for i in range(d)]
-    return coeffs
-
-
-def _row_dot(row, col, q):
-    acc = Cyclotomic.zero(q)
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc

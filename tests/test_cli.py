@@ -266,6 +266,26 @@ def test_certify_rejects_pair_over_two_fields(tmp_path, capsys):
         assert err.startswith("error:") and "GF(5)" in err and "GF(2^2)" in err
 
 
+def test_certify_rejects_a_pair_of_a_non_ame_shape(tmp_path, capsys):
+    # a [7,3]_7 parent and a Q that pass the four hypotheses; its 9-party
+    # repetition state is not AME(9, 7), so no certificate may claim it
+    g_path, q_path = tmp_path / "g.txt", tmp_path / "q.txt"
+    run(capsys, "codes", "mds", "--n", "7", "--k", "3", "--q", "7", "-o", str(g_path))
+    g_path.write_text(g_path.read_text().split("\n", 1)[1])  # the matrix below CODE n k
+    q_path.write_text("3 2 7 1\n0 1\n1 0\n1 1\n")
+    for argv in (["certify"], ["construct", "clq-rep", "-o", str(tmp_path / "s.state")]):
+        code, out, err = run(capsys, *argv, "--g", str(g_path), "--q-matrix", str(q_path))
+        assert code == EXIT_USAGE and "PASSED" not in out and err.startswith("error:")
+    assert not (tmp_path / "s.state").exists()
+
+
+def test_sampled_verify_without_seed_exits_usage(tmp_path, capsys):
+    state_path = tmp_path / "ame52.state"
+    run(capsys, "construct", "clq", "--n", "3", "--k", "2", "--q", "2", "-o", str(state_path))
+    code, out, err = run(capsys, "verify", str(state_path), "--sample", "3")
+    assert code == EXIT_USAGE and out == "" and err.startswith("error:") and "--seed" in err
+
+
 def test_invalid_term_cap_exits_usage(monkeypatch, tmp_path, capsys):
     # ghz never reaches the cap, so main itself must validate it
     monkeypatch.setenv("KUNI_MAX_TERMS", "abc")

@@ -271,6 +271,74 @@ def test_minor_walk_finds_a_deep_zero_minor():
     assert not expected[0] and _columns_result(broken) == expected
 
 
+def _systematic(spec, A):
+    """The code [I | A], with A as rows of int reprs."""
+    k = len(A)
+    n = k + (len(A[0]) if A else 0)
+    return LinearCode(FFMatrix.identity(spec, k).hstack(FFMatrix(spec, A, n - k)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_packed_walk_lanes_at_their_extremes(p):
+    # every entry p - 1, and p - 1 around a pivot 1: the rank-1 update then
+    # puts (p - 1) + (p - 1)^3, the largest value a lane can hold, in every
+    # lane before the Barrett step
+    sp = gf(p)
+    blocks = [[[p - 1] * c for _ in range(r)] for r in range(1, 5) for c in range(1, 5)]
+    blocks += [[[1 if (r, c) == (0, 0) else p - 1 for c in range(w)] for r in range(h)]
+               for h in range(2, 5) for w in range(2, 5)]
+    for A in blocks:
+        code = _systematic(sp, A)
+        assert _columns_result(code) == _reference_is_mds_columns(code), A
+    # 1 x w and h x 1 blocks have no minor beyond their nonzero entries
+    for A in ([[p - 1] * 5], [[p - 1]] * 5):
+        assert _nonzero_minors(sp, A) == 5
+        assert _columns_result(_systematic(sp, A)) == (True, 6, None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521])
+def test_packed_walk_on_codes_without_minors(p):
+    # k = 0 and n = k leave A empty: C(n, k) = 1 column set, no minor walked
+    rng = random.Random(p)
+    sp = gf(p)
+    for n in range(1, 5):
+        for code in (_random_code(rng, sp, n, 0), _random_code(rng, sp, n, n)):
+            assert _nonzero_minors(sp, _free_block(code)) == 0
+            assert _columns_result(code) == _reference_is_mds_columns(code) == (True, 1, None)
+
+
+def _zero_minors(spec, A):
+    return [(rs, cs) for t in range(1, min(len(A), len(A[0])) + 1)
+            for rs in itertools.combinations(range(len(A)), t)
+            for cs in itertools.combinations(range(len(A[0])), t)
+            if matrix_rank(FFMatrix(spec, [[A[r][c] for c in cs] for r in rs])) < t]
+
+
+@pytest.mark.parametrize("lane", ["first", "last", "row wrap"])
+def test_packed_walk_finds_one_zero_in_a_deep_complement(lane):
+    # A random 6 x 6 over GF(65521) with no zero minor, so [I | A] is MDS.
+    # Pivoting on (0, 0) of A and then on (0, 1) of its complement leaves a
+    # 4 x 3 complement on rows 2..5 and columns 3..5 of A, its rows 6 lanes
+    # apart.  Its (r, c) entry is the minor on rows {0, 1, 2 + r} and columns
+    # {0, 2, 3 + c}; set one entry of A so that this minor, and no other
+    # minor of A, vanishes
+    sp = gf(65521)
+    rng = random.Random(6)
+    A = [[rng.randrange(1, sp.q) for _ in range(6)] for _ in range(6)]
+    assert _zero_minors(sp, A) == []
+    r, c = {"first": (0, 0), "last": (3, 2), "row wrap": (1, 0)}[lane]
+    rows, cols = (0, 1, 2 + r), (0, 2, 3 + c)
+    for x in range(1, sp.q):
+        A[rows[-1]][cols[-1]] = x
+        if matrix_rank(FFMatrix(sp, [[A[i][j] for j in cols] for i in rows])) < 3:
+            break
+    assert _zero_minors(sp, A) == [(rows, cols)]
+    assert _nonzero_minors(sp, A) is None
+    broken = _systematic(sp, A)
+    expected = _reference_is_mds_columns(broken)
+    assert not expected[0] and _columns_result(broken) == expected
+
+
 def test_standard_form():
     code = code_from_generator(FFMatrix(gf(3), [[0, 1, 2], [1, 1, 1]]))
     std, perm = standard_form(code)

@@ -2,10 +2,19 @@
 closed-form (G, Q) construction."""
 
 import itertools
+import random
 
 import pytest
 
-from kuni.codes import LinearCode, enumerate_codewords, format_code, is_mds, min_distance, parse_code
+from kuni.codes import (
+    LinearCode,
+    enumerate_codewords,
+    format_code,
+    is_mds,
+    mds_from_singleton,
+    min_distance,
+    parse_code,
+)
 from kuni.decomposition import (
     QMatrix,
     construct_G_Q,
@@ -23,9 +32,12 @@ from kuni.errors import (
     KuniError,
     NotFound,
     OutOfRange,
+    ShapeMismatch,
     SpecMismatch,
 )
 from kuni.field import FFMatrix, format_matrix, gf, parse_matrix
+from kuni.states import FibredState, bell_pair, repetition_fibred
+from kuni.verify import certify_ame_via_codes, uniformity
 
 
 def test_qmatrix_basics():
@@ -123,6 +135,53 @@ def test_kernel_subcode_rejects_rank_deficient_q():
     bad = QMatrix(gf(5), (1, 2, 0), (2, 4, 0))  # rank 1
     with pytest.raises(BadKernelDimension):
         kernel_subcode(G, bad)
+
+
+def _passing_q(G, seed=1):
+    """A Q whose kernel subcode on G is MDS, drawn as search_Q's seeded
+    sampling draws, but without its shape check."""
+    rng = random.Random(seed)
+    sp, k = G.spec, G.rows
+    while True:
+        Q = QMatrix(sp, tuple(rng.randrange(sp.q) for _ in range(k)),
+                    tuple(rng.randrange(sp.q) for _ in range(k)))
+        try:
+            if is_mds(kernel_subcode(G, Q)).is_mds:
+                return Q
+        except BadKernelDimension:
+            pass
+
+
+@pytest.mark.parametrize("n, k, q", [(7, 3, 7), (8, 4, 8), (6, 4, 5)])
+def test_pair_of_a_non_ame_shape_is_rejected(n, k, q):
+    # the pair passes the four hypotheses, but its repetition state is not
+    # AME(n + 2, q): only [n, (n+1)/2] parents with n odd make one
+    G = mds_from_singleton(n, k, gf(q)).G
+    Q = _passing_q(G)
+    assert is_mds(LinearCode(G)).is_mds and Q.rank() == 2
+    for check in (verify_decomposition, certify_ame_via_codes, repetition_fibred):
+        with pytest.raises(ShapeMismatch):
+            check(G, Q)
+    with pytest.raises(ShapeMismatch):
+        search_Q(G, seed=1)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_certificate_accepts_exactly_the_pairs_with_ame_states(q):
+    # every [n, k]_q shape with 2 <= k < n <= 5: a pair that passes the four
+    # hypotheses is certified iff the exhaustive sweep of its materialized
+    # repetition state finds it AME(n + 2, q)
+    for n in range(3, min(q + 1, 5) + 1):
+        for k in range(2, n):
+            G = mds_from_singleton(n, k, gf(q)).G
+            Q = _passing_q(G)
+            state = FibredState(G, Q.as_matrix(), bell_pair(G.spec), "XZ").materialize()
+            ame = uniformity(state).max_verified_k == (n + 2) // 2
+            try:
+                certified = verify_decomposition(G, Q).all_pass
+            except ShapeMismatch:
+                certified = False
+            assert certified == ame, (n, k)
 
 
 def test_verify_decomposition_reports_failures():

@@ -11,12 +11,13 @@ from kuni.errors import (
     NonPrimeP,
     NotSquare,
     ReducibleModulus,
+    SpecMismatch,
     UnsupportedSize,
 )
 from kuni.field import (
     FFMatrix,
+    FieldElement,
     FieldSpec,
-    element_op,
     format_matrix,
     gf,
     make_field,
@@ -153,6 +154,23 @@ def test_primitive_element_is_least():
     assert int(primitive_element(gf(17))) == 3
     assert int(primitive_element(gf(19))) == 2
     assert int(primitive_element(gf(4))) == 2
+
+
+def element_op(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
+    """Named binary field operation; pow treats b's repr as an integer exponent."""
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        return a / b
+    if op == "pow":
+        if a.spec != b.spec:
+            raise SpecMismatch("operands live in different fields")
+        return a ** b.repr
+    raise ValueError(f"unknown op {op!r}")
 
 
 def test_field_element_operators():

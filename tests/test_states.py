@@ -460,7 +460,7 @@ def test_cl_plus_q_matches_per_message_oracle(q, variant, seed_kind):
 def test_clq_rep_on_dense_pairs_matches_per_message_oracle():
     rng = random.Random(6)
     G7, Q7 = construct_G_Q(gf(7))
-    G9 = mds_from_singleton(6, 3, gf(9)).G
+    G9 = mds_from_singleton(5, 3, gf(9)).G  # an AME pair needs [n, (n+1)/2], n odd
     for G, Q in ((G7, Q7), (G9, search_Q(G9))):
         G2, Q2 = _dense_pair(G, Q, rng)
         assert verify_decomposition(G2, Q2).all_pass

@@ -8,7 +8,7 @@ import pytest
 
 from kuni import verify
 from kuni.codes import code_from_generator, mds_from_singleton
-from kuni.cyclotomic import Cyclotomic
+from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from kuni.decomposition import QMatrix, construct_G_Q
 from kuni.errors import NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
 from kuni.field import FFMatrix, gf
@@ -27,7 +27,6 @@ from kuni.states import (
 from kuni.verify import (
     ReducedDensity,
     certify_ame_via_codes,
-    char_poly,
     gram_check,
     is_maximally_mixed,
     reduced_density,
@@ -402,6 +401,49 @@ def test_stabilizer_check_guards():
         stabilizer_check(ghz(3, gf(4)), FFMatrix.zero(gf(4), 3, 3))
     with pytest.raises(ShapeMismatch):
         stabilizer_check(ghz(3, gf(3)), FFMatrix.zero(gf(3), 2, 2))
+
+
+# --- exact characteristic polynomial: the oracle of the spectra test --------
+
+def _cyc_div_int(a: Cyclotomic, k: int) -> Cyclotomic:
+    _, rem = _poly_divmod_exact(a.coeffs, list(cyclotomic_polynomial(a.order)))
+    if any(c % k for c in rem):
+        raise ArithmeticError(f"inexact division of {a!r} by {k}")
+    coeffs = [c // k for c in rem] + [0] * (a.order - len(rem))
+    return Cyclotomic(a.order, coeffs)
+
+
+def char_poly(rho: ReducedDensity):
+    """Exact characteristic polynomial coefficients [c_d, ..., c_1, c_0]
+    of the dense rho matrix, via Faddeev-LeVerrier."""
+    q = rho.q
+    # all basis keys, so spectra of complementary subsets compare
+    keys = list(itertools.product(range(q), repeat=len(rho.subset)))
+    d = len(keys)
+    idx = {k: i for i, k in enumerate(keys)}
+    zero = Cyclotomic.zero(q)
+    A = [[zero] * d for _ in range(d)]
+    for (r, c), v in rho.entries.items():
+        A[idx[r]][idx[c]] = v
+    M = [[Cyclotomic.integer(q, 1 if i == j else 0) for j in range(d)] for i in range(d)]
+    coeffs = [Cyclotomic.integer(q, 1)]
+    for k in range(1, d + 1):
+        AM = [[_row_dot(A[i], [M[t][j] for t in range(d)], q) for j in range(d)]
+              for i in range(d)]
+        tr = zero
+        for i in range(d):
+            tr = tr + AM[i][i]
+        ck = -_cyc_div_int(tr, k)
+        coeffs.append(ck)
+        M = [[(AM[i][j] + ck) if i == j else AM[i][j] for j in range(d)] for i in range(d)]
+    return coeffs
+
+
+def _row_dot(row, col, q):
+    acc = Cyclotomic.zero(q)
+    for a, b in zip(row, col):
+        acc = acc + a * b
+    return acc
 
 
 def test_char_poly_complementary_spectra():

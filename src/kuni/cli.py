@@ -137,17 +137,8 @@ def _load_code(args) -> LinearCode:
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    if args.sample and args.seed is None:
-        raise KuniError("--sample needs --seed, so that the sampled subsets can be drawn again")
     state = parse_state(Path(args.state).read_text())
-    policy = "sample" if args.sample else "exhaustive"
-    report = uniformity(
-        state,
-        k_max=args.k_max,
-        policy=policy,
-        sample_count=args.sample or 20,
-        seed=args.seed,
-    )
+    report = uniformity(state, k_max=args.k_max, sample=args.sample, seed=args.seed)
     result = {
         "n": report.n,
         "q": report.q,
@@ -158,8 +149,7 @@ def cmd_verify(args) -> int:
         "first_failure": report.first_failure,
         "support": state.support,
     }
-    reached = args.k_max if args.k_max is not None else report.n // 2
-    if report.max_verified_k < min(reached, report.n // 2):
+    if report.max_verified_k < report.k_target:
         exit_code, verdict = EXIT_REFUTED, "refuted"
     elif report.certifying:
         exit_code, verdict = EXIT_OK, "certified"
@@ -354,10 +344,9 @@ def _table1_verify(n_cl, k_cl, seed_kind, seed_n, q, k_target, seed):
     n = state.n
     work = sum(math.comb(n, s) for s in range(1, k_target + 1)) * state.support
     if work <= _EXHAUSTIVE_WORK_CAP and q ** k_target <= MAX_RHO_DIM:
-        rep = uniformity(state, k_max=k_target, policy="exhaustive")
+        rep = uniformity(state, k_max=k_target)
     else:
-        rep = uniformity(state, k_max=k_target, policy="sample",
-                         sample_count=10, seed=seed if seed is not None else 0)
+        rep = uniformity(state, k_max=k_target, sample=10, seed=seed if seed is not None else 0)
     return {"verified_k": rep.max_verified_k, "mode": rep.mode,
             "support": state.support}
 

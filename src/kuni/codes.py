@@ -129,7 +129,7 @@ def _min_distance_rank(code: LinearCode) -> int:
     nk = code.n - code.k
     # a code is MDS iff its dual is, and then Singleton pins d = n-k+1 (the
     # only feasible route for the big prime-field instances)
-    if is_mds(code).is_mds:
+    if walk_minors(code) is not None:
         return nk + 1
     H = dual_code(code).G
     cols = [H.col(c) for c in range(H.cols)]
@@ -188,8 +188,7 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
                               None if d == n - k + 1 else ("distance", d))
     if method == "columns":
         total = math.comb(n, k)
-        A = _free_block(code)
-        walked = None if A is None else _nonzero_minors(sp, A)
+        walked = walk_minors(code)
         if walked is not None:
             if walked + 1 != total:
                 raise AssertionError(f"minor walk visited {walked} + 1 of C({n},{k}) = {total}")
@@ -242,6 +241,12 @@ def _free_block(code: LinearCode):
         return None
     free = [c for c in range(code.n) if c not in pivots]
     return [[row[c] for c in free] for row in R.data]
+
+
+def walk_minors(code: LinearCode) -> int | None:
+    """`_nonzero_minors` of G's free block; None when G is rank deficient."""
+    A = _free_block(code)
+    return None if A is None else _nonzero_minors(code.spec, A)
 
 
 def _nonzero_minors(spec: FieldSpec, A) -> int | None:

@@ -15,7 +15,7 @@ from operator import and_, lshift
 
 from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
-from .errors import NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
+from .errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
 from .field import FFMatrix
 from .states import SparseState, WeylWord, apply_weyl, inner_product
 
@@ -47,20 +47,18 @@ class ReducedDensity:
 
 
 class KeyTable:
-    """What the reductions of one state share, in term order: each site's
-    symbols as a column (`bytes` when q <= 256); each key as one integer
-    code, b = bit_length(q - 1) bits per site, so that its row code for S is
-    the code masked to the bits of S and its complement code the rest; the
-    one |amp|^2 of all amplitudes (None when they differ); and each
-    amplitude's nonzero (exponent t, coefficient c) pairs."""
+    """What the reductions of one state share, in term order: each key as
+    one integer code, b = bit_length(q - 1) bits per site, so that its row
+    code for S is the code masked to the bits of S and its complement code
+    the rest; the one |amp|^2 of all amplitudes (None when they differ); and
+    each amplitude's nonzero (exponent t, coefficient c) pairs."""
 
     def __init__(self, state: SparseState):
         q, n, terms = state.q, state.n, state.terms
         self.q, self.size = q, len(terms)
         self.bits = (q - 1).bit_length()
+        self.digit = (1 << self.bits) - 1  # the mask of one site's bits
         self.span = 1 << (self.bits * n)  # above every code
-        cols = list(zip(*terms)) or [()] * n
-        self.columns = [bytes(c) if q <= 256 else list(c) for c in cols]
         self.shifts = [self.bits * (n - 1 - i) for i in range(n)]
         self.codes = [sum(map(lshift, key, self.shifts)) for key in terms]
         distinct = {amp.coeffs: amp for amp in terms.values()}
@@ -71,13 +69,14 @@ class KeyTable:
 
     def masks(self, S):
         """(row mask, complement mask) of the sites S."""
-        digit = (1 << self.bits) - 1
-        row = sum(digit << self.shifts[i] for i in set(S))
+        row = sum(self.digit << self.shifts[i] for i in set(S))
         return row, self.span - 1 - row
 
-    def row_tuples(self, S):
-        """The symbols of each key at S, in term order."""
-        return zip(*[self.columns[i] for i in S]) if S else itertools.repeat((), self.size)
+    def symbols(self, rows, S):
+        """{row code: its symbols at S}, decoded one site at a time."""
+        rows, digit = list(rows), self.digit
+        sites = [[r >> self.shifts[i] & digit for r in rows] for i in S]
+        return dict(zip(rows, zip(*sites))) if S else dict.fromkeys(rows, ())
 
 
 def reduced_density(state: SparseState, subset, table: KeyTable | None = None) -> ReducedDensity:
@@ -87,7 +86,8 @@ def reduced_density(state: SparseState, subset, table: KeyTable | None = None) -
     builds its own.  Complement groups and (row, col) sums are keyed by its
     integer codes.  A product a * conj(b) adds c_a * c_b at phase
     (t_a - t_b) mod q of the entry's integer vector; a finished vector is
-    zero-tested once, before any Cyclotomic is built.  When the support
+    zero-tested once, before any Cyclotomic is built, and only the distinct
+    row codes (at most q^|S|) are decoded to symbols.  When the support
     projects injectively onto the complement and all amplitudes have one
     norm, rho_S is diagonal and is counted instead (`_diagonal`).
     """
@@ -124,7 +124,7 @@ def reduced_density(state: SparseState, subset, table: KeyTable | None = None) -
                     vec = sums[r + c] = [0] * q
                 vec[(ta - tb) % q] += ca * cb
     del groups  # its members are dead weight while the entries are built
-    symbols = dict(zip(rows, table.row_tuples(S)))
+    symbols = table.symbols(set(rows), S)
     entries = {}
     for rc, vec in sums.items():  # a Cyclotomic only for each nonzero entry
         if not is_zero_vector(q, vec):
@@ -141,12 +141,12 @@ def _diagonal(table: KeyTable, S):
     first-occurrence order; it is never zero, so nothing is zero-tested."""
     if table.norm is None:
         return None
-    group_mask = table.masks(S)[1]
+    row_mask, group_mask = table.masks(S)
     if len(set(map(and_, table.codes, itertools.repeat(group_mask)))) != table.size:
         return None
-    counts = Counter(table.row_tuples(S))
+    counts = Counter(map(and_, table.codes, itertools.repeat(row_mask)))
     shared = {m: Cyclotomic(table.q, [m * x for x in table.norm]) for m in set(counts.values())}
-    return {(r, r): shared[m] for r, m in counts.items()}
+    return {(t, t): shared[counts[r]] for r, t in table.symbols(counts, S).items()}
 
 
 def is_maximally_mixed(rho: ReducedDensity):
@@ -173,40 +173,39 @@ class UniformityReport:
     n: int
     q: int
     mode: str  # "exhaustive" or "sampled"
+    k_target: int  # the largest subset size the sweep aimed for
     max_verified_k: int = 0
     tallies: dict = dc_field(default_factory=dict)  # size -> (checked, passed)
     first_failure: tuple | None = None
-    sample_seed: int | None = None
 
     @property
     def certifying(self) -> bool:
         return self.mode == "exhaustive"
 
 
-def uniformity(
-    state: SparseState,
-    k_max: int | None = None,
-    policy: str = "exhaustive",
-    sample_count: int = 20,
-    seed: int | None = None,
-) -> UniformityReport:
+def uniformity(state: SparseState, k_max: int | None = None, sample: int | None = None,
+               seed: int | None = None) -> UniformityReport:
     """Sweep subset sizes 1..min(k_max, n//2), ascending, lexicographic.
 
-    Sampled sweeps require a caller-given seed and are reported as
+    `sample=None` checks every subset; `sample=N` checks N subsets of each
+    size drawn with the caller-given `seed`, and the report is
     non-certifying.  The sweep stops at the first size with a failure.
     """
+    if k_max is not None and k_max < 1:
+        raise KuniError(f"--k-max must be at least 1, got {k_max}")
+    if sample is not None and sample < 1:
+        raise KuniError(f"--sample must be at least 1, got {sample}")
+    if sample is not None and seed is None:
+        raise KuniError("--sample needs --seed, so that the sampled subsets can be drawn again")
     n = state.n
     top = n // 2 if k_max is None else min(k_max, n // 2)
-    if policy == "sample" and seed is None:
-        raise ValueError("sample policy requires a seed")
-    report = UniformityReport(n, state.q, mode="exhaustive" if policy == "exhaustive" else "sampled",
-                              sample_seed=seed)
-    rng = _random.Random(seed) if policy == "sample" else None
+    report = UniformityReport(n, state.q, "exhaustive" if sample is None else "sampled", top)
+    rng = _random.Random(seed)
     table = KeyTable(state)
     for size in range(1, top + 1):
         subsets = list(itertools.combinations(range(n), size))
-        if policy == "sample" and len(subsets) > sample_count:
-            subsets = sorted(rng.sample(subsets, sample_count))
+        if sample is not None and len(subsets) > sample:
+            subsets = sorted(rng.sample(subsets, sample))
         checked = passed = 0
         failure = None
         for S in subsets:

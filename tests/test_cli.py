@@ -279,11 +279,20 @@ def test_certify_rejects_a_pair_of_a_non_ame_shape(tmp_path, capsys):
     assert not (tmp_path / "s.state").exists()
 
 
-def test_sampled_verify_without_seed_exits_usage(tmp_path, capsys):
+@pytest.mark.parametrize("argv, named", [
+    (["--k-max", "0"], "--k-max"),
+    (["--k-max", "-2"], "--k-max"),
+    (["--sample", "0", "--seed", "1"], "--sample"),
+    (["--sample", "-1", "--seed", "1"], "--sample"),
+    (["--sample", "3"], "--seed"),
+], ids=["k-max-0", "k-max-negative", "sample-0", "sample-negative", "sample-without-seed"])
+def test_bad_verify_request_exits_usage(tmp_path, capsys, argv, named):
+    # a usage error, not a certificate (exit 0) or a refutation (exit 1)
     state_path = tmp_path / "ame52.state"
     run(capsys, "construct", "clq", "--n", "3", "--k", "2", "--q", "2", "-o", str(state_path))
-    code, out, err = run(capsys, "verify", str(state_path), "--sample", "3")
-    assert code == EXIT_USAGE and out == "" and err.startswith("error:") and "--seed" in err
+    code, out, err = run(capsys, "verify", str(state_path), *argv)
+    assert code == EXIT_USAGE and out == "" and named in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_invalid_term_cap_exits_usage(monkeypatch, tmp_path, capsys):

@@ -238,6 +238,24 @@ def test_search_Q_finds_valid_label_columns():
     assert verify_decomposition(G, Q2).all_pass
 
 
+def test_search_Q_takes_the_walks_verdict_without_rank_checks(monkeypatch):
+    # rejected kernels are dropped on the minor walk's verdict alone: no
+    # lexicographic witness scan, so no rank check, and the same Q
+    import kuni.codes
+
+    calls = []
+    original = kuni.codes.rank_of_rows
+
+    def counted(spec, rows):
+        calls.append(len(rows))
+        return original(spec, rows)
+
+    monkeypatch.setattr(kuni.codes, "rank_of_rows", counted)
+    G, _ = construct_G_Q(gf(7))
+    Q = search_Q(G, seed=3)
+    assert (Q.q1, Q.q2) == ((2, 0, 2, 3), (5, 3, 4, 2)) and calls == []
+
+
 def test_search_Q_budget_exhaustion():
     G, _ = construct_G_Q(gf(5))
     with pytest.raises(NotFound):

@@ -91,6 +91,45 @@ def test_extension_add_neg_tables_match_digit_loop(q):
             assert spec.add(a, b) == _reference_add_digits(spec.p, a, b)
 
 
+def _reference_mul_poly(spec, a, b):
+    """a * b by schoolbook product of the digit polynomials, reduced by the
+    monic modulus from the top degree down."""
+    p, m = spec.p, spec.m
+    da = [a // p ** i % p for i in range(m)]
+    db = [b // p ** i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for top in range(2 * m - 2, m - 1, -1):
+        c = prod[top]
+        for i, f in enumerate(spec.modulus):
+            prod[top - m + i] -= c * f
+    return sum(c % p * p ** i for i, c in enumerate(prod[:m]))
+
+
+@pytest.mark.parametrize("q", [81, 128])
+def test_extension_arithmetic_above_the_table_cap(q):
+    # q > 64 with m > 1 keeps no tables: add and neg run the digit loop, mul
+    # the polynomial product and inv the power a^(q-2)
+    spec = gf(q)
+    assert spec.m > 1 and spec._add_table is None and spec._mul_table is None
+    for a in range(q):
+        assert spec.neg(a) == _reference_neg_digits(spec.p, a)
+        for b in range(q):
+            assert spec.add(a, b) == _reference_add_digits(spec.p, a, b)
+    rng = random.Random(q)
+    for _ in range(300):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert spec.mul(a, b) == _reference_mul_poly(spec, a, b) == spec.mul(b, a)
+        assert spec.mul(a, 1) == a and spec.mul(a, 0) == 0
+        assert spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c))
+        assert spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b), spec.mul(a, c))
+        assert spec.add(spec.add(a, b), c) == spec.add(a, spec.add(b, c))
+        if a:
+            assert spec.mul(a, spec.inv(a)) == 1 and spec.pow(a, q - 1) == 1
+
+
 def test_gf4_coefficient_encoding():
     # GF(4) = {0, 1, x, 1+x} -> {0, 1, 2, 3} with x^2 = x + 1
     sp = gf(4)

@@ -10,7 +10,7 @@ from kuni import verify
 from kuni.codes import code_from_generator, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from kuni.decomposition import QMatrix, construct_G_Q
-from kuni.errors import NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
+from kuni.errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
 from kuni.field import FFMatrix, gf
 from kuni.states import (
     SparseState,
@@ -232,7 +232,7 @@ def test_sweep_matches_product_by_product_oracle(monkeypatch):
     swept = set()
     for name, s, _ in _oracle_states():
         # |S| <= 4 keeps the 10-party state under the matrix cap
-        sweeps = {"sampled": dict(k_max=4, policy="sample", sample_count=2, seed=3)}
+        sweeps = {"sampled": dict(k_max=4, sample=2, seed=3)}
         if s.support <= 256:
             sweeps["exhaustive"] = dict(k_max=4)
         for mode, kwargs in sweeps.items():
@@ -264,14 +264,12 @@ def test_phase_flip_refutes_dense_ame_where_groups_interfere():
     assert is_maximally_mixed(_oracle_rho(flipped, S)) == (False, witness)
 
 
-def test_sweep_over_gf257_uses_list_columns(monkeypatch):
-    # symbols up to 256 do not fit a bytes column; the GHZ reductions are
+def test_sweep_over_gf257_matches_oracle(monkeypatch):
+    # symbols up to 256 take 9 bits of a key's code; the GHZ reductions are
     # counted, the random state's (amplitudes of several norms) take the
     # general loop
     rng = random.Random(23)
     states = [ghz(3, gf(257)), _random_state(rng, 4, 257, 30, powers=2)]
-    assert all(isinstance(col, list) for col in verify.KeyTable(states[0]).columns)
-    assert all(isinstance(col, bytes) for col in verify.KeyTable(ame_7_4()).columns)
     reports = [uniformity(s, k_max=1) for s in states]
     monkeypatch.setattr(verify, "reduced_density", _oracle_rho)
     for s, rep in zip(states, reports):
@@ -330,12 +328,12 @@ def test_uniformity_ghz_is_1_uniform():
 
 def test_uniformity_sampled_mode():
     s = state_from_code(mds_from_singleton(6, 3, gf(7)))
-    rep = uniformity(s, k_max=2, policy="sample", sample_count=5, seed=7)
+    rep = uniformity(s, k_max=2, sample=5, seed=7)
     assert rep.max_verified_k == 2
     assert not rep.certifying and rep.mode == "sampled"
     assert rep.tallies[2][0] == 5
-    with pytest.raises(ValueError):
-        uniformity(s, policy="sample")  # seed required
+    with pytest.raises(KuniError):
+        uniformity(s, sample=5)  # seed required
 
 
 def test_support_census():

@@ -9,8 +9,6 @@ manifests reproduce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
@@ -53,6 +51,8 @@ EXIT_USAGE = 64
 
 
 def _digest(path: str) -> str:
+    import hashlib  # loads OpenSSL: only the commands that write JSON pay for it
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -68,6 +68,8 @@ def _manifest(args, inputs=()):
 
 
 def _emit_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 

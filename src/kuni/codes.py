@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateCoordinate,
@@ -162,12 +161,10 @@ def min_distance(code: LinearCode, method: str = "auto") -> int:
     return d
 
 
-@dataclass
 class MdsCertificate:
-    is_mds: bool
-    method: str
-    checks: int
-    witness: object = None  # failing column set / submatrix when not MDS
+    def __init__(self, is_mds: bool, method: str, checks: int, witness=None):
+        self.is_mds, self.method, self.checks = is_mds, method, checks
+        self.witness = witness  # failing column set / submatrix when not MDS
 
 
 def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
@@ -329,13 +326,12 @@ def _packed_minors(spec: FieldSpec, A) -> int | None:
     return visited
 
 
-@dataclass
 class SingletonArray:
     """Triangular Cauchy-type array: first row/column all 1, a_i = 1/(1-g^i)."""
 
-    spec: FieldSpec
-    gamma: FieldElement
-    a: tuple  # a[i] for i in 1..q-2, stored as int reprs, a[0] unused
+    def __init__(self, spec: FieldSpec, gamma: FieldElement, a: tuple):
+        self.spec, self.gamma = spec, gamma
+        self.a = a  # a[i] for i in 1..q-2, stored as int reprs, a[0] unused
 
     def entry(self, r: int, c: int) -> int:
         """Int repr of the (r, c) entry; rows/cols 0-indexed, r + c <= q - 1."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from dataclasses import dataclass
 
 from .codes import (
     LinearCode,
@@ -35,13 +34,20 @@ from .field import FFMatrix, FieldSpec, matrix_rank, null_space
 MAX_EXPLICIT_CODEWORDS = 10 ** 6
 
 
-@dataclass(frozen=True)
 class QMatrix:
     """Two label columns Q1, Q2 over GF(q); v -> vQ maps messages to GF(q)^2."""
 
-    spec: FieldSpec
-    q1: tuple  # int reprs, length k
-    q2: tuple
+    def __init__(self, spec: FieldSpec, q1: tuple, q2: tuple):
+        self.spec = spec
+        self.q1, self.q2 = q1, q2  # int reprs, length k
+
+    def __eq__(self, other):
+        if type(other) is not QMatrix:
+            return NotImplemented
+        return (self.spec, self.q1, self.q2) == (other.spec, other.q1, other.q2)
+
+    def __hash__(self):
+        return hash((self.spec, self.q1, self.q2))
 
     @property
     def k(self) -> int:
@@ -58,14 +64,12 @@ class QMatrix:
         return self.as_matrix().row_vector_mul(v)
 
 
-@dataclass
 class CosetDecomposition:
     """Partition of the parent code's codewords into q^2 cosets of the kernel."""
 
-    parent: LinearCode
-    subcode: LinearCode
-    Q: QMatrix
-    labels: dict  # (alpha, beta) -> list of codewords
+    def __init__(self, parent: LinearCode, subcode: LinearCode, Q: QMatrix, labels: dict):
+        self.parent, self.subcode, self.Q = parent, subcode, Q
+        self.labels = labels  # (alpha, beta) -> list of codewords
 
 
 def _same_field(G: FFMatrix, Q: QMatrix) -> None:
@@ -114,15 +118,13 @@ def coset_partition(G: FFMatrix, Q: QMatrix) -> CosetDecomposition:
     return CosetDecomposition(parent, sub, Q, labels)
 
 
-@dataclass
 class DecompositionReport:
     """Outcome of the four hypotheses behind the AME certificate."""
 
-    parent_mds: MdsCertificate
-    kernel_mds: MdsCertificate | None
-    q_rank: int
-    labels_onto: bool
-    kernel_error: str | None = None
+    def __init__(self, parent_mds: MdsCertificate, kernel_mds: MdsCertificate | None,
+                 q_rank: int, labels_onto: bool, kernel_error: str | None = None):
+        self.parent_mds, self.kernel_mds = parent_mds, kernel_mds
+        self.q_rank, self.labels_onto, self.kernel_error = q_rank, labels_onto, kernel_error
 
     @property
     def all_pass(self) -> bool:
@@ -205,6 +207,8 @@ def _g_q_gf4(spec: FieldSpec):
 def search_Q(G: FFMatrix, budget: int = 10 ** 6, seed: int | None = None) -> QMatrix:
     """First Q (lexicographic, or seeded-random sampling) whose kernel
     subcode certifies MDS.  Raises NotFound when the budget runs out."""
+    if budget < 1:
+        raise OutOfRange(f"--budget must be at least 1, got {budget}")
     spec = G.spec
     k = G.rows
     if k <= 2:
@@ -212,7 +216,7 @@ def search_Q(G: FFMatrix, budget: int = 10 ** 6, seed: int | None = None) -> QMa
     _ame_shape(G)
     parent_cert = is_mds(LinearCode(G), method="columns")
     if not parent_cert.is_mds:
-        raise CertificationFailed(f"search_Q needs an MDS parent code: {parent_cert}")
+        raise CertificationFailed(f"search_Q needs an MDS parent: witness {parent_cert.witness}")
     q = spec.q
 
     def candidates():

@@ -11,7 +11,6 @@ pivoting; arithmetic is exact so there are no stability concerns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem
 
@@ -327,12 +326,19 @@ def _factor_prime_power(q: int):
     raise UnsupportedSize(f"q={q} is not a prime power")
 
 
-@dataclass(frozen=True)
 class FieldElement:
     """One element of a FieldSpec, stored as an integer repr in [0, q)."""
 
-    spec: FieldSpec
-    repr: int
+    def __init__(self, spec: FieldSpec, repr: int):
+        self.spec, self.repr = spec, repr
+
+    def __eq__(self, other):
+        if type(other) is not FieldElement:
+            return NotImplemented
+        return (self.spec, self.repr) == (other.spec, other.repr)
+
+    def __hash__(self):
+        return hash((self.spec, self.repr))
 
     def _check(self, other: "FieldElement"):
         if self.spec != other.spec:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import itertools
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem
 
@@ -94,7 +93,6 @@ class SparseState:
         return f"SparseState(n={self.n}, q={self.q}, support={self.support})"
 
 
-@dataclass(frozen=True)
 class WeylWord:
     """Z/X exponent assignment per site.
 
@@ -102,9 +100,16 @@ class WeylWord:
     mod q; sites absent from both carry the identity.
     """
 
-    n: int
-    z: tuple = ()
-    x: tuple = ()
+    def __init__(self, n: int, z: tuple = (), x: tuple = ()):
+        self.n, self.z, self.x = n, z, x
+
+    def __eq__(self, other):
+        if type(other) is not WeylWord:
+            return NotImplemented
+        return (self.n, self.z, self.x) == (other.n, other.z, other.x)
+
+    def __hash__(self):
+        return hash((self.n, self.z, self.x))
 
     @classmethod
     def zx_split(cls, n: int, v, k: int) -> "WeylWord":
@@ -137,7 +142,6 @@ def apply_weyl(state: SparseState, word: WeylWord) -> SparseState:
     return SparseState(state.n, sp, out)
 
 
-@dataclass(frozen=True)
 class FibredState:
     """sum_v |vG> (x) M(vW)|seed>, M(e) applying types[j]^(e_j), Z or X, at
     seed site j.  Cl+Q has W = I_k; the repetition construction has W = Q, a
@@ -145,10 +149,8 @@ class FibredState:
     seed.  G must have full row rank, so each message gives one codeword and
     the q^k * s terms are distinct."""
 
-    G: FFMatrix
-    W: FFMatrix
-    seed: SparseState
-    types: str
+    def __init__(self, G: FFMatrix, W: FFMatrix, seed: SparseState, types: str):
+        self.G, self.W, self.seed, self.types = G, W, seed, types
 
     @property
     def n(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import random as _random
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from operator import and_, lshift
 
 from .cyclotomic import Cyclotomic, is_zero_vector
@@ -22,13 +21,12 @@ from .states import SparseState, WeylWord, apply_weyl, inner_product
 MAX_RHO_DIM = 4096
 
 
-@dataclass
 class ReducedDensity:
     """Unnormalized rho_S as a sparse Hermitian matrix over Z[w_q]."""
 
-    subset: tuple
-    q: int
-    entries: dict  # (row key, col key) -> Cyclotomic, zero entries omitted
+    def __init__(self, subset: tuple, q: int, entries: dict):
+        self.subset, self.q = subset, q
+        self.entries = entries  # (row key, col key) -> Cyclotomic, zero entries omitted
 
     @property
     def dim(self) -> int:
@@ -168,15 +166,13 @@ def is_maximally_mixed(rho: ReducedDensity):
     return True, None
 
 
-@dataclass
 class UniformityReport:
-    n: int
-    q: int
-    mode: str  # "exhaustive" or "sampled"
-    k_target: int  # the largest subset size the sweep aimed for
-    max_verified_k: int = 0
-    tallies: dict = dc_field(default_factory=dict)  # size -> (checked, passed)
-    first_failure: tuple | None = None
+    def __init__(self, n: int, q: int, k_target: int):
+        self.n, self.q = n, q
+        self.mode = "exhaustive"  # "sampled" once a swept size has its subsets drawn
+        self.k_target = k_target  # the largest subset size the sweep aimed for
+        self.max_verified_k, self.first_failure = 0, None
+        self.tallies = {}  # size -> (checked, passed), a fresh dict per report
 
     @property
     def certifying(self) -> bool:
@@ -187,9 +183,10 @@ def uniformity(state: SparseState, k_max: int | None = None, sample: int | None 
                seed: int | None = None) -> UniformityReport:
     """Sweep subset sizes 1..min(k_max, n//2), ascending, lexicographic.
 
-    `sample=None` checks every subset; `sample=N` checks N subsets of each
-    size drawn with the caller-given `seed`, and the report is
-    non-certifying.  The sweep stops at the first size with a failure.
+    `sample=None` checks every subset; `sample=N` checks, at each size with
+    more than N subsets, N of them drawn with the caller-given `seed`.  The
+    report is "sampled" (non-certifying) only if some swept size was drawn.
+    The sweep stops at the first size with a failure.
     """
     if k_max is not None and k_max < 1:
         raise KuniError(f"--k-max must be at least 1, got {k_max}")
@@ -199,13 +196,14 @@ def uniformity(state: SparseState, k_max: int | None = None, sample: int | None 
         raise KuniError("--sample needs --seed, so that the sampled subsets can be drawn again")
     n = state.n
     top = n // 2 if k_max is None else min(k_max, n // 2)
-    report = UniformityReport(n, state.q, "exhaustive" if sample is None else "sampled", top)
+    report = UniformityReport(n, state.q, top)
     rng = _random.Random(seed)
     table = KeyTable(state)
     for size in range(1, top + 1):
         subsets = list(itertools.combinations(range(n), size))
         if sample is not None and len(subsets) > sample:
             subsets = sorted(rng.sample(subsets, sample))
+            report.mode = "sampled"
         checked = passed = 0
         failure = None
         for S in subsets:
@@ -289,13 +287,11 @@ def stabilizer_check(state: SparseState, adjacency: FFMatrix):
     return True, None
 
 
-@dataclass
 class CertificateReport:
     """Auditable record of the algebraic AME certificate."""
 
-    n_parties: int
-    q: int
-    decomposition: DecompositionReport
+    def __init__(self, n_parties: int, q: int, decomposition: DecompositionReport):
+        self.n_parties, self.q, self.decomposition = n_parties, q, decomposition
 
     @property
     def parent_checks(self) -> int:

@@ -74,6 +74,13 @@ def test_verify_json_and_sampled_exit_code(tmp_path, capsys):
     assert doc["uniformity"]["certifying"] is False
     assert doc["uniformity"]["max_verified_k"] == 2
     assert doc["manifest"]["seed"] == 3
+    # a sample no smaller than any size's 5 or 10 subsets draws none of them,
+    # so it checks what the plain sweep checks and certifies as it does
+    code, out, _ = run(capsys, "verify", str(state_path), "--json",
+                       "--sample", "10", "--seed", "3")
+    code_all, out_all, _ = run(capsys, "verify", str(state_path), "--json")
+    assert code == code_all == EXIT_OK
+    assert json.loads(out)["uniformity"] == json.loads(out_all)["uniformity"]
 
 
 def test_verify_refutes_ghz(tmp_path, capsys):
@@ -295,6 +302,18 @@ def test_bad_verify_request_exits_usage(tmp_path, capsys, argv, named):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--budget", "-1"],
+    ["--budget", "0"],
+    ["--seed", "1", "--budget", "-3"],
+], ids=["budget-negative", "budget-0", "seeded-budget-negative"])
+def test_bad_search_budget_exits_usage(capsys, argv):
+    # a usage error, not a traceback with exit 1 (refuted)
+    code, out, err = run(capsys, "decompose", "--q", "5", "--search", *argv)
+    assert code == EXIT_USAGE and out == "" and "--budget" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_invalid_term_cap_exits_usage(monkeypatch, tmp_path, capsys):
     # ghz never reaches the cap, so main itself must validate it
     monkeypatch.setenv("KUNI_MAX_TERMS", "abc")
@@ -402,6 +421,22 @@ def test_construct_streams_without_materializing(monkeypatch, tmp_path, capsys):
         assert code == EXIT_OK, err
         assert f"support {support}," in stdout
         assert parse_state(out.read_text()).support == support
+
+
+def test_import_loads_every_layer_and_no_json_machinery():
+    # each command is a fresh process, so `import kuni.cli` is paid by every
+    # run: dataclasses (with inspect), hashlib (OpenSSL) and json stay out of
+    # it, while every layer stays loaded for the perfbench tracer
+    probe = ("import sys; before = set(sys.modules); import kuni.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "hashlib", "json"}
+    layers = ("field", "codes", "cyclotomic", "decomposition", "states", "verify", "cli")
+    assert {f"kuni.{m}" for m in layers} <= loaded
 
 
 def test_help_exits_cleanly(capsys):

@@ -7,13 +7,14 @@ import random
 import pytest
 
 from kuni import verify
-from kuni.codes import code_from_generator, mds_from_singleton
+from kuni.codes import code_from_generator, is_mds, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from kuni.decomposition import QMatrix, construct_G_Q
 from kuni.errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
-from kuni.field import FFMatrix, gf
+from kuni.field import FFMatrix, FieldElement, gf
 from kuni.states import (
     SparseState,
+    WeylWord,
     ame_5_q,
     ame_7_4,
     bell,
@@ -26,6 +27,7 @@ from kuni.states import (
 )
 from kuni.verify import (
     ReducedDensity,
+    UniformityReport,
     certify_ame_via_codes,
     gram_check,
     is_maximally_mixed,
@@ -334,6 +336,38 @@ def test_uniformity_sampled_mode():
     assert rep.tallies[2][0] == 5
     with pytest.raises(KuniError):
         uniformity(s, sample=5)  # seed required
+
+
+def test_sample_that_draws_no_size_is_exhaustive():
+    # ame_5_q over GF(3) has 5 + 10 subsets; a size is drawn only when it
+    # has more subsets than the sample, and only a drawn size makes it sampled
+    s = ame_5_q(gf(3))
+    full = uniformity(s)
+    for sample in (10, 300):
+        rep = uniformity(s, sample=sample, seed=1)
+        assert rep.mode == "exhaustive" and rep.certifying
+        assert (rep.max_verified_k, rep.tallies) == (full.max_verified_k, full.tallies)
+    rep = uniformity(s, sample=9, seed=1)
+    assert rep.mode == "sampled" and rep.tallies == {1: (5, 5), 2: (9, 9)}
+
+
+def test_plain_classes_keep_values_and_fresh_tallies():
+    sp = gf(5)
+    for make in (lambda r: FieldElement(sp, r), lambda r: QMatrix(sp, (1, r), (0, 1)),
+                 lambda r: WeylWord(2, z=((0, r),))):
+        a, b, c = make(2), make(2), make(3)
+        assert a == b and hash(a) == hash(b) and len({a, b, c}) == 2
+        assert a != c and a != 2
+    assert FieldElement(sp, 2) != FieldElement(gf(7), 2)
+    # every report starts from its own tallies
+    first, second = (UniformityReport(4, 3, 2) for _ in range(2))
+    first.tallies[1] = (4, 4)
+    assert second.tallies == {}
+    # the attributes the perfbench tracer reads
+    state = ghz(4, gf(3))
+    assert uniformity(state, k_max=1).tallies == {1: (4, 4)}
+    assert is_mds(mds_from_singleton(5, 3, sp)).checks == 10  # C(5, 3)
+    assert len(reduced_density(state, (0,)).entries) == 3
 
 
 def test_support_census():

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .codes import (
     LinearCode,
-    code_from_generator,
     dual_code,
     enumerate_codewords,
     is_mds,

@@ -32,17 +32,16 @@ from .states import (
     SparseState,
     bell_pair,
     builtin_state,
-    cl_plus_q,
     cl_plus_q_fibred,
     code_fibred,
     format_state,
     ghz,
     max_terms,
-    parse_state,
+    read_state,
     repetition_fibred,
     state_from_code,
 )
-from .verify import MAX_RHO_DIM, certify_ame_via_codes, uniformity
+from .verify import MAX_RHO_DIM, KeyTable, certify_ame_via_codes, uniformity
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -51,9 +50,15 @@ EXIT_USAGE = 64
 
 
 def _digest(path: str) -> str:
-    import hashlib  # loads OpenSSL: only the commands that write JSON pay for it
-
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    # the interpreter's built-in SHA-256; hashlib would map OpenSSL's libcrypto
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12+
+        except ImportError:
+            from hashlib import sha256
+    return sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _manifest(args, inputs=()):
@@ -139,8 +144,11 @@ def _load_code(args) -> LinearCode:
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    state = parse_state(Path(args.state).read_text())
-    report = uniformity(state, k_max=args.k_max, sample=args.sample, seed=args.seed)
+    # the sweep reads only the key table: the text, its lines and the
+    # checker's state are gone once it is built
+    n, spec, terms = read_state(Path(args.state).read_text())
+    table = KeyTable(n, spec.q, terms)
+    report = uniformity(table, k_max=args.k_max, sample=args.sample, seed=args.seed)
     result = {
         "n": report.n,
         "q": report.q,
@@ -149,7 +157,7 @@ def cmd_verify(args) -> int:
         "max_verified_k": report.max_verified_k,
         "tallies": {str(k): list(v) for k, v in report.tallies.items()},
         "first_failure": report.first_failure,
-        "support": state.support,
+        "support": table.size,
     }
     if report.max_verified_k < report.k_target:
         exit_code, verdict = EXIT_REFUTED, "refuted"
@@ -201,9 +209,12 @@ def cmd_certify(args) -> int:
 # --- decompose --------------------------------------------------------------
 
 def cmd_decompose(args) -> int:
+    if not args.search and (args.budget is not None or args.seed is not None):
+        raise KuniError("--budget and --seed apply only with --search")
     G, Q = construct_G_Q(gf(args.q))
     if args.search:
-        Q = search_Q(G, budget=args.budget, seed=args.seed)
+        budget = {} if args.budget is None else {"budget": args.budget}
+        Q = search_Q(G, seed=args.seed, **budget)
     cert = certify_ame_via_codes(G, Q)
     if args.emit_g:
         Path(args.emit_g).write_text(format_matrix(G))
@@ -342,15 +353,15 @@ def _table1_verify(n_cl, k_cl, seed_kind, seed_n, q, k_target, seed):
     else:
         sn, sk = _SEED_CODE[seed_kind]
         quantum = state_from_code(mds_from_singleton(sn, sk, spec))
-    state = cl_plus_q(code, quantum, variant="direct")
-    n = state.n
-    work = sum(math.comb(n, s) for s in range(1, k_target + 1)) * state.support
+    state = cl_plus_q_fibred(code, quantum, variant="direct")
+    state.check_cap()  # as materialize() would; the sweep reads only the table
+    table = KeyTable(state.n, q, state.terms())
+    work = sum(math.comb(table.n, s) for s in range(1, k_target + 1)) * table.size
     if work <= _EXHAUSTIVE_WORK_CAP and q ** k_target <= MAX_RHO_DIM:
-        rep = uniformity(state, k_max=k_target)
+        rep = uniformity(table, k_max=k_target)
     else:
-        rep = uniformity(state, k_max=k_target, sample=10, seed=seed if seed is not None else 0)
-    return {"verified_k": rep.max_verified_k, "mode": rep.mode,
-            "support": state.support}
+        rep = uniformity(table, k_max=k_target, sample=10, seed=seed if seed is not None else 0)
+    return {"verified_k": rep.max_verified_k, "mode": rep.mode, "support": table.size}
 
 
 # --- parser -----------------------------------------------------------------
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--q", type=int, required=True)
     d.add_argument("--search", action="store_true",
                    help="find Q by search instead of the closed-form assembly")
-    d.add_argument("--budget", type=int, default=10 ** 6)
+    d.add_argument("--budget", type=int, help="candidates to try (--search only)")
     d.add_argument("--seed", type=int)
     d.add_argument("--emit-g")
     d.add_argument("--emit-q")

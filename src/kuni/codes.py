@@ -72,11 +72,6 @@ class LinearCode:
         return f"[{self.n},{self.k}{d}]_{self.q}"
 
 
-def code_from_generator(G: FFMatrix) -> LinearCode:
-    """Wrap a full-row-rank generator matrix as a LinearCode."""
-    return LinearCode(G)
-
-
 def standard_form(code: LinearCode):
     """Row-reduce (and column-permute if needed) to G' = [I_k | A].
 

@@ -11,6 +11,7 @@ pivoting; arithmetic is exact so there are no stability concerns.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from operator import getitem
 
@@ -42,18 +43,7 @@ _MUL_TABLE_MAX_Q = 64
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def _poly_mulmod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
@@ -135,20 +125,12 @@ class FieldSpec:
                 raise ReducibleModulus(f"modulus must be monic of degree {m}")
             if not _is_irreducible(modulus, p):
                 raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
-        self.p = p
-        self.m = m
-        self.q = q
-        self.modulus = modulus
-        self._add_table = None
-        self._neg_table = None
-        self._mul_table = None
-        self._inv_table = None
+        self.p, self.m, self.q, self.modulus = p, m, q, modulus
+        self._add_table = self._neg_table = self._mul_table = self._inv_table = None
         if m > 1 and q <= _MUL_TABLE_MAX_Q:
             self._build_tables()
         elif m == 1:
-            self._inv_table = [0] * q
-            for a in range(1, q):
-                self._inv_table[a] = pow(a, q - 2, q)
+            self._inv_table = [0] + [pow(a, q - 2, q) for a in range(1, q)]
 
     # -- encoding ------------------------------------------------------------
 
@@ -179,12 +161,7 @@ class FieldSpec:
                 v = self._from_poly(_poly_mulmod(polys[a], polys[b], self.modulus, self.p))
                 row[b] = v
                 self._mul_table[b][a] = v
-        self._inv_table = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul_table[a][b] == 1:
-                    self._inv_table[a] = b
-                    break
+        self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
 
     # -- int-repr arithmetic --------------------------------------------------
 
@@ -282,12 +259,8 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.m == other.m
-            and self.modulus == other.modulus
-        )
+        return (isinstance(other, FieldSpec)
+                and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
@@ -311,17 +284,12 @@ def gf(q: int) -> FieldSpec:
 
 
 def _factor_prime_power(q: int):
-    if q < 2:
-        raise UnsupportedSize(f"q={q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                m += 1
-            if r != 1:
-                raise UnsupportedSize(f"q={q} is not a prime power")
+    if q >= 2:
+        p = next(f for f in range(2, q + 1) if q % f == 0)  # the least prime factor
+        m = 1
+        while p ** m < q:
+            m += 1
+        if p ** m == q:
             return p, m
     raise UnsupportedSize(f"q={q} is not a prime power")
 

@@ -16,7 +16,7 @@ import io
 import itertools
 import os
 from functools import lru_cache
-from operator import getitem
+from operator import getitem, lshift
 
 from .codes import LinearCode, dual_code, enumerate_codewords
 from .cyclotomic import Cyclotomic
@@ -164,7 +164,7 @@ class FibredState:
     def support(self) -> int:
         return self.q ** self.G.rows * self.seed.support
 
-    def _check_cap(self) -> None:
+    def check_cap(self) -> None:
         if self.support > max_terms():
             raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
                            f"{self.seed.support} exceeds the term cap")
@@ -222,7 +222,7 @@ class FibredState:
             yield from zip(map(word[:n].__add__, tails(x_part(word))), amps(z_part(word)))
 
     def materialize(self) -> SparseState:
-        self._check_cap()
+        self.check_cap()
         # a root of unity times a nonzero seed amplitude is never zero
         return SparseState._of_nonzero(self.n, self.seed.spec, dict(self.terms()))
 
@@ -242,7 +242,7 @@ class FibredState:
         where the table can hold no more lines than there are words; no word
         is kept, so memory grows with neither the q^k words nor the q^k * s
         terms."""
-        self._check_cap()
+        self.check_cap()
         x_part, z_part, shifted, phases = self._action()
         R = matrix_rref(self.G.hstack(self.W))[0]
         words = enumerate_codewords(LinearCode(R, _skip_rank_check=True))
@@ -524,7 +524,18 @@ def format_state(state: SparseState) -> str:
     return out.getvalue()
 
 
-def parse_state(text: str) -> SparseState:
+def key_shifts(n: int, q: int) -> list:
+    """Where each site's symbol sits when a key is packed into one integer,
+    sum(symbol << shift): bit_length(q - 1) bits per site, the first highest."""
+    bits = (q - 1).bit_length()
+    return [bits * (n - 1 - i) for i in range(n)]
+
+
+def read_state(text: str):
+    """(n, spec, terms) of a state file: `terms` checks the lines in file
+    order, yields each one's (key, amplitude) and lets it go, and raises
+    FormatError at the first bad one.  A zero line is checked, then dropped;
+    a key that repeats any earlier line's, zero or not, is rejected."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("STATE"):
         raise FormatError("missing STATE header")
@@ -536,9 +547,17 @@ def parse_state(text: str) -> SparseState:
     if len(parts) != 3 or n < 1:
         raise FormatError(f"bad STATE header: {lines[0]!r}")
     spec = gf(q)
-    terms = {}
+    lines.reverse()  # popped from the end, in file order
+    lines.pop()
+    return n, spec, _term_lines(lines, n, q)
+
+
+def _term_lines(lines: list, n: int, q: int):
+    shifts = None  # built at the first key of n symbols: n may be far above any line's
+    seen = set()  # packed codes of every key so far, zero lines included
     amps = {}  # coefficient text -> its one amplitude, or None when it is zero
-    for ln in lines[1:]:
+    while lines:
+        ln = lines.pop()
         left, colon, right = ln.partition(":")
         if not colon:
             raise FormatError(f"bad term line: {ln!r}")
@@ -556,9 +575,16 @@ def parse_state(text: str) -> SparseState:
                 raise FormatError(f"term has {len(coeffs)} coefficients, expected {q}")
             amp = Cyclotomic(q, coeffs)
             amps[right] = None if amp.is_zero() else amp
-        if key in terms:
+        if shifts is None:
+            shifts = key_shifts(n, q)
+        code = sum(map(lshift, key, shifts))
+        if code in seen:
             raise FormatError(f"duplicate term {key}")
-        terms[key] = amps[right]
-    if None in amps.values():  # a zero line is checked like any other, then dropped
-        terms = {key: amp for key, amp in terms.items() if amp is not None}
-    return SparseState._of_nonzero(n, spec, terms)
+        seen.add(code)
+        if amps[right] is not None:
+            yield key, amps[right]
+
+
+def parse_state(text: str) -> SparseState:
+    n, spec, terms = read_state(text)
+    return SparseState._of_nonzero(n, spec, dict(terms))

@@ -16,7 +16,7 @@ from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
 from .errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
 from .field import FFMatrix
-from .states import SparseState, WeylWord, apply_weyl, inner_product
+from .states import SparseState, WeylWord, apply_weyl, inner_product, key_shifts
 
 MAX_RHO_DIM = 4096
 
@@ -49,21 +49,45 @@ class KeyTable:
     one integer code, b = bit_length(q - 1) bits per site, so that its row
     code for S is the code masked to the bits of S and its complement code
     the rest; the one |amp|^2 of all amplitudes (None when they differ); and
-    each amplitude's nonzero (exponent t, coefficient c) pairs."""
+    each amplitude's nonzero (exponent t, coefficient c) pairs.
 
-    def __init__(self, state: SparseState):
-        q, n, terms = state.q, state.n, state.terms
-        self.q, self.size = q, len(terms)
+    Built from distinct (key, amplitude) pairs in term order: a SparseState's
+    items, `read_state`'s checked lines or `FibredState.terms()`."""
+
+    def __init__(self, n: int, q: int, terms):
+        self.n, self.q = n, q
         self.bits = (q - 1).bit_length()
         self.digit = (1 << self.bits) - 1  # the mask of one site's bits
         self.span = 1 << (self.bits * n)  # above every code
-        self.shifts = [self.bits * (n - 1 - i) for i in range(n)]
-        self.codes = [sum(map(lshift, key, self.shifts)) for key in terms]
-        distinct = {amp.coeffs: amp for amp in terms.values()}
-        norms = {(amp * amp.conj()).coeffs for amp in distinct.values()}
+        self.shifts = shifts = key_shifts(n, q)
+        self.codes, self.pairs = codes, pairs = [], []
+        pairs_of, norms = {}, set()  # per distinct coefficient vector
+        try:
+            for key, amp in terms:
+                codes.append(sum(map(lshift, key, shifts)))
+                p = pairs_of.get(amp.coeffs)
+                if p is None:
+                    p = pairs_of[amp.coeffs] = [(t, x) for t, x in enumerate(amp.coeffs) if x]
+                    norms.add((amp * amp.conj()).coeffs)
+                pairs.append(p)
+        except MemoryError:
+            # the traceback keeps this frame, and so the table, alive: free
+            # the table, or the error cannot even be handled
+            del codes[:], pairs[:]
+            raise
+        self.size = len(codes)
         self.norm = next(iter(norms)) if len(norms) == 1 else None
-        pairs_of = {c: [(t, x) for t, x in enumerate(c) if x] for c in distinct}
-        self.pairs = [pairs_of[amp.coeffs] for amp in terms.values()]
+
+    @classmethod
+    def of(cls, source) -> "KeyTable":
+        """The table of a SparseState; a KeyTable is its own."""
+        return source if isinstance(source, cls) else cls(source.n, source.q, source.terms.items())
+
+    @property
+    def terms(self):
+        """The keys in term order, decoded, as iterating a SparseState's
+        terms gives them."""
+        return (tuple(c >> s & self.digit for s in self.shifts) for c in self.codes)
 
     def masks(self, S):
         """(row mask, complement mask) of the sites S."""
@@ -77,8 +101,9 @@ class KeyTable:
         return dict(zip(rows, zip(*sites))) if S else dict.fromkeys(rows, ())
 
 
-def reduced_density(state: SparseState, subset, table: KeyTable | None = None) -> ReducedDensity:
-    """Trace out the complement of `subset` (sorted site indices).
+def reduced_density(state, subset, table: KeyTable | None = None) -> ReducedDensity:
+    """Trace out the complement of `subset` (sorted site indices) of
+    `state`, a SparseState or a KeyTable; only the table is read.
 
     A sweep passes the `table` of `state` to every call; a call without one
     builds its own.  Complement groups and (row, col) sums are keyed by its
@@ -94,7 +119,7 @@ def reduced_density(state: SparseState, subset, table: KeyTable | None = None) -
     if q ** len(S) > MAX_RHO_DIM:
         raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
     if table is None:
-        table = KeyTable(state)
+        table = KeyTable.of(state)
     diagonal = _diagonal(table, S)
     if diagonal is not None:
         return ReducedDensity(S, q, diagonal)
@@ -179,9 +204,10 @@ class UniformityReport:
         return self.mode == "exhaustive"
 
 
-def uniformity(state: SparseState, k_max: int | None = None, sample: int | None = None,
+def uniformity(state, k_max: int | None = None, sample: int | None = None,
                seed: int | None = None) -> UniformityReport:
-    """Sweep subset sizes 1..min(k_max, n//2), ascending, lexicographic.
+    """Sweep subset sizes 1..min(k_max, n//2), ascending, lexicographic, of
+    `state`, a SparseState or a KeyTable; only the table is read.
 
     `sample=None` checks every subset; `sample=N` checks, at each size with
     more than N subsets, N of them drawn with the caller-given `seed`.  The
@@ -198,7 +224,7 @@ def uniformity(state: SparseState, k_max: int | None = None, sample: int | None 
     top = n // 2 if k_max is None else min(k_max, n // 2)
     report = UniformityReport(n, state.q, top)
     rng = _random.Random(seed)
-    table = KeyTable(state)
+    table = KeyTable.of(state)
     for size in range(1, top + 1):
         subsets = list(itertools.combinations(range(n), size))
         if sample is not None and len(subsets) > sample:
@@ -248,7 +274,7 @@ def slocc_witness(state: SparseState, k: int, classical_cut: int | None = None):
                 preferred.append(tuple(sorted(cl + (qsite,))))
     seen = set(preferred)
     rest = [S for S in itertools.combinations(range(n), k + 1) if S not in seen]
-    table = KeyTable(state)
+    table = KeyTable.of(state)
     for S in preferred + rest:
         ok, _ = is_maximally_mixed(reduced_density(state, S, table))
         if ok:

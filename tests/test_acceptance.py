@@ -15,7 +15,7 @@ import pytest
 
 from kuni.cli import main
 from kuni.codes import (
-    code_from_generator,
+    LinearCode,
     dual_code,
     enumerate_codewords,
     is_mds,
@@ -54,7 +54,7 @@ from test_states import ame52_closed_form
 
 
 def ame_5_2_state():
-    code = code_from_generator(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
+    code = LinearCode(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
     return cl_plus_q(code, bell_pair(gf(2)))
 
 

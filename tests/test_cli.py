@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving kuni.cli.main with real files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import kuni
-from kuni.cli import EXIT_OK, EXIT_REFUTED, EXIT_SAMPLED, EXIT_USAGE, main
-from kuni.states import FibredState, format_state, ghz, parse_state
+from kuni.cli import EXIT_OK, EXIT_REFUTED, EXIT_SAMPLED, EXIT_USAGE, _digest, main
+from kuni.states import FibredState, SparseState, format_state, ghz, parse_state
 from kuni.field import gf
 
 
@@ -302,6 +303,15 @@ def test_bad_verify_request_exits_usage(tmp_path, capsys, argv, named):
     assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["--budget", "-1"], ["--seed", "9", "--json"]],
+                         ids=["budget", "seed"])
+def test_search_flags_without_search_exit_usage(capsys, argv):
+    # without --search no candidate is tried and no random draw is made
+    code, out, err = run(capsys, "decompose", "--q", "5", *argv)
+    assert code == EXIT_USAGE and out == "" and "--search" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["--budget", "-1"],
     ["--budget", "0"],
@@ -404,6 +414,47 @@ def test_failed_construct_keeps_an_existing_output(monkeypatch, tmp_path, capsys
     assert list(tmp_path.iterdir()) == [out]  # no partial file beside it
 
 
+def test_sweeps_build_no_sparse_state(monkeypatch, tmp_path, capsys):
+    # verify builds its key table from the checked lines of the file, and
+    # table1 --verify from the terms of the row's fibred state; only the
+    # small quantum seeds of the table rows are SparseStates
+    path = tmp_path / "ame.state"
+    run(capsys, "construct", "builtin", "--name", "ame_7_4", "-o", str(path))
+    built = []
+    init, of_nonzero = SparseState.__init__, SparseState._of_nonzero.__func__
+
+    def recorded_init(self, n, spec, terms=None):
+        built.append(n)
+        init(self, n, spec, terms)
+
+    def recorded_of_nonzero(cls, n, spec, terms):
+        built.append(n)
+        return of_nonzero(cls, n, spec, terms)
+
+    monkeypatch.setattr(SparseState, "__init__", recorded_init)
+    monkeypatch.setattr(SparseState, "_of_nonzero", classmethod(recorded_of_nonzero))
+    code, out, _ = run(capsys, "verify", str(path), "--json")
+    assert code == EXIT_OK and json.loads(out)["uniformity"]["support"] == 4 ** 4
+    assert built == []
+    for argv, exit_code in ((["--json"], EXIT_OK),
+                            (["--k", "3", "--n-min", "11", "--n-max", "11", "--json"],
+                             EXIT_SAMPLED)):
+        code, out, _ = run(capsys, "table1", "--verify", *argv)
+        assert code == exit_code
+        rows = json.loads(out)["table1"]
+        assert all(row["mode"] == "skipped" or row["support"] > 0 for row in rows)
+        assert built and max(built) < min(row["n"] for row in rows)
+        built.clear()
+
+
+def test_digest_is_sha256(tmp_path):
+    for name, data in (("empty", b""), ("small", b"STATE 1 2\n0 : 1 0\n"),
+                       ("large", bytes(range(256)) * 4096)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert _digest(str(path)) == hashlib.sha256(data).hexdigest()
+
+
 def test_construct_streams_without_materializing(monkeypatch, tmp_path, capsys):
     def refuse(self):
         raise AssertionError("construct materialized a code-fibred state")
@@ -423,18 +474,26 @@ def test_construct_streams_without_materializing(monkeypatch, tmp_path, capsys):
         assert parse_state(out.read_text()).support == support
 
 
-def test_import_loads_every_layer_and_no_json_machinery():
+def test_import_loads_every_layer_and_no_json_machinery(tmp_path, capsys):
     # each command is a fresh process, so `import kuni.cli` is paid by every
     # run: dataclasses (with inspect), hashlib (OpenSSL) and json stay out of
-    # it, while every layer stays loaded for the perfbench tracer
+    # it, while every layer stays loaded for the perfbench tracer; a --json
+    # run hashes its inputs without hashlib, so OpenSSL is never loaded
+    state = tmp_path / "ame.state"
+    run(capsys, "construct", "builtin", "--name", "ame_5_q", "--q", "3", "-o", str(state))
     probe = ("import sys; before = set(sys.modules); import kuni.cli; "
-             "print(' '.join(sorted(set(sys.modules) - before)))")
+             "print(' '.join(sorted(set(sys.modules) - before))); "
+             "code = kuni.cli.main(sys.argv[1:]); "
+             "print(code, ' '.join(sorted({'hashlib', '_hashlib'} & set(sys.modules))))")
     env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", probe, "verify", str(state), "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    first, *document, last = proc.stdout.splitlines()
+    loaded = set(first.split())
     assert not loaded & {"dataclasses", "inspect", "hashlib", "json"}
+    assert json.loads("\n".join(document))["uniformity"]["max_verified_k"] == 2
+    assert last.split() == [str(EXIT_OK)]  # neither hashlib nor _hashlib
     layers = ("field", "codes", "cyclotomic", "decomposition", "states", "verify", "cli")
     assert {f"kuni.{m}" for m in layers} <= loaded
 

@@ -10,7 +10,6 @@ from kuni.codes import (
     LinearCode,
     _free_block,
     _nonzero_minors,
-    code_from_generator,
     dual_code,
     enumerate_codewords,
     format_code,
@@ -56,7 +55,7 @@ def random_mds_instances(count, seed=0, n_max=8, q_max=8):
             f = rng.randrange(q)
             data[r1] = [spec.add(a, spec.mul(f, b))
                         for a, b in zip(data[r1], data[r2])]
-        yield code_from_generator(FFMatrix(spec, data))
+        yield LinearCode(FFMatrix(spec, data))
         made += 1
 
 
@@ -71,11 +70,11 @@ def _is_prime_power(q):
 
 def test_code_from_generator_requires_full_rank():
     with pytest.raises(RankDeficient):
-        code_from_generator(FFMatrix(gf(2), [[1, 0, 1], [1, 0, 1]]))
+        LinearCode(FFMatrix(gf(2), [[1, 0, 1], [1, 0, 1]]))
 
 
 def test_enumerate_codewords_counts_and_order():
-    code = code_from_generator(FFMatrix(gf(3), [[1, 0, 1], [0, 1, 2]]))
+    code = LinearCode(FFMatrix(gf(3), [[1, 0, 1], [0, 1, 2]]))
     cws = list(enumerate_codewords(code))
     assert len(cws) == 9 and len(set(cws)) == 9
     assert cws[0] == (0, 0, 0)
@@ -135,7 +134,7 @@ def test_min_distance_brute_vs_rank():
 
 def test_min_distance_non_mds():
     # [4,2] binary code with d = 2
-    code = code_from_generator(FFMatrix(gf(2), [[1, 0, 1, 0], [0, 1, 1, 1]]))
+    code = LinearCode(FFMatrix(gf(2), [[1, 0, 1, 0], [0, 1, 1, 1]]))
     assert min_distance(code, method="brute") == 2
     assert min_distance(code, method="rank") == 2
     assert not is_mds(code, method="columns").is_mds
@@ -150,7 +149,7 @@ def test_is_mds_methods_agree_and_record_checks():
     assert certs["columns"].checks == 10  # C(5, 2)
     assert certs["columns"].method == "columns"
     # a failing certificate names a witness
-    bad = code_from_generator(FFMatrix(gf(2), [[1, 0, 1, 0], [0, 1, 1, 1]]))
+    bad = LinearCode(FFMatrix(gf(2), [[1, 0, 1, 0], [0, 1, 1, 1]]))
     cert = is_mds(bad, method="columns")
     assert cert.witness is not None
 
@@ -340,7 +339,7 @@ def test_packed_walk_finds_one_zero_in_a_deep_complement(lane):
 
 
 def test_standard_form():
-    code = code_from_generator(FFMatrix(gf(3), [[0, 1, 2], [1, 1, 1]]))
+    code = LinearCode(FFMatrix(gf(3), [[0, 1, 2], [1, 1, 1]]))
     std, perm = standard_form(code)
     assert sorted(perm) == list(range(3))
     # leading k columns are the identity
@@ -392,7 +391,7 @@ def test_puncture_and_shorten_shapes():
 
 def test_puncture_rank_drop():
     # puncturing the only informative coordinate of a [1-weight] row
-    code = code_from_generator(FFMatrix(gf(2), [[1, 0, 0], [0, 1, 1]]))
+    code = LinearCode(FFMatrix(gf(2), [[1, 0, 0], [0, 1, 1]]))
     with pytest.raises(RankDrop):
         puncture(code, 0)
 
@@ -414,7 +413,7 @@ def test_mds_exists_intervals():
 
 
 def test_distance_cache_write_once():
-    code = code_from_generator(FFMatrix(gf(3), [[1, 0, 1, 1], [0, 1, 1, 2]]))
+    code = LinearCode(FFMatrix(gf(3), [[1, 0, 1, 1], [0, 1, 1, 2]]))
     assert code.cached_distance is None
     d = min_distance(code)
     assert code.cached_distance == d == 3

@@ -9,7 +9,8 @@ from kuni.codes import format_code, mds_from_singleton, parse_code
 from kuni.decomposition import construct_G_Q, format_qmatrix, parse_qmatrix
 from kuni.errors import KuniError
 from kuni.field import FFMatrix, format_matrix, gf, parse_matrix
-from kuni.states import ame_5_q, bell, format_state, ghz, parse_state
+from kuni.states import ame_5_q, bell, format_state, ghz, parse_state, read_state
+from kuni.verify import KeyTable
 
 CASES_PER_PARSER = 300
 
@@ -93,3 +94,44 @@ def test_parser_gives_object_or_kuni_error(name):
         assert fmt(parse(fmt(obj))) == fmt(obj)
     # the mutations exercise both outcomes
     assert 0 < rejected < CASES_PER_PARSER
+
+
+# the texts of test_cli.py::test_malformed_state_exits_usage, and zero lines
+# that are dropped or repeated
+STATE_EDGE_TEXTS = [
+    "STATE a 2\n",
+    "STATE 2 2147483647\n",
+    "STATE 2 2\n9 9 : 1 0\n",
+    "STATE 2 2\n0 0 : 1 0\n0 0 : 0 1\n",
+    "STATE 2 2\n0 x : 1 0\n",
+    "STATE 2 3\n0 0 : 0 0 0\n1 1 : 1 1 1\n2 2 : 1 0 0\n1 2 : 1 1 1\n",
+    "STATE 2 3\n0 0 : 0 0 0\n0 0 : 1 0 0\n",
+]
+
+
+def _table_or_error(build):
+    try:
+        table = build()
+    except KuniError as exc:
+        return type(exc), str(exc)
+    return table.codes, table.pairs, table.norm, table.size
+
+
+def test_table_from_checked_lines_matches_parsed_state():
+    """The sweep's table built straight from the checked lines of a state
+    file is the table of parse_state's state, or both reject the text with
+    the same error at the same line."""
+    texts = PARSERS["state"][2]()
+    rng = random.Random("kuni-fuzz/state")  # the texts the parser fuzz draws
+    cases = [mutate(rng.choice(texts), rng) for _ in range(CASES_PER_PARSER)]
+    outcomes = set()
+    for text in texts + cases + STATE_EDGE_TEXTS:
+
+        def from_lines():
+            n, spec, terms = read_state(text)
+            return KeyTable(n, spec.q, terms)
+
+        streamed = _table_or_error(from_lines)
+        assert streamed == _table_or_error(lambda: KeyTable.of(parse_state(text))), text
+        outcomes.add(isinstance(streamed[0], list))
+    assert outcomes == {True, False}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kuni.codes import code_from_generator, dual_code, mds_from_singleton
+from kuni.codes import LinearCode, dual_code, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic
 from kuni.decomposition import QMatrix, construct_G_Q, search_Q, verify_decomposition
 from kuni.errors import (
@@ -167,7 +167,7 @@ def ame52_closed_form():
 
 
 def test_cl_plus_q_matches_closed_form_expansion():
-    code = code_from_generator(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
+    code = LinearCode(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
     s = cl_plus_q(code, bell_pair(gf(2)))
     assert s.equals(ame52_closed_form())
 
@@ -182,7 +182,7 @@ def test_cl_plus_q_support_product_rule():
 
 def test_cl_plus_q_dual_variant():
     sp = gf(2)
-    rep = code_from_generator(FFMatrix(sp, [[1, 1, 1]]))
+    rep = LinearCode(FFMatrix(sp, [[1, 1, 1]]))
     s = cl_plus_q(rep, bell_pair(sp), variant="dual")
     assert s.n == 5 and s.support == 8
     assert uniformity(s).max_verified_k == 2
@@ -190,7 +190,7 @@ def test_cl_plus_q_dual_variant():
 
 def test_cl_plus_q_shape_checks():
     sp = gf(2)
-    code = code_from_generator(FFMatrix(sp, [[1, 0, 1], [0, 1, 1]]))
+    code = LinearCode(FFMatrix(sp, [[1, 0, 1], [0, 1, 1]]))
     with pytest.raises(SizeMismatch):
         cl_plus_q(code, ghz(3, sp))  # seed party count != k
     with pytest.raises(SpecMismatch):
@@ -201,7 +201,7 @@ def test_cl_plus_q_shape_checks():
 
 def test_cl_plus_q_rejects_non_minimal_seed():
     sp = gf(2)
-    code = code_from_generator(FFMatrix(sp, [[1, 0, 1], [0, 1, 1]]))
+    code = LinearCode(FFMatrix(sp, [[1, 0, 1], [0, 1, 1]]))
     seed = SparseState(2, sp, {(0, 0): one(2), (0, 1): one(2), (1, 0): one(2)})
     with pytest.raises(SizeMismatch):
         cl_plus_q(code, seed)
@@ -406,7 +406,7 @@ def _random_monomial_seed(rng, spec, n, r):
         G = FFMatrix(spec, [[rng.randrange(q) for _ in range(n)] for _ in range(r)])
         if matrix_rank(G) == r:
             break
-    keys = sorted(code_from_generator(G).codeword_set())
+    keys = sorted(LinearCode(G).codeword_set())
     rng.shuffle(keys)
     return SparseState(n, spec, {key: Cyclotomic.root(q, rng.randrange(q),
                                                       rng.choice([-2, -1, 1, 3]))

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from kuni import verify
-from kuni.codes import code_from_generator, is_mds, mds_from_singleton
+from kuni.codes import LinearCode, is_mds, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from kuni.decomposition import QMatrix, construct_G_Q
 from kuni.errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
@@ -373,7 +373,7 @@ def test_plain_classes_keep_values_and_fresh_tallies():
 def test_support_census():
     s = state_from_code(mds_from_singleton(4, 2, gf(3)))
     assert support_census(s, 2) == (9, True)
-    code = code_from_generator(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
+    code = LinearCode(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
     clq = cl_plus_q(code, bell_pair(gf(2)))
     assert support_census(clq, 2) == (8, False)
     with pytest.raises(SupportBelowRankBound):
@@ -400,7 +400,7 @@ def test_slocc_witness_rank_bound_blocks_ame_instances():
     # complement dimension q^(n-k-1); when n < 2(k+1) that cap is below
     # q^(k+1), so no size-(k+1) reduction can be maximally mixed.  The
     # 5-party Cl+Q state (k = 2) is exactly such a case.
-    code = code_from_generator(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
+    code = LinearCode(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
     s = cl_plus_q(code, bell_pair(gf(2)))
     assert slocc_witness(s, 2, classical_cut=3) is None
 
@@ -481,7 +481,7 @@ def _row_dot(row, col, q):
 def test_char_poly_complementary_spectra():
     # nonzero eigenvalues of rho_S and rho_{S^c} coincide for a pure state:
     # the larger characteristic polynomial is x^(dim gap) times the smaller
-    code = code_from_generator(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
+    code = LinearCode(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
     s = cl_plus_q(code, bell_pair(gf(2)))
     for S in [(0, 1), (1, 3)]:
         Sc = tuple(i for i in range(5) if i not in S)

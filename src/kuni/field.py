@@ -259,8 +259,12 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def __eq__(self, other):
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus))
+        return (
+            isinstance(other, FieldSpec)
+            and self.p == other.p
+            and self.m == other.m
+            and self.modulus == other.modulus
+        )
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))

@@ -16,7 +16,7 @@ import io
 import itertools
 import os
 from functools import lru_cache
-from operator import getitem, lshift
+from operator import getitem
 
 from .codes import LinearCode, dual_code, enumerate_codewords
 from .cyclotomic import Cyclotomic
@@ -524,13 +524,6 @@ def format_state(state: SparseState) -> str:
     return out.getvalue()
 
 
-def key_shifts(n: int, q: int) -> list:
-    """Where each site's symbol sits when a key is packed into one integer,
-    sum(symbol << shift): bit_length(q - 1) bits per site, the first highest."""
-    bits = (q - 1).bit_length()
-    return [bits * (n - 1 - i) for i in range(n)]
-
-
 def read_state(text: str):
     """(n, spec, terms) of a state file: `terms` checks the lines in file
     order, yields each one's (key, amplitude) and lets it go, and raises
@@ -553,8 +546,8 @@ def read_state(text: str):
 
 
 def _term_lines(lines: list, n: int, q: int):
-    shifts = None  # built at the first key of n symbols: n may be far above any line's
-    seen = set()  # packed codes of every key so far, zero lines included
+    ident = bytes if q <= 256 else tuple  # a cheap exact stand-in for a key
+    seen = set()  # every key so far, zero lines included
     amps = {}  # coefficient text -> its one amplitude, or None when it is zero
     while lines:
         ln = lines.pop()
@@ -575,14 +568,13 @@ def _term_lines(lines: list, n: int, q: int):
                 raise FormatError(f"term has {len(coeffs)} coefficients, expected {q}")
             amp = Cyclotomic(q, coeffs)
             amps[right] = None if amp.is_zero() else amp
-        if shifts is None:
-            shifts = key_shifts(n, q)
-        code = sum(map(lshift, key, shifts))
-        if code in seen:
+        stand_in = ident(key)
+        if stand_in in seen:
             raise FormatError(f"duplicate term {key}")
-        seen.add(code)
-        if amps[right] is not None:
-            yield key, amps[right]
+        seen.add(stand_in)
+        amp = amps[right]
+        if amp is not None:
+            yield key, amp
 
 
 def parse_state(text: str) -> SparseState:

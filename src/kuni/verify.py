@@ -16,7 +16,7 @@ from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
 from .errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
 from .field import FFMatrix
-from .states import SparseState, WeylWord, apply_weyl, inner_product, key_shifts
+from .states import SparseState, WeylWord, apply_weyl, inner_product
 
 MAX_RHO_DIM = 4096
 
@@ -59,7 +59,7 @@ class KeyTable:
         self.bits = (q - 1).bit_length()
         self.digit = (1 << self.bits) - 1  # the mask of one site's bits
         self.span = 1 << (self.bits * n)  # above every code
-        self.shifts = shifts = key_shifts(n, q)
+        self.shifts = shifts = [self.bits * (n - 1 - i) for i in range(n)]
         self.codes, self.pairs = codes, pairs = [], []
         pairs_of, norms = {}, set()  # per distinct coefficient vector
         try:
@@ -85,8 +85,8 @@ class KeyTable:
 
     @property
     def terms(self):
-        """The keys in term order, decoded, as iterating a SparseState's
-        terms gives them."""
+        """The keys in term order, decoded: what iterating a SparseState's
+        terms gives, for readers of n and the keys such as perfbench's tracer."""
         return (tuple(c >> s & self.digit for s in self.shifts) for c in self.codes)
 
     def masks(self, S):

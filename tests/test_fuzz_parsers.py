@@ -96,8 +96,9 @@ def test_parser_gives_object_or_kuni_error(name):
     assert 0 < rejected < CASES_PER_PARSER
 
 
-# the texts of test_cli.py::test_malformed_state_exits_usage, and zero lines
-# that are dropped or repeated
+# the texts of test_cli.py::test_malformed_state_exits_usage, zero lines that
+# are dropped or repeated, and symbols above 255 (q = 257)
+ONE_257 = " : " + " ".join(["1"] + ["0"] * 256) + "\n"
 STATE_EDGE_TEXTS = [
     "STATE a 2\n",
     "STATE 2 2147483647\n",
@@ -106,6 +107,8 @@ STATE_EDGE_TEXTS = [
     "STATE 2 2\n0 x : 1 0\n",
     "STATE 2 3\n0 0 : 0 0 0\n1 1 : 1 1 1\n2 2 : 1 0 0\n1 2 : 1 1 1\n",
     "STATE 2 3\n0 0 : 0 0 0\n0 0 : 1 0 0\n",
+    "STATE 2 257\n0 256" + ONE_257 + "256 0" + ONE_257,
+    "STATE 2 257\n0 256" + ONE_257 + "256 0" + ONE_257 + "0 256" + ONE_257,
 ]
 
 

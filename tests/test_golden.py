@@ -29,8 +29,16 @@ COMMANDS = [
     ("decompose", "--q", "9", "--emit-g", "g9.txt", "--emit-q", "q9.txt"),
     ("construct", "clq-rep", "--g", "g9.txt", "--q-matrix", "q9.txt", "-o", "rep9.state"),
     ("certify", "--g", "g7.txt", "--q-matrix", "q7.txt", "--json"),
+    ("certify", "--g", "g7.txt", "--q-matrix", "q7.txt"),
+    ("certify", "--g", "g7.txt", "--q-matrix", "q7rank1.txt", "--json"),
+    ("certify", "--g", "g7.txt", "--q-matrix", "q7rank1.txt"),
+    ("decompose", "--q", "7", "--search", "--seed", "3", "--json"),
+    ("table1", "--verify", "--json"),
     ("verify", "ame53.state", "--json"),
 ]
+
+# label columns of rank 1 for the GF(7) pair: the certificate is refuted (exit 1)
+RANK1_Q7 = "4 2 7 1\n1 1\n2 2\n5 5\n0 0\n"
 
 GOLDEN_COMMANDS = {
     "codes mds --n 7 --k 4 --q 8 -o c8.txt":
@@ -63,6 +71,16 @@ GOLDEN_COMMANDS = {
         "3e368b7f83ee94dfec13f009289be9075badecf96a1e246009f4af77a5187d60",
     "certify --g g7.txt --q-matrix q7.txt --json":
         "566efb1a36462fe970009bd1054003e546aa97d133300f093ecd658755db3ef5",
+    "certify --g g7.txt --q-matrix q7.txt":
+        "40b64d7359894ce11ad419142182e8757767a8f458ed7af71be1072dd2e979d9",
+    "certify --g g7.txt --q-matrix q7rank1.txt --json":
+        "21bfc70c8f27ff33a241bcce9b45d5c2659daa75ad8f24d789008d36f70a6ad9",
+    "certify --g g7.txt --q-matrix q7rank1.txt":
+        "2b2aad92c77a01a726cc9870f3b51727ecd55d41093e6d4e8ce37e72718429ea",
+    "decompose --q 7 --search --seed 3 --json":
+        "edbe4776eff986ac1ecd066dad5f603a8d10864be0864b83d95d58c334f89c75",
+    "table1 --verify --json":
+        "6091c3ea71b7f59fe6c4fbdd8aa7a9542f0ef7ed68b9493220504e0de1afcc92",
     "verify ame53.state --json":
         "056244ee8b94b2b8a3955422d92d25341d793b9b4e22d6431472d1ee49091537",
 }
@@ -78,6 +96,7 @@ GOLDEN_FILES = {
     "g7.txt": "a3a72549f7f25fa878bbb3fec751cefa0adc209a8ef37166ba257a610450657f",
     "g9.txt": "5d565f4aff29045e6be6db16ee787e80e3c45f18d9407adcc98918ea12b3613e",
     "q7.txt": "cf41e53916b274e331e64b0bc20dafe298c3d10cf3b329b7f0b97c7d5b0ab957",
+    "q7rank1.txt": "cb7c4b840cd4f0afd471d499cd6731247028b3c1f810ebdf8832d300dfd5e856",
     "q9.txt": "d445554b9f92c283a0b566f08f0256085c091f08e339c3ab32a332dc4e9590f5",
     "rep7.state": "229e09cc246cf7ee58d578e465605cb98e3cb8c49dd22fe433febdfb9eb3f039",
     "rep9.state": "b15c9854ec2a03bc8b92112128b8b8ce0778e03483aff0a2b82e5e73b8857eeb",
@@ -90,6 +109,7 @@ def _sha(data: bytes) -> str:
 
 def run_commands(capsys):
     """(digest per command line, digest per file written) in the cwd."""
+    Path("q7rank1.txt").write_text(RANK1_Q7)
     commands = {}
     for argv in COMMANDS:
         code = main(list(argv))

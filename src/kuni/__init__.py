@@ -53,7 +53,6 @@ from .states import (
     weyl_basis,
 )
 from .verify import (
-    CertificateReport,
     ReducedDensity,
     UniformityReport,
     certify_ame_via_codes,

@@ -183,27 +183,25 @@ def cmd_certify(args) -> int:
     G = parse_matrix(Path(args.g).read_text())
     Q = parse_qmatrix(Path(args.q_matrix).read_text())
     cert = certify_ame_via_codes(G, Q)
-    dec = cert.decomposition
     result = {
         "claim": cert.claim,
-        "certified": cert.certified,
-        "parent_mds": dec.parent_mds.is_mds,
+        "certified": cert.all_pass,
+        "parent_mds": cert.parent_mds.is_mds,
         "parent_checks": cert.parent_checks,
-        "kernel_mds": dec.kernel_mds.is_mds if dec.kernel_mds else False,
+        "kernel_mds": cert.kernel_mds.is_mds if cert.kernel_mds else False,
         "kernel_checks": cert.kernel_checks,
-        "kernel_error": dec.kernel_error,
-        "q_rank": dec.q_rank,
-        "labels_onto": dec.labels_onto,
+        "kernel_error": cert.kernel_error,
+        "q_rank": cert.q_rank,
+        "labels_onto": cert.labels_onto,
     }
     if args.json:
         _emit_json({"manifest": _manifest(args, [args.g, args.q_matrix]), "certificate": result})
+    elif cert.all_pass:
+        print(f"certificate PASSED: {cert.claim} "
+              f"({cert.parent_checks} parent + {cert.kernel_checks} kernel rank checks)")
     else:
-        if cert.certified:
-            print(f"certificate PASSED: {cert.claim} "
-                  f"({cert.parent_checks} parent + {cert.kernel_checks} kernel rank checks)")
-        else:
-            print(f"certificate FAILED: {result}")
-    return EXIT_OK if cert.certified else EXIT_REFUTED
+        print(f"certificate FAILED: {result}")
+    return EXIT_OK if cert.all_pass else EXIT_REFUTED
 
 
 # --- decompose --------------------------------------------------------------
@@ -233,7 +231,7 @@ def cmd_decompose(args) -> int:
     else:
         print(f"GF({args.q}): G is {G.rows}x{G.cols}, Q1 = {list(Q.q1)}, Q2 = {list(Q.q2)}")
         print(f"certificate: {cert.claim or 'FAILED'}")
-    return EXIT_OK if cert.certified else EXIT_REFUTED
+    return EXIT_OK if cert.all_pass else EXIT_REFUTED
 
 
 # --- codes ------------------------------------------------------------------
@@ -275,23 +273,23 @@ def cmd_codes(args) -> int:
 
 # --- table1 -----------------------------------------------------------------
 
-# (k, n) -> (classical [n_cl, k_cl], quantum seed kind, seed party count)
+# (k, n) -> (classical [n_cl, k_cl], quantum seed kind)
 _TABLE1_ROWS = {
-    (2, 5): ((3, 2), "bell", 2),
-    (2, 6): ((4, 2), "bell", 2),
-    (2, 7): ((5, 2), "bell", 2),
-    (2, 8): ((5, 3), "ghz", 3),
-    (2, 9): ((6, 3), "ghz", 3),
-    (2, 10): ((7, 3), "ghz", 3),
-    (3, 11): ((7, 4), "ame4", 4),
-    (3, 12): ((8, 4), "ame4", 4),
-    (3, 13): ((9, 4), "ame4", 4),
-    (3, 14): ((9, 5), "ame5", 5),
-    (3, 15): ((10, 5), "ame5", 5),
-    (3, 16): ((11, 5), "ame5", 5),
+    (2, 5): ((3, 2), "bell"),
+    (2, 6): ((4, 2), "bell"),
+    (2, 7): ((5, 2), "bell"),
+    (2, 8): ((5, 3), "ghz"),
+    (2, 9): ((6, 3), "ghz"),
+    (2, 10): ((7, 3), "ghz"),
+    (3, 11): ((7, 4), "ame4"),
+    (3, 12): ((8, 4), "ame4"),
+    (3, 13): ((9, 4), "ame4"),
+    (3, 14): ((9, 5), "ame5"),
+    (3, 15): ((10, 5), "ame5"),
+    (3, 16): ((11, 5), "ame5"),
 }
 
-# quantum seed kind -> MDS code parameters its minimal-support basis needs
+# quantum seed kind -> the MDS code whose code state is the seed
 _SEED_CODE = {"bell": (2, 1), "ghz": (3, 1), "ame4": (4, 2), "ame5": (5, 2)}
 
 _PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -318,7 +316,7 @@ def _min_q_mds(n: int, k: int) -> int:
 def cmd_table1(args) -> int:
     rows = []
     sampled_any = False
-    for (k, n), ((n_cl, k_cl), seed_kind, seed_n) in sorted(_TABLE1_ROWS.items()):
+    for (k, n), ((n_cl, k_cl), seed_kind) in sorted(_TABLE1_ROWS.items()):
         if not (args.n_min <= n <= args.n_max and (args.k is None or k == args.k)):
             continue
         q_clq = _min_q_clq(n_cl, k_cl, seed_kind)
@@ -327,7 +325,7 @@ def cmd_table1(args) -> int:
                "clq_min_q": q_clq, "mds_min_q": q_mds}
         if args.verify:
             try:
-                row.update(_table1_verify(n_cl, k_cl, seed_kind, seed_n, q_clq, k, args.seed))
+                row.update(_table1_verify(n_cl, k_cl, seed_kind, q_clq, k, args.seed))
             except KuniError as exc:
                 row.update({"verified_k": None, "mode": "skipped", "why": str(exc)})
             if row.get("mode") == "sampled":
@@ -345,14 +343,10 @@ def cmd_table1(args) -> int:
     return EXIT_SAMPLED if sampled_any else EXIT_OK
 
 
-def _table1_verify(n_cl, k_cl, seed_kind, seed_n, q, k_target, seed):
+def _table1_verify(n_cl, k_cl, seed_kind, q, k_target, seed):
     spec = gf(q)
     code = mds_from_singleton(n_cl, k_cl, spec)
-    if seed_kind in ("bell", "ghz"):
-        quantum = _seed_state(seed_kind, spec, seed_n)
-    else:
-        sn, sk = _SEED_CODE[seed_kind]
-        quantum = state_from_code(mds_from_singleton(sn, sk, spec))
+    quantum = state_from_code(mds_from_singleton(*_SEED_CODE[seed_kind], spec))
     state = cl_plus_q_fibred(code, quantum, variant="direct")
     state.check_cap()  # as materialize() would; the sweep reads only the table
     table = KeyTable(state.n, q, state.terms())

@@ -41,8 +41,8 @@ MAX_DET_CHECKS = 10 ** 7
 class LinearCode:
     """[n, k] linear code over GF(q) with a full-row-rank generator matrix."""
 
-    def __init__(self, G: FFMatrix, _skip_rank_check: bool = False):
-        if not _skip_rank_check and matrix_rank(G) != G.rows:
+    def __init__(self, G: FFMatrix):
+        if matrix_rank(G) != G.rows:
             raise RankDeficient(f"generator {G.rows}x{G.cols} is not full row rank")
         self.G = G
         self.spec = G.spec
@@ -82,13 +82,13 @@ def standard_form(code: LinearCode):
     rref, rank, pivots = matrix_rref(code.G)
     assert rank == code.k
     perm = list(pivots) + [c for c in range(code.n) if c not in set(pivots)]
-    return LinearCode(rref.select_columns(perm), _skip_rank_check=True), perm
+    return LinearCode(rref.select_columns(perm)), perm
 
 
 def dual_code(code: LinearCode) -> LinearCode:
     """[n, n-k] code orthogonal to every codeword of the input: the null space
     of G, i.e. [-A^T | I] for the standard form [I | A], columns restored."""
-    return LinearCode(null_space(code.G), _skip_rank_check=True)
+    return LinearCode(null_space(code.G))
 
 
 def enumerate_codewords(code: LinearCode):
@@ -364,7 +364,7 @@ def mds_from_singleton(n: int, k: int, spec: FieldSpec) -> LinearCode:
     arr = singleton_array(spec)
     A = arr.block(k, n - k)
     G = FFMatrix.identity(spec, k).hstack(A)
-    code = LinearCode(G, _skip_rank_check=True)
+    code = LinearCode(G)
     if not is_mds(code, method="columns").is_mds:
         raise AssertionError(f"Singleton-array code [{n},{k}]_{q} failed MDS check")
     return code
@@ -373,10 +373,10 @@ def mds_from_singleton(n: int, k: int, spec: FieldSpec) -> LinearCode:
 def puncture(code: LinearCode, coord: int) -> LinearCode:
     """Delete one coordinate, keeping k; raises RankDrop if rank would fall."""
     cols = [c for c in range(code.n) if c != coord]
-    G = code.G.select_columns(cols)
-    if matrix_rank(G) != code.k:
-        raise RankDrop(f"puncturing coordinate {coord} drops the rank below {code.k}")
-    return LinearCode(G, _skip_rank_check=True)
+    try:
+        return LinearCode(code.G.select_columns(cols))
+    except RankDeficient:
+        raise RankDrop(f"puncturing coordinate {coord} drops the rank below {code.k}") from None
 
 
 def shorten(code: LinearCode, coord: int) -> LinearCode:

@@ -110,19 +110,20 @@ def coset_partition(G: FFMatrix, Q: QMatrix) -> CosetDecomposition:
     if q ** k > MAX_EXPLICIT_CODEWORDS:
         raise TooLarge(f"q^k = {q}^{k} exceeds the partition cap")
     labels = {}
-    # each word of [G | Q] is a codeword vG followed by its label vQ;
-    # G has full row rank (checked above), so [G | Q] has too
-    GQ = LinearCode(G.hstack(Q.as_matrix()), _skip_rank_check=True)
-    for word in enumerate_codewords(GQ):
+    # each word of [G | Q] is a codeword vG followed by its label vQ
+    for word in enumerate_codewords(LinearCode(G.hstack(Q.as_matrix()))):
         labels.setdefault(word[n:], []).append(word[:n])
     return CosetDecomposition(parent, sub, Q, labels)
 
 
 class DecompositionReport:
-    """Outcome of the four hypotheses behind the AME certificate."""
+    """The AME certificate of a pair with an [n, k]_q parent: the outcome of
+    the four hypotheses, and the check counts that make it auditable."""
 
-    def __init__(self, parent_mds: MdsCertificate, kernel_mds: MdsCertificate | None,
-                 q_rank: int, labels_onto: bool, kernel_error: str | None = None):
+    def __init__(self, n: int, q: int, parent_mds: MdsCertificate,
+                 kernel_mds: MdsCertificate | None, q_rank: int, labels_onto: bool,
+                 kernel_error: str | None = None):
+        self.n, self.q = n, q
         self.parent_mds, self.kernel_mds = parent_mds, kernel_mds
         self.q_rank, self.labels_onto, self.kernel_error = q_rank, labels_onto, kernel_error
 
@@ -135,6 +136,18 @@ class DecompositionReport:
             and self.q_rank == 2
             and self.labels_onto
         )
+
+    @property
+    def parent_checks(self) -> int:
+        return self.parent_mds.checks
+
+    @property
+    def kernel_checks(self) -> int:
+        return self.kernel_mds.checks if self.kernel_mds else 0
+
+    @property
+    def claim(self) -> str | None:
+        return f"AME({self.n + 2},{self.q})" if self.all_pass else None
 
 
 def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
@@ -155,7 +168,8 @@ def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
         kernel_cert = is_mds(sub, method="columns")
     except BadKernelDimension as exc:
         kernel_error = str(exc)
-    return DecompositionReport(parent_cert, kernel_cert, q_rank, labels_onto, kernel_error)
+    return DecompositionReport(G.cols, G.spec.q, parent_cert, kernel_cert, q_rank,
+                               labels_onto, kernel_error)
 
 
 def construct_G_Q(spec: FieldSpec):
@@ -176,17 +190,17 @@ def construct_G_Q(spec: FieldSpec):
     else:
         k = (q + 1) // 2
         arr = singleton_array(spec)
-        A = arr.block(k, k)
-        ident_cols = FFMatrix(
-            spec,
-            [[1 if r == c else 0 for c in range(k - 1)] for r in range(k)],
-        )
-        G = ident_cols.hstack(A)
+        G = shifted_identity_block(arr.block(k, k))
         # Q1: entries of the (k+1)-th Singleton-array column (k-1 of them), then 0
         q1 = tuple(arr.entry(r, k) for r in range(q - k)) + (0,) * (k - (q - k))
         q2 = tuple(0 for _ in range(k - 1)) + (1,)
         Q = QMatrix(spec, q1, q2)
     return G, Q
+
+
+def shifted_identity_block(A: FFMatrix) -> FFMatrix:
+    """[I' | A] for a k-row A, I' the k x (k-1) identity with a zero bottom row."""
+    return FFMatrix.identity(A.spec, A.rows).select_columns(range(A.rows - 1)).hstack(A)
 
 
 def _g_q_gf4(spec: FieldSpec):

@@ -20,7 +20,7 @@ from operator import getitem
 
 from .codes import LinearCode, dual_code, enumerate_codewords
 from .cyclotomic import Cyclotomic
-from .decomposition import QMatrix, construct_G_Q, verify_decomposition
+from .decomposition import QMatrix, construct_G_Q, shifted_identity_block, verify_decomposition
 from .errors import (
     CertificationMissing,
     FormatError,
@@ -171,7 +171,7 @@ class FibredState:
 
     def _words(self):
         """Words of [G | W]: a codeword, then its label e."""
-        return enumerate_codewords(LinearCode(self.G.hstack(self.W), _skip_rank_check=True))
+        return enumerate_codewords(LinearCode(self.G.hstack(self.W)))
 
     def _action(self):
         """How a word's label acts on the seed: (x_part, z_part, shifted, phases).
@@ -245,7 +245,7 @@ class FibredState:
         self.check_cap()
         x_part, z_part, shifted, phases = self._action()
         R = matrix_rref(self.G.hstack(self.W))[0]
-        words = enumerate_codewords(LinearCode(R, _skip_rank_check=True))
+        words = enumerate_codewords(LinearCode(R))
         n, q, s = self.G.cols, self.q, self.seed.support
         sep = " " if self.seed.n else ""  # a code state's lines have no seed key
         # " : coefficients" of each seed amplitude times each power of w
@@ -468,7 +468,7 @@ def ame_19_17_matrices():
         [1, 5, 9, 13, 12, 14, 11, 3, 16],
         [1, 9, 13, 12, 14, 11, 3, 16, 10],
     ]
-    G = _shifted_identity_block(spec, A_rows)
+    G = shifted_identity_block(FFMatrix(spec, A_rows))
     Q = QMatrix(spec, (1, 13, 12, 14, 11, 3, 16, 10, 0), (0,) * 8 + (1,))
     return G, Q
 
@@ -488,15 +488,9 @@ def ame_21_19_matrices():
         [1, 7, 10, 13, 4, 17, 9, 15, 12, 14],
         [1, 10, 13, 4, 17, 9, 15, 12, 14, 2],
     ]
-    G = _shifted_identity_block(spec, A_rows)
+    G = shifted_identity_block(FFMatrix(spec, A_rows))
     Q = QMatrix(spec, (1, 13, 4, 17, 9, 15, 12, 14, 2, 0), (0,) * 9 + (1,))
     return G, Q
-
-
-def _shifted_identity_block(spec: FieldSpec, A_rows) -> FFMatrix:
-    k = len(A_rows)
-    left = [[1 if r == c else 0 for c in range(k - 1)] for r in range(k)]
-    return FFMatrix(spec, [left[r] + A_rows[r] for r in range(k)])
 
 
 # --- state file format ------------------------------------------------------

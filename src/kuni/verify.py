@@ -313,35 +313,11 @@ def stabilizer_check(state: SparseState, adjacency: FFMatrix):
     return True, None
 
 
-class CertificateReport:
-    """Auditable record of the algebraic AME certificate."""
-
-    def __init__(self, n_parties: int, q: int, decomposition: DecompositionReport):
-        self.n_parties, self.q, self.decomposition = n_parties, q, decomposition
-
-    @property
-    def parent_checks(self) -> int:
-        return self.decomposition.parent_mds.checks
-
-    @property
-    def kernel_checks(self) -> int:
-        kernel = self.decomposition.kernel_mds
-        return kernel.checks if kernel else 0
-
-    @property
-    def certified(self) -> bool:
-        return self.decomposition.all_pass
-
-    @property
-    def claim(self) -> str | None:
-        return f"AME({self.n_parties},{self.q})" if self.certified else None
-
-
-def certify_ame_via_codes(G: FFMatrix, Q: QMatrix) -> CertificateReport:
+def certify_ame_via_codes(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
     """Algebraic certificate for states too large to materialize.
 
     Soundness: the four decomposition hypotheses are exactly what makes the
-    repetition construction an AME(n+2, q) state; the check counts are
-    recorded so the certificate is auditable.
+    repetition construction an AME(n+2, q) state; the report records the
+    check counts, so the certificate is auditable.
     """
-    return CertificateReport(G.cols + 2, G.spec.q, verify_decomposition(G, Q))
+    return verify_decomposition(G, Q)

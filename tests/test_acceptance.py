@@ -118,7 +118,7 @@ def test_criterion_4_ame_7_5_dual_oracles_agree():
     start = time.monotonic()
     G, Q = construct_G_Q(gf(5))
     cert = certify_ame_via_codes(G, Q)
-    assert cert.certified and cert.claim == "AME(7,5)"
+    assert cert.all_pass and cert.claim == "AME(7,5)"
     rep = uniformity(cl_plus_q_repetition(G, Q))
     assert rep.certifying and rep.max_verified_k == 3
     assert time.monotonic() - start < 120.0
@@ -128,19 +128,19 @@ def test_criterion_5_large_ame_certificates():
     start = time.monotonic()
     G17, Q17 = ame_19_17_matrices()
     cert17 = certify_ame_via_codes(G17, Q17)
-    assert cert17.certified and cert17.claim == "AME(19,17)"
+    assert cert17.all_pass and cert17.claim == "AME(19,17)"
     assert cert17.parent_checks == 24310   # C(17, 9)
     assert cert17.kernel_checks == 19448   # C(17, 7)
-    assert cert17.decomposition.q_rank == 2
-    assert cert17.decomposition.labels_onto
+    assert cert17.q_rank == 2
+    assert cert17.labels_onto
 
     G19, Q19 = ame_21_19_matrices()
     cert19 = certify_ame_via_codes(G19, Q19)
-    assert cert19.certified and cert19.claim == "AME(21,19)"
+    assert cert19.all_pass and cert19.claim == "AME(21,19)"
     assert cert19.parent_checks == 92378   # C(19, 10)
     assert cert19.kernel_checks == 75582   # C(19, 8)
-    assert cert19.decomposition.q_rank == 2
-    assert cert19.decomposition.labels_onto
+    assert cert19.q_rank == 2
+    assert cert19.labels_onto
     assert time.monotonic() - start < 300.0
 
 

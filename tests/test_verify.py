@@ -496,7 +496,7 @@ def test_char_poly_complementary_spectra():
 def test_certify_ame_via_codes_gf5():
     G, Q = construct_G_Q(gf(5))
     cert = certify_ame_via_codes(G, Q)
-    assert cert.certified and cert.claim == "AME(7,5)"
+    assert cert.all_pass and cert.claim == "AME(7,5)"
     assert cert.parent_checks == 10  # C(5,3) column subsets
     assert cert.kernel_checks == 5   # C(5,1)
 
@@ -504,4 +504,4 @@ def test_certify_ame_via_codes_gf5():
 def test_certify_ame_via_codes_refutes_bad_q():
     G, _ = construct_G_Q(gf(5))
     cert = certify_ame_via_codes(G, QMatrix(gf(5), (1, 2, 0), (2, 4, 0)))
-    assert not cert.certified and cert.claim is None
+    assert not cert.all_pass and cert.claim is None

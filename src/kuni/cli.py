@@ -9,6 +9,7 @@ manifests reproduce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -25,7 +26,7 @@ from .codes import (
     parse_code,
 )
 from .decomposition import construct_G_Q, format_qmatrix, parse_qmatrix, search_Q
-from .errors import KuniError
+from .errors import FormatError, KuniError
 from .field import format_matrix, gf, parse_matrix
 from .states import (
     FibredState,
@@ -97,6 +98,9 @@ def cmd_construct(args) -> int:
                            code.k if args.variant == "direct" else code.n - code.k)
         state = cl_plus_q_fibred(code, seed, variant=args.variant)
     elif args.mode == "clq-rep":
+        for flag, path in (("--g", args.g), ("--q-matrix", args.q_matrix)):
+            if path is None:
+                raise KuniError(f"clq-rep needs {flag} FILE")
         G = parse_matrix(Path(args.g).read_text())
         Q = parse_qmatrix(Path(args.q_matrix).read_text())
         state = repetition_fibred(G, Q)
@@ -147,7 +151,10 @@ def cmd_verify(args) -> int:
     # the sweep reads only the key table: the text, its lines and the
     # checker's state are gone once it is built
     n, spec, terms = read_state(Path(args.state).read_text())
-    table = KeyTable(n, spec.q, terms)
+    first = next(terms, None)  # before the table, which is sized by n
+    if first is None:
+        raise FormatError(f"{args.state} has no nonzero term: the zero vector is not a state")
+    table = KeyTable(n, spec.q, itertools.chain([first], terms))
     report = uniformity(table, k_max=args.k_max, sample=args.sample, seed=args.seed)
     result = {
         "n": report.n,

@@ -439,12 +439,17 @@ def builtin_state(name: str, **kwargs):
     """Named built-ins; matrix entries return (G, Q) pairs, not states, and
     the AME states their FibredState descriptions (materialize() gives the
     state)."""
+    def arg(key):
+        if kwargs.get(key) is None:
+            raise KuniError(f"builtin {name!r} needs --{key}")
+        return int(kwargs[key])
+
     if name == "ghz":
-        return ghz(int(kwargs["n"]), gf(int(kwargs["q"])))
+        return ghz(arg("n"), gf(arg("q")))
     if name == "bell":
-        return bell(gf(int(kwargs["q"])), int(kwargs["l"]), int(kwargs["m"]))
+        return bell(gf(arg("q")), arg("l"), arg("m"))
     if name == "ame_5_q":
-        return repetition_fibred(*_ame_5_q_matrices(gf(int(kwargs["q"]))))
+        return repetition_fibred(*_ame_5_q_matrices(gf(arg("q"))))
     if name == "ame_7_4":
         return repetition_fibred(*construct_G_Q(gf(4)))
     if name == "ame_19_17_matrices":

@@ -356,10 +356,15 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _run_under_memory_limit(*argv):
+def _run_under_memory_limit(*argv, timeout=120):
+    return _run_process("-c", _UNDER_MEMORY_LIMIT, *argv, timeout=timeout)
+
+
+def _run_process(*argv, cwd=None, timeout=120):
+    """A fresh interpreter running `argv`, with kuni importable."""
     env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-c", _UNDER_MEMORY_LIMIT, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=timeout)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")
@@ -370,6 +375,37 @@ def test_out_of_memory_exits_usage_not_refuted():
     assert proc.returncode == EXIT_USAGE, proc.stderr
     assert proc.stderr.startswith("error:") and "memory" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")
+@pytest.mark.parametrize("text", ["STATE 3 2\n", "STATE 3 2\n0 0 0 : 0 0\n",
+                                  "STATE 2147483647 2\n"])
+def test_zero_vector_is_not_a_state(tmp_path, text):
+    # no nonzero term: a usage error, not a refutation, and rejected before a
+    # sweep is sized by the party count (under the memory limit, sizing it
+    # for 2^31 parties would end in an out-of-memory error)
+    path = tmp_path / "zero.state"
+    path.write_text(text)
+    proc = _run_under_memory_limit("verify", str(path), "--json", timeout=5)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "zero vector" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["builtin", "--name", "ghz", "--q", "3"], "--n"),
+    (["builtin", "--name", "bell", "--q", "3"], "--l"),
+    (["builtin", "--name", "ame_5_q"], "--q"),
+    (["clq-rep"], "--g"),
+    (["clq-rep", "--g", "g.txt"], "--q-matrix"),
+])
+def test_missing_construct_flag_exits_usage(tmp_path, argv, flag):
+    (tmp_path / "g.txt").write_text("2 3 5 1\n1 0 1\n0 1 1\n")
+    proc = _run_process("-m", "kuni.cli", "construct", *argv, "-o", "x.state", cwd=tmp_path)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and f"needs {flag}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")

@@ -356,8 +356,10 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _run_under_memory_limit(*argv, timeout=120):
-    return _run_process("-c", _UNDER_MEMORY_LIMIT, *argv, timeout=timeout)
+def _run_under_memory_limit(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", _UNDER_MEMORY_LIMIT, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def _run_process(*argv, cwd=None, timeout=120):
@@ -386,7 +388,7 @@ def test_zero_vector_is_not_a_state(tmp_path, text):
     # for 2^31 parties would end in an out-of-memory error)
     path = tmp_path / "zero.state"
     path.write_text(text)
-    proc = _run_under_memory_limit("verify", str(path), "--json", timeout=5)
+    proc = _run_process("-c", _UNDER_MEMORY_LIMIT, "verify", str(path), "--json", timeout=5)
     assert proc.returncode == EXIT_USAGE and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "zero vector" in proc.stderr
     assert "Traceback" not in proc.stderr

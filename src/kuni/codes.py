@@ -93,23 +93,24 @@ def dual_code(code: LinearCode) -> LinearCode:
 
 def enumerate_codewords(code: LinearCode):
     """All q^k codewords, lexicographic in the message vector.  Incremental:
-    words that share a message prefix share its partial sum, and each row's
-    q multiples are tabled, so each word costs one vector addition."""
+    words that share a message prefix share its partial sum, each row's q
+    multiples are tabled, and each (k-1)-prefix's q words come as one list,
+    chained flat; memory holds one such list per level, never the q^k words."""
     if code.q ** code.k > MAX_ENUM_CODEWORDS:
         raise TooLarge(f"q^k = {code.q}^{code.k} exceeds enumeration cap")
     sp, k = code.spec, code.k
     multiples = [[tuple(sp.mul(a, g) for g in row) for a in range(code.q)]
                  for row in code.G.data]
 
-    def extend(partial, r):
+    def blocks(partial, r):
         words = sp.add_each(partial, multiples[r])
         if r == k - 1:
-            yield from words
+            yield words
             return
         for word in words:
-            yield from extend(word, r + 1)
+            yield from blocks(word, r + 1)
 
-    yield from extend((0,) * code.n, 0) if k else [(0,) * code.n]
+    yield from itertools.chain.from_iterable(blocks((0,) * code.n, 0) if k else [[(0,) * code.n]])
 
 
 def _min_weight_brute(code: LinearCode) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import getitem
+from operator import add, getitem, mod
 
 from .errors import (
     DivisionByZero,
@@ -183,8 +183,8 @@ class FieldSpec:
         """[xs + ys for ys in ys_list] as tuples; the field's kind is tested
         and each entry of xs looked up once for the whole list."""
         if self.m == 1:
-            p = self.p
-            return [tuple([(x + y) % p for x, y in zip(xs, ys)]) for ys in ys_list]
+            p = itertools.repeat(self.p)
+            return [tuple(map(mod, map(add, xs, ys), p)) for ys in ys_list]
         if self._add_table is not None:
             rows = list(map(self._add_table.__getitem__, xs))
             return [tuple(map(getitem, rows, ys)) for ys in ys_list]

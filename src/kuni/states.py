@@ -26,6 +26,7 @@ from .errors import (
     FormatError,
     KuniError,
     LayoutMismatch,
+    OutOfRange,
     ShapeMismatch,
     SizeMismatch,
     SpecMismatch,
@@ -169,26 +170,21 @@ class FibredState:
             raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
                            f"{self.seed.support} exceeds the term cap")
 
-    def _words(self):
-        """Words of [G | W]: a codeword, then its label e."""
-        return enumerate_codewords(LinearCode(self.G.hstack(self.W)))
-
     def _action(self):
-        """How a word's label acts on the seed: (x_part, z_part, shifted, phases).
-        x_part and z_part pick the label's exponents at the X and Z sites;
-        shifted(ex) lists the seed keys with each X site moved by field
-        addition of its exponent, phases(ez) each seed term's power of w, the
-        sum of int(e_j) * int(symbol) over the Z sites; both in seed order."""
+        """How a word's label word[G.cols:] acts on the seed: (x_part, z_part,
+        shifted, phases).  x_part and z_part pick the label's exponents at the
+        X and Z sites; shifted(ex) lists the seed keys with each X site moved by
+        field addition of its exponent, phases(ez) each seed term's power of w,
+        the sum of int(e_j) * int(symbol) over the Z sites; both in seed order."""
         if not len(self.types) == self.W.cols == self.seed.n or set(self.types) - set("XZ"):
             raise LayoutMismatch(f"types {self.types!r} (X or Z) for a {self.seed.n}-party seed")
-        sp, n = self.seed.spec, self.G.cols
+        sp = self.seed.spec
         x_sites = [j for j, t in enumerate(self.types) if t == "X"]
         z_sites = [j for j, t in enumerate(self.types) if t == "Z"]
         keys = list(self.seed.terms)
 
         def part(sites):
-            at = [n + j for j in sites]
-            return lambda word: tuple(map(word.__getitem__, at))
+            return lambda label: tuple(map(label.__getitem__, sites))
 
         def shifted(ex):
             out = []
@@ -218,8 +214,9 @@ class FibredState:
             return list(map(getitem, powers, phases(ez)))
 
         n = self.G.cols
-        for word in self._words():
-            yield from zip(map(word[:n].__add__, tails(x_part(word))), amps(z_part(word)))
+        # words of [G | W]: a codeword, then its label
+        for word in enumerate_codewords(LinearCode(self.G.hstack(self.W))):
+            yield from zip(map(word[:n].__add__, tails(x_part(word[n:]))), amps(z_part(word[n:])))
 
     def materialize(self) -> SparseState:
         self.check_cap()
@@ -238,10 +235,10 @@ class FibredState:
         codeword order.  The term cap is checked here, before the first piece
         is asked for.
 
-        A label's lines are tabled per label, and their heads per X part, only
-        where the table can hold no more lines than there are words; no word
-        is kept, so memory grows with neither the q^k words nor the q^k * s
-        terms."""
+        A word costs one lookup of its label's lines, joined by its codeword's
+        text; they are tabled per label, and their heads per X part, only where
+        the table can hold no more lines than there are words; no word is
+        kept, so memory grows with neither the q^k words nor the q^k * s terms."""
         self.check_cap()
         x_part, z_part, shifted, phases = self._action()
         R = matrix_rref(self.G.hstack(self.W))[0]
@@ -265,17 +262,17 @@ class FibredState:
             return [(i, sep + " ".join(map(str, tails[i])))
                     for i in sorted(range(s), key=tails.__getitem__)]
 
-        def block(ex, ez):
+        def block(label):
             # led by "", so that joining with the codeword's text starts each line
-            ph = phases(ez)
-            return ["", *(head + amp_texts[i][ph[i]] for i, head in heads(ex))]
+            ph = phases(z_part(label))
+            return ["", *(head + amp_texts[i][ph[i]] for i, head in heads(x_part(label)))]
 
         heads = tabled(heads, self.types.count("X"))
         block = tabled(block, self.W.cols)
         prefix = " ".join(["%d"] * n)
         return itertools.chain(
             [f"STATE {self.n} {q}\n"],
-            ((prefix % word[:n]).join(block(x_part(word), z_part(word))) for word in words))
+            ((prefix % word[:n]).join(block(word[n:])) for word in words))
 
 
 def code_fibred(code: LinearCode) -> FibredState:
@@ -371,7 +368,9 @@ def bell_pair(spec: FieldSpec) -> SparseState:
 
 
 def bell(spec: FieldSpec, l: int, m: int) -> SparseState:
-    """X^l (x) Z^m applied to sum_r |r, r>."""
+    """X^l (x) Z^m applied to sum_r |r, r>; l and m are field reprs in [0, q)."""
+    if not (0 <= l < spec.q and 0 <= m < spec.q):
+        raise OutOfRange(f"bell needs l and m in [0, {spec.q}), got {l} and {m}")
     word = WeylWord(2, z=(((1, m),) if m else ()), x=(((0, l),) if l else ()))
     return apply_weyl(bell_pair(spec), word)
 

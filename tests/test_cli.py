@@ -236,6 +236,12 @@ def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "missing.state"))[0] == EXIT_USAGE
     # construct clq without a code spec
     assert run(capsys, "construct", "clq")[0] == EXIT_USAGE
+    # Bell exponents outside [0, q): over GF(4) a 7 is no field element
+    for q, l, m in (("4", "7", "1"), ("3", "-1", "0"), ("4", "0", "5")):
+        code, out, err = run(capsys, "construct", "builtin", "--name", "bell", "--q", q,
+                             "--l", l, "--m", m, "-o", str(tmp_path / "bell.state"))
+        assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+    assert not (tmp_path / "bell.state").exists()
     bad = tmp_path / "bad.state"
     bad.write_text("garbage\n")
     assert run(capsys, "verify", str(bad))[0] == EXIT_USAGE

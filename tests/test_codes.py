@@ -7,6 +7,7 @@ import random
 import pytest
 
 from kuni.codes import (
+    MAX_ENUM_CODEWORDS,
     LinearCode,
     _free_block,
     _nonzero_minors,
@@ -80,10 +81,23 @@ def test_enumerate_codewords_counts_and_order():
     assert cws[0] == (0, 0, 0)
     # lexicographic in the message, so the second word is 1 * (second row)
     assert cws[1] == (0, 1, 2)
-    # the incremental enumeration against encoding every message on its own
-    for code in (mds_from_singleton(5, 3, gf(4)), mds_from_singleton(6, 3, gf(5))):
+    # the incremental enumeration against encoding every message on its own:
+    # k = 1, where the first level is the last, and prime and extension fields
+    for code in (LinearCode(FFMatrix(gf(5), [[1, 2, 3]])), LinearCode(FFMatrix(gf(8), [[3, 0, 7]])),
+                 mds_from_singleton(5, 3, gf(4)), mds_from_singleton(6, 3, gf(5)),
+                 mds_from_singleton(7, 3, gf(7)), mds_from_singleton(6, 3, gf(8)),
+                 mds_from_singleton(6, 3, gf(9))):
         messages = itertools.product(range(code.q), repeat=code.k)
         assert list(enumerate_codewords(code)) == [code.G.row_vector_mul(v) for v in messages]
+    # k = 0: the zero word alone
+    assert list(enumerate_codewords(LinearCode(FFMatrix(gf(3), [], 4)))) == [(0, 0, 0, 0)]
+    # streaming: [I | 1] has 5^11 = 48,828,125 words, just under the cap, and
+    # its first words come at once, without the rest being built
+    sp = gf(5)
+    code = LinearCode(FFMatrix.identity(sp, 11).hstack(FFMatrix(sp, [[1]] * 11)))
+    assert code.q ** code.k < MAX_ENUM_CODEWORDS
+    words = list(itertools.islice(enumerate_codewords(code), 3))
+    assert words == [(0,) * 12, (0,) * 10 + (1, 1), (0,) * 10 + (2, 2)]
 
 
 def test_singleton_array_gf17_values():

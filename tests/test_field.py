@@ -91,6 +91,20 @@ def test_extension_add_neg_tables_match_digit_loop(q):
             assert spec.add(a, b) == _reference_add_digits(spec.p, a, b)
 
 
+@pytest.mark.parametrize("q", [2, 3, 65521, 8, 9, 81])
+def test_add_each_matches_add(q):
+    # prime fields, tabled extension fields and GF(81) above the table cap
+    spec = gf(q)
+    rng = random.Random(q)
+    for length in (0, 1, 7):
+        xs = tuple(rng.randrange(q) for _ in range(length))
+        ys_list = [tuple(rng.randrange(q) for _ in range(length)) for _ in range(20)]
+        ys_list.append((q - 1,) * length)  # the largest sum of each entry
+        sums = spec.add_each(xs, ys_list)
+        assert all(type(word) is tuple for word in sums)
+        assert sums == [tuple(spec.add(x, y) for x, y in zip(xs, ys)) for ys in ys_list]
+
+
 def _reference_mul_poly(spec, a, b):
     """a * b by schoolbook product of the digit polynomials, reduced by the
     monic modulus from the top degree down."""

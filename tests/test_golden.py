@@ -35,10 +35,19 @@ COMMANDS = [
     ("decompose", "--q", "7", "--search", "--seed", "3", "--json"),
     ("table1", "--verify", "--json"),
     ("verify", "ame53.state", "--json"),
+    ("codes", "check", "bad7.txt", "--method", "columns", "--json"),
+    ("codes", "check", "bad7.txt", "--method", "submatrix", "--json"),
+    ("codes", "check", "bad7.txt", "--method", "distance", "--json"),
+    ("codes", "distance", "bad7.txt", "--method", "rank"),
 ]
 
 # label columns of rank 1 for the GF(7) pair: the certificate is refuted (exit 1)
 RANK1_Q7 = "4 2 7 1\n1 1\n2 2\n5 5\n0 0\n"
+
+# a [7,3,4]_7 code, one short of MDS: its first dependent column set is
+# (2, 4, 6), the 30th of C(7,3), and the first zero minor of its free block
+# is 2 x 2, so every check method is refuted (exit 1) past its first check
+BAD_CODE7 = "CODE 7 3\n3 7 7 1\n4 6 6 2 2 3 6\n5 1 2 3 1 6 4\n3 4 5 5 6 5 3\n"
 
 GOLDEN_COMMANDS = {
     "codes mds --n 7 --k 4 --q 8 -o c8.txt":
@@ -83,11 +92,20 @@ GOLDEN_COMMANDS = {
         "6091c3ea71b7f59fe6c4fbdd8aa7a9542f0ef7ed68b9493220504e0de1afcc92",
     "verify ame53.state --json":
         "056244ee8b94b2b8a3955422d92d25341d793b9b4e22d6431472d1ee49091537",
+    "codes check bad7.txt --method columns --json":
+        "4426a717946b3eb05f4a9bf9c8c51c33c74faf75e94ad545ab65bc54ed1e9250",
+    "codes check bad7.txt --method submatrix --json":
+        "f1f2d692e9a6b614d0dda976f6d65e501ff9a858cf57d10739702cfdc7a35826",
+    "codes check bad7.txt --method distance --json":
+        "0dc8b5bb2deed6940cd7eccd1bb165ef068490457b4f971da04ed88244e61ffe",
+    "codes distance bad7.txt --method rank":
+        "a1d0b09750f2f1a670d89e127da2113cad51812190cc89f2d847ecc329678e34",
 }
 
 GOLDEN_FILES = {
     "ame53.state": "d40c19e6b23822ef4acea6a112559940292b498bfeff7add32a57170cf25a3e6",
     "ame74.state": "d35ca2155537626b7dc10d55fa6e12a09f2c620c7071cedd8e13d4a694c0a2eb",
+    "bad7.txt": "bc0f21624c921fd37fcd174794679d850ebceaf3ddd8b7524cf9b7642d52a6dc",
     "c7.txt": "91a6978b9bd5e269bb0824d80f17fec3d57c81b9fd5a7a9da5b195dfe42e3e43",
     "c8.txt": "814ece10969aacc16e6f3e919605430080aad988e8db600a4fec042f9f26a9d9",
     "clq5.state": "68ad1fd867b1af7a15eb362f7276f122a848334fee38da3a0ed428da7bc115d2",
@@ -110,6 +128,7 @@ def _sha(data: bytes) -> str:
 def run_commands(capsys):
     """(digest per command line, digest per file written) in the cwd."""
     Path("q7rank1.txt").write_text(RANK1_Q7)
+    Path("bad7.txt").write_text(BAD_CODE7)
     commands = {}
     for argv in COMMANDS:
         code = main(list(argv))

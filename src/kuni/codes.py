@@ -24,7 +24,6 @@ from .field import (
     FieldElement,
     FieldSpec,
     format_matrix,
-    matrix_rank,
     matrix_rref,
     null_space,
     parse_matrix,
@@ -39,15 +38,17 @@ MAX_DET_CHECKS = 10 ** 7
 
 
 class LinearCode:
-    """[n, k] linear code over GF(q) with a full-row-rank generator matrix."""
+    """[n, k] linear code over GF(q) with a full-row-rank generator matrix.
+
+    G is eliminated once, here: `rref` and its `pivots` answer every later
+    question about G's columns (standard form, MDS checks, the dual).
+    """
 
     def __init__(self, G: FFMatrix):
-        if matrix_rank(G) != G.rows:
+        self.rref, rank, self.pivots = matrix_rref(G)
+        if rank != G.rows:
             raise RankDeficient(f"generator {G.rows}x{G.cols} is not full row rank")
-        self.G = G
-        self.spec = G.spec
-        self.n = G.cols
-        self.k = G.rows
+        self.G, self.spec, self.n, self.k = G, G.spec, G.cols, G.rows
         self._distance = None
 
     @property
@@ -73,22 +74,20 @@ class LinearCode:
 
 
 def standard_form(code: LinearCode):
-    """Row-reduce (and column-permute if needed) to G' = [I_k | A].
+    """G' = [I_k | A]: the code's RREF with its pivot columns moved first.
 
     Returns (code', perm) where perm[i] is the original column now at
     position i; apply_permutation(undo=True) style callers use perm to map
     coordinates back.
     """
-    rref, rank, pivots = matrix_rref(code.G)
-    assert rank == code.k
-    perm = list(pivots) + [c for c in range(code.n) if c not in set(pivots)]
-    return LinearCode(rref.select_columns(perm)), perm
+    perm = code.pivots + _free_columns(code)
+    return LinearCode(code.rref.select_columns(perm)), perm
 
 
 def dual_code(code: LinearCode) -> LinearCode:
     """[n, n-k] code orthogonal to every codeword of the input: the null space
     of G, i.e. [-A^T | I] for the standard form [I | A], columns restored."""
-    return LinearCode(null_space(code.G))
+    return LinearCode(null_space(code.rref, code.pivots))
 
 
 def enumerate_codewords(code: LinearCode):
@@ -126,12 +125,10 @@ def _min_distance_rank(code: LinearCode) -> int:
     # only feasible route for the big prime-field instances)
     if walk_minors(code) is not None:
         return nk + 1
-    H = dual_code(code).G
-    cols = [H.col(c) for c in range(H.cols)]
+    dual = dual_code(code)
     for w in range(1, nk + 1):
-        for sub in itertools.combinations(cols, w):
-            if rank_of_rows(code.spec, list(zip(*sub))) < w:
-                return w
+        if any(_dependent(dual, S) for S in itertools.combinations(range(code.n), w)):
+            return w
     raise AssertionError("unreachable: some n-k+1 columns are always dependent")
 
 
@@ -172,7 +169,7 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
     each of the C(n, k) column sets decided by one pivot of a walk over the
     minors of A, and names the lexicographically first dependent set.
     """
-    n, k, sp = code.n, code.k, code.spec
+    n, k = code.n, code.k
     if method == "distance":
         if k == 0:  # no nonzero word: MDS by every column criterion
             return MdsCertificate(True, method, 1)
@@ -190,17 +187,12 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
             return MdsCertificate(True, method, total)
         # some minor vanishes: the lexicographic scan names the first
         # dependent column set, as the certificate's witness
-        cols = [code.G.col(c) for c in range(n)]
-        checks = 0
-        for idx in itertools.combinations(range(n), k):
-            checks += 1
-            sub = [cols[c] for c in idx]
-            if rank_of_rows(sp, list(zip(*sub))) < k:
+        for checks, idx in enumerate(itertools.combinations(range(n), k), 1):
+            if _dependent(code, idx):
                 return MdsCertificate(False, method, checks, ("columns", idx))
         raise AssertionError("the minor walk found a zero minor, the column scan none")
     if method == "submatrix":
-        std, perm = standard_form(code)
-        A = std.G.select_columns(range(k, n))
+        A, perm = _free_block(code), code.pivots + _free_columns(code)
         total = sum(math.comb(k, t) * math.comb(n - k, t) for t in range(1, min(k, n - k) + 1))
         if total > MAX_DET_CHECKS:
             raise TooLarge(f"{total} determinant checks exceed cap {MAX_DET_CHECKS}")
@@ -209,8 +201,8 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
             for rset in itertools.combinations(range(k), t):
                 for cset in itertools.combinations(range(n - k), t):
                     checks += 1
-                    sub = [[A.data[r][c] for c in cset] for r in rset]
-                    if rank_of_rows(sp, sub) < t:
+                    sub = [[A[r][c] for c in cset] for r in rset]
+                    if rank_of_rows(code.spec, sub) < t:
                         return MdsCertificate(False, method, checks,
                                               ("submatrix", rset, cset, perm))
         if k and code._distance is None:
@@ -219,27 +211,37 @@ def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _free_columns(code: LinearCode) -> list:
+    return [c for c in range(code.n) if c not in code.pivots]
+
+
 def _free_block(code: LinearCode):
-    """The block A of G's RREF on its non-pivot columns (rows of int reprs),
-    or None when G is rank deficient.
+    """The block A of G's RREF on its non-pivot columns (rows of int reprs).
 
     G is [I | A] up to row operations and a column order, so k columns S are
     independent iff the minor of A on the rows whose pivot is not in S and
-    the columns of S that are not pivots is nonzero.  This maps the C(n, k)
-    column sets one-to-one onto the square minors of A, the empty minor
-    standing for S = the pivot columns.
+    the columns of S that are not pivots is nonzero (`_dependent`).  This
+    maps the C(n, k) column sets one-to-one onto the square minors of A, the
+    empty minor standing for S = the pivot columns.
     """
-    R, rank, pivots = matrix_rref(code.G)
-    if rank < code.k:
-        return None
-    free = [c for c in range(code.n) if c not in pivots]
-    return [[row[c] for c in free] for row in R.data]
+    free = _free_columns(code)
+    return [[row[c] for c in free] for row in code.rref.data]
+
+
+def _dependent(code: LinearCode, S) -> bool:
+    """Whether the columns S of G are linearly dependent, read off the RREF:
+    its pivot columns are unit vectors, so S is dependent iff the rows whose
+    pivot is not in S, on the non-pivot columns of S, have rank below the
+    number of those columns."""
+    free = [c for c in S if c not in code.pivots]
+    rows = [[row[c] for c in free]
+            for row, pivot in zip(code.rref.data, code.pivots) if pivot not in S]
+    return rank_of_rows(code.spec, rows) < len(free)
 
 
 def walk_minors(code: LinearCode) -> int | None:
-    """`_nonzero_minors` of G's free block; None when G is rank deficient."""
-    A = _free_block(code)
-    return None if A is None else _nonzero_minors(code.spec, A)
+    """`_nonzero_minors` of G's free block."""
+    return _nonzero_minors(code.spec, _free_block(code))
 
 
 def _nonzero_minors(spec: FieldSpec, A) -> int | None:
@@ -411,9 +413,9 @@ def format_code(code: LinearCode) -> str:
 
 def parse_code(text: str) -> LinearCode:
     lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("CODE"):
+    parts = lines[0].split() if lines else []
+    if parts[:1] != ["CODE"]:
         raise FormatError("missing CODE header")
-    parts = lines[0].split()
     if len(parts) != 3:
         raise FormatError(f"bad CODE header: {lines[0]!r}")
     try:

@@ -504,67 +504,29 @@ def matrix_det_inv(M: FFMatrix):
     return FieldElement(sp, det), FFMatrix(sp, [row[n:] for row in data])
 
 
-def null_space(M: FFMatrix) -> FFMatrix:
+def null_space(M: FFMatrix, pivots=None) -> FFMatrix:
     """Basis of {x : M x^T = 0}, one row per non-pivot column f of the RREF R:
-    x_f = 1, x_c = -R[r][f] at the pivot column c of row r, 0 elsewhere."""
+    x_f = 1, x_c = -R[r][f] at the pivot column c of row r, 0 elsewhere.
+    Given `pivots`, M is taken to be an RREF with those pivot columns."""
     sp = M.spec
-    R, _, pivots = matrix_rref(M)
+    if pivots is None:
+        M, _, pivots = matrix_rref(M)
     basis = []
     for f in range(M.cols):
         if f not in pivots:
             x = [0] * M.cols
             x[f] = 1
             for r, c in enumerate(pivots):
-                x[c] = sp.neg(R.data[r][f])
+                x[c] = sp.neg(M.data[r][f])
             basis.append(x)
     return FFMatrix(sp, basis, M.cols)
 
 
 def rank_of_rows(spec: FieldSpec, rows) -> int:
-    """Rank of a list of row tuples (int reprs) over the field.
-
-    One rank per column subset or submatrix: is_mds's witness scan of a
-    non-MDS code (each kernel that search_Q rejects), its "submatrix"
-    method and the rank distance.  Prime fields take a specialized
-    integer-mod route.
-    """
-    if spec.m == 1:
-        return _rank_prime(spec.p, spec._inv_table, [list(r) for r in rows])
-    data = [list(r) for r in rows]
-    return len(_rref_data(spec, data)[0])
-
-
-def _rank_prime(p: int, inv_table, data) -> int:
-    # The one elimination kept apart from _rref_data: forward-only (no
-    # back-substitution, no determinant) on integers mod p.  A random 10 x 10
-    # rank over GF(19) takes about 70 us in this loop and 240 us through _rref_data
-    # (CPython 3.11 on a shared 2-core x86-64 machine).
-    rows = len(data)
-    cols = len(data[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        pr = None
-        for i in range(rank, rows):
-            if data[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        data[rank], data[pr] = data[pr], data[rank]
-        prow = data[rank]
-        piv = prow[c]
-        if piv != 1:
-            inv = inv_table[piv]
-            prow = data[rank] = [(inv * x) % p for x in prow]
-        for i in range(rank + 1, rows):
-            f = data[i][c]
-            if f:
-                irow = data[i]
-                data[i] = [(a - f * b) % p for a, b in zip(irow, prow)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    """Rank of a list of row tuples (int reprs) over the field: one rank per
+    column set or submatrix, for is_mds's witness scan of a non-MDS code,
+    its "submatrix" method and the rank distance."""
+    return len(_rref_data(spec, [list(r) for r in rows])[0])
 
 
 # --- matrix text format -----------------------------------------------------

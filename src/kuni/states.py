@@ -437,25 +437,28 @@ def ame_7_4() -> SparseState:
 def builtin_state(name: str, **kwargs):
     """Named built-ins; matrix entries return (G, Q) pairs, not states, and
     the AME states their FibredState descriptions (materialize() gives the
-    state)."""
-    def arg(key):
-        if kwargs.get(key) is None:
-            raise KuniError(f"builtin {name!r} needs --{key}")
-        return int(kwargs[key])
-
+    state).  Each takes exactly its own flags: a missing one and one it does
+    not take are both usage errors."""
+    takes = {"ghz": ("n", "q"), "bell": ("q", "l", "m"), "ame_5_q": ("q",), "ame_7_4": (),
+             "ame_19_17_matrices": (), "ame_21_19_matrices": ()}.get(name)
+    if takes is None:
+        raise UnknownName(f"unknown builtin {name!r}")
+    for key in ("q", "n", "l", "m"):
+        given = kwargs.get(key) is not None
+        if given != (key in takes):
+            raise KuniError(f"builtin {name!r} {'takes no' if given else 'needs'} --{key}")
+    arg = {key: int(kwargs[key]) for key in takes}
     if name == "ghz":
-        return ghz(arg("n"), gf(arg("q")))
+        return ghz(arg["n"], gf(arg["q"]))
     if name == "bell":
-        return bell(gf(arg("q")), arg("l"), arg("m"))
+        return bell(gf(arg["q"]), arg["l"], arg["m"])
     if name == "ame_5_q":
-        return repetition_fibred(*_ame_5_q_matrices(gf(arg("q"))))
+        return repetition_fibred(*_ame_5_q_matrices(gf(arg["q"])))
     if name == "ame_7_4":
         return repetition_fibred(*construct_G_Q(gf(4)))
     if name == "ame_19_17_matrices":
         return ame_19_17_matrices()
-    if name == "ame_21_19_matrices":
-        return ame_21_19_matrices()
-    raise UnknownName(f"unknown builtin {name!r}")
+    return ame_21_19_matrices()
 
 
 def ame_19_17_matrices():
@@ -528,9 +531,9 @@ def read_state(text: str):
     FormatError at the first bad one.  A zero line is checked, then dropped;
     a key that repeats any earlier line's, zero or not, is rejected."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("STATE"):
+    parts = lines[0].split() if lines else []
+    if parts[:1] != ["STATE"]:
         raise FormatError("missing STATE header")
-    parts = lines[0].split()
     try:
         n, q = int(parts[1]), int(parts[2])
     except (IndexError, ValueError) as exc:

@@ -101,25 +101,25 @@ class KeyTable:
         return dict(zip(rows, zip(*sites))) if S else dict.fromkeys(rows, ())
 
 
-def reduced_density(state, subset, table: KeyTable | None = None) -> ReducedDensity:
+def reduced_density(state, subset) -> ReducedDensity:
     """Trace out the complement of `subset` (sorted site indices) of
     `state`, a SparseState or a KeyTable; only the table is read.
 
-    A sweep passes the `table` of `state` to every call; a call without one
-    builds its own.  Complement groups and (row, col) sums are keyed by its
-    integer codes.  A product a * conj(b) adds c_a * c_b at phase
-    (t_a - t_b) mod q of the entry's integer vector; a finished vector is
-    zero-tested once, before any Cyclotomic is built, and only the distinct
-    row codes (at most q^|S|) are decoded to symbols.  When the support
-    projects injectively onto the complement and all amplitudes have one
-    norm, rho_S is diagonal and is counted instead (`_diagonal`).
+    A sweep builds the state's table once and passes it as `state` to every
+    call; a SparseState gets a table of its own.  Complement groups and
+    (row, col) sums are keyed by the table's integer codes.  A product
+    a * conj(b) adds c_a * c_b at phase (t_a - t_b) mod q of the entry's
+    integer vector; a finished vector is zero-tested once, before any
+    Cyclotomic is built, and only the distinct row codes (at most q^|S|) are
+    decoded to symbols.  When the support projects injectively onto the
+    complement and all amplitudes have one norm, rho_S is diagonal and is
+    counted instead (`_diagonal`).
     """
     S = tuple(sorted(subset))
     q = state.q
     if q ** len(S) > MAX_RHO_DIM:
         raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
-    if table is None:
-        table = KeyTable.of(state)
+    table = KeyTable.of(state)
     diagonal = _diagonal(table, S)
     if diagonal is not None:
         return ReducedDensity(S, q, diagonal)
@@ -234,7 +234,7 @@ def uniformity(state, k_max: int | None = None, sample: int | None = None,
         failure = None
         for S in subsets:
             checked += 1
-            ok, witness = is_maximally_mixed(reduced_density(state, S, table))
+            ok, witness = is_maximally_mixed(reduced_density(table, S))
             if ok:
                 passed += 1
             elif failure is None:
@@ -276,7 +276,7 @@ def slocc_witness(state: SparseState, k: int, classical_cut: int | None = None):
     rest = [S for S in itertools.combinations(range(n), k + 1) if S not in seen]
     table = KeyTable.of(state)
     for S in preferred + rest:
-        ok, _ = is_maximally_mixed(reduced_density(state, S, table))
+        ok, _ = is_maximally_mixed(reduced_density(table, S))
         if ok:
             return S
     return None

@@ -242,6 +242,17 @@ def test_usage_errors(tmp_path, capsys):
                              "--l", l, "--m", m, "-o", str(tmp_path / "bell.state"))
         assert code == EXIT_USAGE and out == "" and err.startswith("error:")
     assert not (tmp_path / "bell.state").exists()
+    # a flag the named builtin does not take: no GF(4) state for --q 5
+    for argv in (["--name", "ame_7_4", "--q", "5"],
+                 ["--name", "ame_19_17_matrices", "--q", "7", "--n", "4",
+                  "--emit-g", str(tmp_path / "g.txt"), "--emit-q", str(tmp_path / "q.txt")],
+                 ["--name", "ame_5_q", "--q", "3", "--l", "1"],
+                 ["--name", "ghz", "--n", "3", "--q", "2", "--m", "1"]):
+        code, out, err = run(capsys, "construct", "builtin", *argv,
+                             "-o", str(tmp_path / "extra.state"))
+        assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+        assert "takes no --" in err
+    assert not (tmp_path / "extra.state").exists() and not (tmp_path / "g.txt").exists()
     bad = tmp_path / "bad.state"
     bad.write_text("garbage\n")
     assert run(capsys, "verify", str(bad))[0] == EXIT_USAGE
@@ -253,6 +264,7 @@ def test_usage_errors(tmp_path, capsys):
     "STATE 2 2\n9 9 : 1 0\n",
     "STATE 2 2\n0 0 : 1 0\n0 0 : 0 1\n",
     "STATE 2 2\n0 x : 1 0\n",
+    "STATEX 2 2\n0 0 : 1 0\n1 1 : 1 0\n",  # a Bell pair under a longer keyword
 ])
 def test_malformed_state_exits_usage(tmp_path, capsys, text):
     bad = tmp_path / "bad.state"

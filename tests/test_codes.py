@@ -23,6 +23,7 @@ from kuni.codes import (
     shorten,
     singleton_array,
     standard_form,
+    walk_minors,
 )
 from kuni.decomposition import kernel_subcode
 from kuni.errors import FormatError, OutOfRange, RankDeficient, RankDrop
@@ -185,6 +186,22 @@ def _columns_result(code):
     return cert.is_mds, cert.checks, cert.witness
 
 
+def _reference_is_mds_submatrix(code):
+    """One rank per square submatrix of the A of standard_form's [I | A], in
+    the order of is_mds's "submatrix" method: (checks, witness)."""
+    std, perm = standard_form(code)
+    n, k = code.n, code.k
+    A = std.G.select_columns(range(k, n))
+    checks = 0
+    for t in range(1, min(k, n - k) + 1):
+        for rset in itertools.combinations(range(k), t):
+            for cset in itertools.combinations(range(n - k), t):
+                checks += 1
+                if matrix_rank(FFMatrix(code.spec, [[A.data[r][c] for c in cset] for r in rset])) < t:
+                    return checks, ("submatrix", rset, cset, perm)
+    return checks, None
+
+
 def _random_code(rng, spec, n, k):
     """A random [n, k] code over spec, k = 0 included."""
     while True:
@@ -220,7 +237,42 @@ def test_columns_walk_matches_per_subset_scan(q):
         expected = _reference_is_mds_columns(code)
         assert _columns_result(code) == expected, code.G
         verdicts.add(expected[0])
+        # fresh codes: a certificate caches the distance on its code
+        cert = is_mds(LinearCode(code.G), method="submatrix")
+        assert (cert.checks, cert.witness) == _reference_is_mds_submatrix(code), code.G
+        assert cert.is_mds == expected[0]
+        # the brute scan only where it is small (the rank scan has no such cap)
+        if code.k and code.q ** code.k <= 10 ** 4:
+            assert (min_distance(LinearCode(code.G), method="rank")
+                    == min_distance(LinearCode(code.G), method="brute")), code.G
     assert verdicts == {True, False}
+
+
+def test_code_eliminates_its_generator_once(monkeypatch):
+    # the RREF kept at construction answers the MDS walk, the columns
+    # certificate, the standard form and the dual: none eliminates G again
+    import kuni.field
+
+    calls = []
+    original = kuni.field._rref_data
+
+    def counted(spec, data):
+        calls.append(len(data))
+        return original(spec, data)
+
+    monkeypatch.setattr(kuni.field, "_rref_data", counted)
+    G, Q = ame_19_17_matrices()
+    for code in (LinearCode(G), kernel_subcode(G, Q), mds_from_singleton(7, 4, gf(8))):
+        calls.clear()
+        code = LinearCode(code.G)
+        assert calls == [code.k]
+        assert walk_minors(code) == math.comb(code.n, code.k) - 1
+        cert = is_mds(code)
+        assert cert.is_mds and cert.checks == math.comb(code.n, code.k)
+        assert calls == [code.k]
+        standard_form(code)  # the standard form's own generator, once
+        dual_code(code)  # the dual's own generator, once
+        assert calls == [code.k, code.k, code.n - code.k]
 
 
 def test_columns_walk_matches_scan_on_dense_ame_19_17_pair():
@@ -445,5 +497,7 @@ def test_code_format_roundtrip():
 def test_parse_code_errors():
     with pytest.raises(FormatError):
         parse_code("3 2\n1 0 1\n0 1 1\n")  # missing CODE header
+    with pytest.raises(FormatError):
+        parse_code("CODEBOOK 3 2\n2 3 2 1\n1 0 1\n0 1 1\n")  # a longer keyword
     with pytest.raises(FormatError):
         parse_code("CODE x y\n")

@@ -316,6 +316,8 @@ def test_parse_state_errors():
     with pytest.raises(FormatError):
         parse_state("2 2\n0 0 : 1 0\n")
     with pytest.raises(FormatError):
+        parse_state("STATEX 2 2\n0 0 : 1 0\n")  # a longer keyword
+    with pytest.raises(FormatError):
         parse_state("STATE 2 2\n0 0 1 0\n")  # missing colon
     with pytest.raises(FormatError):
         parse_state("STATE 2 2\n0 : 1 0\n")  # wrong arity

@@ -204,7 +204,7 @@ def test_reduced_density_matches_product_by_product_oracle(monkeypatch):
     assert {"local_fourier", "random_sparse_multi", "ame_7_4_pool"} <= seen["general"]
 
 
-def _oracle_rho(state, subset, table=None):
+def _oracle_rho(state, subset):
     return ReducedDensity(tuple(sorted(subset)), state.q,
                           _reference_reduced_density(state, subset))
 
@@ -221,9 +221,9 @@ def test_sweep_matches_product_by_product_oracle(monkeypatch):
     reduced = verify.reduced_density
     tables = []
 
-    def checked_rho(state, S, table=None):
-        rho = reduced(state, S, table)
-        ref = _reference_reduced_density(state, S)
+    def checked_rho(table, S):
+        rho = reduced(table, S)
+        ref = _reference_reduced_density(s, S)  # s: the state swept below
         assert list(rho.entries) == list(ref), S  # same keys, same order
         for key, v in ref.items():
             assert rho.entries[key].coeffs == v.coeffs, (S, key)
@@ -273,8 +273,9 @@ def test_sweep_over_gf257_matches_oracle(monkeypatch):
     rng = random.Random(23)
     states = [ghz(3, gf(257)), _random_state(rng, 4, 257, 30, powers=2)]
     reports = [uniformity(s, k_max=1) for s in states]
-    monkeypatch.setattr(verify, "reduced_density", _oracle_rho)
     for s, rep in zip(states, reports):
+        # the sweep passes its table; the oracle reads the state it came from
+        monkeypatch.setattr(verify, "reduced_density", lambda table, S: _oracle_rho(s, S))
         ref = uniformity(s, k_max=1)
         assert (rep.tallies, rep.first_failure) == (ref.tallies, ref.first_failure)
     assert reports[0].tallies == {1: (3, 3)}

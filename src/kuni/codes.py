@@ -340,9 +340,6 @@ class SingletonArray:
             return 1
         return self.a[r + c - 1]
 
-    def row(self, r: int) -> tuple:
-        return tuple(self.entry(r, c) for c in range(self.spec.q - r))
-
     def block(self, rows: int, cols: int) -> FFMatrix:
         """Top-left rows x cols rectangular submatrix."""
         return FFMatrix(self.spec,
@@ -389,8 +386,7 @@ def shorten(code: LinearCode, coord: int) -> LinearCode:
     if messages.rows == code.k:
         raise DegenerateCoordinate(f"every codeword is already 0 at coordinate {coord}")
     cols = [c for c in range(code.n) if c != coord]
-    G = FFMatrix(sp, [code.G.row_vector_mul(v) for v in messages.data])
-    return LinearCode(G.select_columns(cols))
+    return LinearCode(messages.matmul(code.G).select_columns(cols))
 
 
 def mds_exists(n: int, k: int, q: int) -> bool:

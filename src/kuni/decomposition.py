@@ -23,13 +23,14 @@ from .codes import (
 from .errors import (
     BadKernelDimension,
     CertificationFailed,
+    FormatError,
     NotFound,
     OutOfRange,
     ShapeMismatch,
     SpecMismatch,
     TooLarge,
 )
-from .field import FFMatrix, FieldSpec, matrix_rank, null_space
+from .field import FFMatrix, FieldSpec, format_matrix, matrix_rank, null_space, parse_matrix
 
 MAX_EXPLICIT_CODEWORDS = 10 ** 6
 
@@ -98,8 +99,7 @@ def kernel_subcode(G: FFMatrix, Q: QMatrix) -> LinearCode:
         raise BadKernelDimension(
             f"kernel dimension {basis.rows} != k-2 = {k - 2} (rank(Q) = {k - basis.rows})"
         )
-    rows = [G.row_vector_mul(v) for v in basis.data]
-    return LinearCode(FFMatrix(G.spec, rows, G.cols))
+    return LinearCode(basis.matmul(G))
 
 
 def coset_partition(G: FFMatrix, Q: QMatrix) -> CosetDecomposition:
@@ -128,14 +128,18 @@ class DecompositionReport:
         self.q_rank, self.labels_onto, self.kernel_error = q_rank, labels_onto, kernel_error
 
     @property
+    def failures(self) -> list:
+        """The failed hypotheses, one phrase each; empty when all four pass."""
+        kernel_ok = self.kernel_mds is not None and self.kernel_mds.is_mds
+        checks = [("parent code not MDS", self.parent_mds.is_mds),
+                  (self.kernel_error or "kernel subcode not MDS", kernel_ok),
+                  (f"rank Q = {self.q_rank}, not 2", self.q_rank == 2),
+                  (f"labels vQ not onto GF({self.q})^2", self.labels_onto)]
+        return [what for what, ok in checks if not ok]
+
+    @property
     def all_pass(self) -> bool:
-        return (
-            self.parent_mds.is_mds
-            and self.kernel_mds is not None
-            and self.kernel_mds.is_mds
-            and self.q_rank == 2
-            and self.labels_onto
-        )
+        return not self.failures
 
     @property
     def parent_checks(self) -> int:
@@ -260,15 +264,10 @@ def search_Q(G: FFMatrix, budget: int = 10 ** 6, seed: int | None = None) -> QMa
 # --- Q-matrix file format ---------------------------------------------------
 
 def format_qmatrix(Q: QMatrix) -> str:
-    from .field import format_matrix
-
     return format_matrix(Q.as_matrix())
 
 
 def parse_qmatrix(text: str) -> QMatrix:
-    from .errors import FormatError
-    from .field import parse_matrix
-
     M = parse_matrix(text)
     if M.cols != 2:
         raise FormatError(f"Q matrix must have 2 columns, got {M.cols}")

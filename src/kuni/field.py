@@ -46,47 +46,35 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
-def _poly_mulmod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
-    """Multiply coefficient vectors mod (modulus, p); result has len(modulus)-1."""
-    m = len(modulus) - 1
+def _poly_rem(poly, monic: tuple, p: int) -> list:
+    """poly mod (monic, p), low degree first; at most deg(monic) coefficients remain."""
+    rem = list(poly)
+    d = len(monic) - 1
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(d):
+                rem[i - d + j] = (rem[i - d + j] - c * monic[j]) % p
+    return rem[:d]
+
+
+def _poly_mulmod(a, b, modulus: tuple, p: int) -> list:
+    """Product mod (modulus, p), low degree first; at most deg(modulus) coefficients."""
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(m + 1):
-                prod[i - m + j] = (prod[i - m + j] - c * modulus[j]) % p
-    return tuple(prod[:m])
-
-
-def _poly_divides(div: tuple, poly: tuple, p: int) -> bool:
-    """True if monic `div` divides `poly` over GF(p)."""
-    rem = list(poly)
-    dd = len(div) - 1
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i]
-        if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] = (rem[i - dd + j] - c * div[j]) % p
-    return not any(rem)
+    return _poly_rem(prod, modulus, p)
 
 
 def _is_irreducible(modulus: tuple, p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    m = len(modulus) - 1
-    if m < 1 or modulus[-1] != 1:
-        return False
-    for deg in range(1, m // 2 + 1):
+    """Trial division of a monic polynomial by every monic one of degree <= deg/2."""
+    for deg in range(1, (len(modulus) - 1) // 2 + 1):
         for coeffs in itertools.product(range(p), repeat=deg):
-            div = coeffs + (1,)
-            if _poly_divides(div, modulus, p):
+            if not any(_poly_rem(modulus, coeffs + (1,), p)):
                 return False
-    return m >= 1
+    return True
 
 
 def _find_irreducible(p: int, m: int) -> tuple:
@@ -134,34 +122,34 @@ class FieldSpec:
 
     # -- encoding ------------------------------------------------------------
 
-    def _to_poly(self, r: int) -> tuple:
-        p, m = self.p, self.m
+    def _to_poly(self, r: int) -> list:
+        """Base-p digits of r, low first, without the zero digits above the top."""
+        p = self.p
         out = []
-        for _ in range(m):
+        while r:
             out.append(r % p)
             r //= p
-        return tuple(out)
+        return out
 
     def _from_poly(self, coeffs) -> int:
-        r = 0
+        """Int repr of a coefficient list with entries in [0, p)."""
+        r, p = 0, self.p
         for c in reversed(coeffs):
-            r = r * self.p + (c % self.p)
+            r = r * p + c
         return r
 
     def _build_tables(self):
+        """Cache add, neg and mul of a small extension field: the tables are
+        filled by the digit-level methods, called while they are still unset."""
         q = self.q
-        polys = [self._to_poly(a) for a in range(q)]
-        self._add_table = [[self._from_poly([x + y for x, y in zip(pa, pb)]) for pb in polys]
-                           for pa in polys]
-        self._neg_table = [self._from_poly([-x for x in pa]) for pa in polys]
-        self._mul_table = [[0] * q for _ in range(q)]
+        add = [[self.add(a, b) for b in range(q)] for a in range(q)]
+        neg = [self.neg(a) for a in range(q)]
+        mul = [[0] * q for _ in range(q)]
         for a in range(q):
-            row = self._mul_table[a]
             for b in range(a, q):
-                v = self._from_poly(_poly_mulmod(polys[a], polys[b], self.modulus, self.p))
-                row[b] = v
-                self._mul_table[b][a] = v
-        self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
+                mul[a][b] = mul[b][a] = self.mul(a, b)
+        self._add_table, self._neg_table, self._mul_table = add, neg, mul
+        self._inv_table = [0] + [row.index(1) for row in mul[1:]]
 
     # -- int-repr arithmetic --------------------------------------------------
 
@@ -223,7 +211,7 @@ class FieldSpec:
         if self._mul_table is not None:
             add, fy = self._add_table, self._mul_table[f]
             return [add[x][fy[y]] for x, y in zip(xs, ys)]
-        return [self.add(x, self.mul(f, y)) for x, y in zip(xs, ys)]
+        return [self.add(x, self.mul(f, y)) if y else x for x, y in zip(xs, ys)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -439,13 +427,10 @@ class FFMatrix:
 
     def row_vector_mul(self, v) -> tuple:
         """v (length rows, int reprs) times this matrix; returns int reprs."""
-        sp = self.spec
         acc = [0] * self.cols
         for vi, row in zip(v, self.data):
             if vi:
-                for c, g in enumerate(row):
-                    if g:
-                        acc[c] = sp.add(acc[c], sp.mul(vi, g))
+                acc = self.spec.axpy(vi, acc, row)
         return tuple(acc)
 
 

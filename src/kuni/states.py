@@ -391,7 +391,8 @@ def repetition_fibred(G: FFMatrix, Q: QMatrix) -> FibredState:
     its state is AME(n+2, q); any other pair raises."""
     report = verify_decomposition(G, Q)
     if not report.all_pass:
-        raise CertificationMissing(f"(G, Q) failed decomposition checks: {report}")
+        raise CertificationMissing("(G, Q) failed decomposition checks: "
+                                   + "; ".join(report.failures))
     # G has full row rank (checked by verify_decomposition); the label
     # (alpha, beta) = vQ acts as X^alpha (x) Z^beta on the Bell pair
     return FibredState(G, Q.as_matrix(), bell_pair(G.spec), "XZ")

@@ -13,6 +13,7 @@ import kuni
 from kuni.cli import EXIT_OK, EXIT_REFUTED, EXIT_SAMPLED, EXIT_USAGE, _digest, main
 from kuni.states import FibredState, SparseState, format_state, ghz, parse_state
 from kuni.field import gf
+from test_golden import RANK1_Q7
 
 
 def run(capsys, *argv):
@@ -279,6 +280,21 @@ def test_malformed_matrix_exits_usage(tmp_path, capsys):
     q_path.write_text("2 2 3 1\n1 0\n0 1\n")
     code, _, err = run(capsys, "certify", "--g", str(g_path), "--q-matrix", str(q_path))
     assert code == EXIT_USAGE and "bad matrix row" in err
+
+
+def test_construct_clq_rep_names_the_failed_hypotheses(tmp_path, capsys):
+    # the golden GF(7) parent with label columns of rank 1: the state is not
+    # built, and the message names what failed, the same on every run
+    g_path, q_path = tmp_path / "g7.txt", tmp_path / "q7rank1.txt"
+    run(capsys, "decompose", "--q", "7", "--emit-g", str(g_path))
+    q_path.write_text(RANK1_Q7)
+    code, out, err = run(capsys, "construct", "clq-rep", "--g", str(g_path),
+                         "--q-matrix", str(q_path), "-o", str(tmp_path / "s.state"))
+    assert code == EXIT_USAGE and out == "" and "object at" not in err
+    assert err.startswith("error: (G, Q) failed decomposition checks:")
+    assert "rank Q = 1, not 2" in err and "kernel dimension 3 != k-2 = 2" in err
+    assert "parent code not MDS" not in err
+    assert not (tmp_path / "s.state").exists()
 
 
 def test_certify_rejects_pair_over_two_fields(tmp_path, capsys):

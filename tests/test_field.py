@@ -18,6 +18,7 @@ from kuni.field import (
     FFMatrix,
     FieldElement,
     FieldSpec,
+    _is_irreducible,
     format_matrix,
     gf,
     make_field,
@@ -81,14 +82,18 @@ def _reference_neg_digits(p, a):
     return r
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
 def test_extension_add_neg_tables_match_digit_loop(q):
+    # every tabled field, up to the cap q = 64: the tables must hold the
+    # digit-level add and neg and the reduced polynomial product
     spec = gf(q)
     assert spec._add_table is not None and spec._neg_table is not None
+    assert spec._mul_table is not None
     for a in range(q):
         assert spec.neg(a) == _reference_neg_digits(spec.p, a)
         for b in range(q):
             assert spec.add(a, b) == _reference_add_digits(spec.p, a, b)
+            assert spec.mul(a, b) == _reference_mul_poly(spec, a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 65521, 8, 9, 81])
@@ -122,7 +127,7 @@ def _reference_mul_poly(spec, a, b):
     return sum(c % p * p ** i for i, c in enumerate(prod[:m]))
 
 
-@pytest.mark.parametrize("q", [81, 128])
+@pytest.mark.parametrize("q", [81, 125, 128, 243])
 def test_extension_arithmetic_above_the_table_cap(q):
     # q > 64 with m > 1 keeps no tables: add and neg run the digit loop, mul
     # the polynomial product and inv the power a^(q-2)
@@ -142,6 +147,30 @@ def test_extension_arithmetic_above_the_table_cap(q):
         assert spec.add(spec.add(a, b), c) == spec.add(a, spec.add(b, c))
         if a:
             assert spec.mul(a, spec.inv(a)) == 1 and spec.pow(a, q - 1) == 1
+
+
+def _mobius(n):
+    """mu(n) by trial division."""
+    mu, f = 1, 2
+    while f * f <= n:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            mu = -mu
+        f += 1
+    return -mu if n > 1 else mu
+
+
+@pytest.mark.parametrize("p, m_max", [(2, 8), (3, 4), (5, 3), (7, 2)])
+def test_irreducible_count_is_gauss_count(p, m_max):
+    # Gauss: GF(p) has (1/m) * sum_{d | m} mu(d) p^(m/d) monic irreducible
+    # polynomials of degree m; the trial division must accept exactly that many
+    for m in range(1, m_max + 1):
+        gauss = sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+        accepted = sum(_is_irreducible(coeffs + (1,), p)
+                       for coeffs in itertools.product(range(p), repeat=m))
+        assert accepted == gauss, (p, m)
 
 
 def test_gf4_coefficient_encoding():
@@ -330,6 +359,35 @@ def test_matrix_ops():
     assert M.select_columns([1]).data == [[2], [1]]
     assert M.row_vector_mul((1, 1)) == (1, 0)
     assert int(M[0, 1]) == 2 and M.row(0) == (1, 2) and M.col(1) == (2, 1)
+
+
+def _reference_row_vector_mul(M, v):
+    """v M entry by entry: sum over i of v[i] * M[i][c] for each column c."""
+    sp = M.spec
+    out = []
+    for c in range(M.cols):
+        acc = 0
+        for i in range(M.rows):
+            acc = sp.add(acc, sp.mul(v[i], M.data[i][c]))
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q", [7, 16, 81])
+def test_row_vector_mul_matches_per_entry_reference(q):
+    # a prime field, a tabled extension field and one above the table cap;
+    # zero entries in v and in M, and matrices with no rows or no columns
+    sp = gf(q)
+    rng = random.Random(q)
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (3, 5), (5, 2)):
+        for _ in range(5):
+            M = FFMatrix(sp, [[rng.choice((0, rng.randrange(q))) for _ in range(cols)]
+                              for _ in range(rows)], cols)
+            for v in ([0] * rows, [rng.choice((0, 1, rng.randrange(q))) for _ in range(rows)]):
+                got = M.row_vector_mul(v)
+                assert type(got) is tuple and got == _reference_row_vector_mul(M, v)
+        A = _random_matrix(rng, sp, 2, rows) if rows else FFMatrix.zero(sp, 2, 0)
+        assert A.matmul(M).data == [list(_reference_row_vector_mul(M, v)) for v in A.data]
 
 
 def test_matrix_format_roundtrip():

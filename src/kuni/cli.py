@@ -105,10 +105,7 @@ def cmd_construct(args) -> int:
         Q = parse_qmatrix(Path(args.q_matrix).read_text())
         state = repetition_fibred(G, Q)
     elif args.mode == "builtin":
-        kwargs = {k: v for k, v in
-                  (("q", args.q), ("n", args.n), ("l", args.l), ("m", args.m))
-                  if v is not None}
-        obj = builtin_state(args.name, **kwargs)
+        obj = builtin_state(args.name, q=args.q, n=args.n, l=args.l, m=args.m)
         if isinstance(obj, tuple):
             G, Q = obj
             g_path = args.emit_g or "g.txt"

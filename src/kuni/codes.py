@@ -163,52 +163,47 @@ class MdsCertificate:
 def is_mds(code: LinearCode, method: str = "columns") -> MdsCertificate:
     """Decide d = n-k+1, with an auditable certificate.
 
-    methods: "distance" compares min_distance against the Singleton bound;
-    "submatrix" checks every square submatrix of A (from the standard form)
-    nonsingular; "columns" checks every k columns of G linearly independent,
-    each of the C(n, k) column sets decided by one pivot of a walk over the
-    minors of A, and names the lexicographically first dependent set.
+    Every method takes its verdict from one walk over the square minors of
+    G's free block A (`walk_minors`) and reports it as C(n, k) column sets
+    ("columns"), the C(n, k) - 1 minors of A, capped ("submatrix"), or one
+    distance ("distance"); a refuted code names its own `_first_failure`.
     """
     n, k = code.n, code.k
+    total = math.comb(n, k)
+    checks = {"columns": total, "submatrix": total - 1, "distance": 1}
+    if method not in checks:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "submatrix" and total - 1 > MAX_DET_CHECKS:
+        raise TooLarge(f"{total - 1} determinant checks exceed cap {MAX_DET_CHECKS}")
+    walked = walk_minors(code)
+    if walked is None:
+        return MdsCertificate(False, method, *_first_failure(code, method))
+    if walked + 1 != total:
+        raise AssertionError(f"minor walk visited {walked} + 1 of C({n},{k}) = {total}")
+    if k:  # a k = 0 code has no nonzero word
+        code._set_distance(n - k + 1)
+    return MdsCertificate(True, method, checks[method])
+
+
+def _first_failure(code: LinearCode, method: str):
+    """(candidates tried, witness) of a refuted code: its first dependent
+    column set, first singular submatrix of A (by size, rows, columns) or d."""
     if method == "distance":
-        if k == 0:  # no nonzero word: MDS by every column criterion
-            return MdsCertificate(True, method, 1)
-        d = min_distance(code)
-        return MdsCertificate(d == n - k + 1, method, 1,
-                              None if d == n - k + 1 else ("distance", d))
+        return 1, ("distance", min_distance(code))
     if method == "columns":
-        total = math.comb(n, k)
-        walked = walk_minors(code)
-        if walked is not None:
-            if walked + 1 != total:
-                raise AssertionError(f"minor walk visited {walked} + 1 of C({n},{k}) = {total}")
-            if k and code._distance is None:  # a k = 0 code has no nonzero word
-                code._set_distance(n - k + 1)
-            return MdsCertificate(True, method, total)
-        # some minor vanishes: the lexicographic scan names the first
-        # dependent column set, as the certificate's witness
-        for checks, idx in enumerate(itertools.combinations(range(n), k), 1):
-            if _dependent(code, idx):
-                return MdsCertificate(False, method, checks, ("columns", idx))
-        raise AssertionError("the minor walk found a zero minor, the column scan none")
-    if method == "submatrix":
+        for checks, S in enumerate(itertools.combinations(range(code.n), code.k), 1):
+            if _dependent(code, S):
+                return checks, ("columns", S)
+    else:
         A, perm = _free_block(code), code.pivots + _free_columns(code)
-        total = sum(math.comb(k, t) * math.comb(n - k, t) for t in range(1, min(k, n - k) + 1))
-        if total > MAX_DET_CHECKS:
-            raise TooLarge(f"{total} determinant checks exceed cap {MAX_DET_CHECKS}")
-        checks = 0
-        for t in range(1, min(k, n - k) + 1):
-            for rset in itertools.combinations(range(k), t):
-                for cset in itertools.combinations(range(n - k), t):
-                    checks += 1
-                    sub = [[A[r][c] for c in cset] for r in rset]
-                    if rank_of_rows(code.spec, sub) < t:
-                        return MdsCertificate(False, method, checks,
-                                              ("submatrix", rset, cset, perm))
-        if k and code._distance is None:
-            code._set_distance(n - k + 1)
-        return MdsCertificate(True, method, total)
-    raise ValueError(f"unknown method {method!r}")
+        k, nk = code.k, code.n - code.k
+        squares = ((rset, cset) for t in range(1, min(k, nk) + 1)
+                   for rset in itertools.combinations(range(k), t)
+                   for cset in itertools.combinations(range(nk), t))
+        for checks, (rset, cset) in enumerate(squares, 1):
+            if rank_of_rows(code.spec, [[A[r][c] for c in cset] for r in rset]) < len(rset):
+                return checks, ("submatrix", rset, cset, perm)
+    raise AssertionError(f"the minor walk found a zero minor, the {method} scan none")
 
 
 def _free_columns(code: LinearCode) -> list:

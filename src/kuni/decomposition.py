@@ -156,9 +156,12 @@ class DecompositionReport:
 
 def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
     """Check: parent MDS, kernel subcode MDS, rank(Q) = 2, labels onto GF(q)^2.
-    A pair of another shape than [n, (n+1)/2], n odd, raises ShapeMismatch."""
+    A pair of another shape than [n, (n+1)/2], n odd, or a Q whose height is
+    not G's, raises ShapeMismatch: a malformed pair, not a refuted one."""
     _same_field(G, Q)  # before the parent checks, which would run for nothing
     _ame_shape(G)
+    if Q.k != G.rows:
+        raise ShapeMismatch(f"Q has {Q.k} rows but G has {G.rows}")
     parent = LinearCode(G)
     parent_cert = is_mds(parent, method="columns")
     q_rank = Q.rank()

@@ -509,8 +509,8 @@ def null_space(M: FFMatrix, pivots=None) -> FFMatrix:
 
 def rank_of_rows(spec: FieldSpec, rows) -> int:
     """Rank of a list of row tuples (int reprs) over the field: one rank per
-    column set or submatrix, for is_mds's witness scan of a non-MDS code,
-    its "submatrix" method and the rank distance."""
+    column set or submatrix, for the witness scans of a code that is_mds
+    refutes and for the rank distance; no MDS verdict reads it."""
     return len(_rref_data(spec, [list(r) for r in rows])[0])
 
 

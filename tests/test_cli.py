@@ -298,14 +298,18 @@ def test_construct_clq_rep_names_the_failed_hypotheses(tmp_path, capsys):
 
 
 def test_certify_rejects_pair_over_two_fields(tmp_path, capsys):
-    # G over GF(5) with a GF(4) Q of matching height: a usage error, not a refutation
-    g_path, q_path = tmp_path / "g5.txt", tmp_path / "q4.txt"
-    run(capsys, "decompose", "--q", "5", "--emit-g", str(g_path))
-    q_path.write_text("3 2 2 2\n1 1\n1 0\n0 2\n")
-    for argv in (["certify"], ["construct", "clq-rep", "-o", str(tmp_path / "s.state")]):
-        code, out, err = run(capsys, *argv, "--g", str(g_path), "--q-matrix", str(q_path))
-        assert code == EXIT_USAGE and "FAILED" not in out
-        assert err.startswith("error:") and "GF(5)" in err and "GF(2^2)" in err
+    # G over GF(5) with a GF(4) Q of matching height, or a 3-row Q over G's
+    # field against the 4-row G of GF(7): a usage error, not a refutation
+    g_path, q_path = tmp_path / "g.txt", tmp_path / "q.txt"
+    for q, q_text, named in (("5", "3 2 2 2\n1 1\n1 0\n0 2\n", ("GF(5)", "GF(2^2)")),
+                             ("7", "3 2 7 1\n1 0\n0 1\n1 1\n", ("Q has 3 rows but G has 4",))):
+        run(capsys, "decompose", "--q", q, "--emit-g", str(g_path))
+        q_path.write_text(q_text)
+        for argv in (["certify"], ["construct", "clq-rep", "-o", str(tmp_path / "s.state")]):
+            code, out, err = run(capsys, *argv, "--g", str(g_path), "--q-matrix", str(q_path))
+            assert code == EXIT_USAGE and "FAILED" not in out and err.startswith("error:")
+            assert all(name in err for name in named), err
+    assert not (tmp_path / "s.state").exists()
 
 
 def test_certify_rejects_a_pair_of_a_non_ame_shape(tmp_path, capsys):

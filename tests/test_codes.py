@@ -245,7 +245,38 @@ def test_columns_walk_matches_per_subset_scan(q):
         if code.k and code.q ** code.k <= 10 ** 4:
             assert (min_distance(LinearCode(code.G), method="rank")
                     == min_distance(LinearCode(code.G), method="brute")), code.G
+        if code.q ** code.k <= 10 ** 4:
+            cert = is_mds(LinearCode(code.G), method="distance")
+            witness = None if expected[0] else (
+                "distance", min_distance(LinearCode(code.G), method="brute"))
+            assert (cert.is_mds, cert.checks, cert.witness) == (expected[0], 1, witness), code.G
     assert verdicts == {True, False}
+
+
+def test_mds_codes_take_the_walk_only(monkeypatch):
+    # on an MDS code every method's verdict is the minor walk's: no rank per
+    # submatrix, no codeword enumerated
+    import kuni.codes
+
+    calls = []
+
+    def counted(name):
+        original = getattr(kuni.codes, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("rank_of_rows", "enumerate_codewords"):
+        monkeypatch.setattr(kuni.codes, name, counted(name))
+    G = mds_from_singleton(11, 6, gf(11)).G
+    for method, checks in (("submatrix", 461), ("distance", 1)):
+        code = LinearCode(G)
+        cert = is_mds(code, method=method)
+        assert (cert.is_mds, cert.checks, cert.witness) == (True, checks, None)
+        assert code.cached_distance == 6
+    assert calls == []
 
 
 def test_code_eliminates_its_generator_once(monkeypatch):

@@ -30,7 +30,6 @@ from .errors import FormatError, KuniError
 from .field import format_matrix, gf, parse_matrix
 from .states import (
     FibredState,
-    SparseState,
     bell_pair,
     builtin_state,
     cl_plus_q_fibred,
@@ -42,7 +41,7 @@ from .states import (
     repetition_fibred,
     state_from_code,
 )
-from .verify import MAX_RHO_DIM, KeyTable, certify_ame_via_codes, uniformity
+from .verify import KeyTable, certify_ame_via_codes, uniformity
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -81,21 +80,13 @@ def _emit_json(payload: dict) -> None:
 
 # --- construct --------------------------------------------------------------
 
-def _seed_state(name: str, spec, n_q: int) -> SparseState:
-    if name == "bell":
-        return bell_pair(spec)
-    if name == "ghz":
-        return ghz(n_q, spec)
-    raise KuniError(f"unknown seed {name!r} (use bell or ghz)")
-
-
 def cmd_construct(args) -> int:
     if args.mode == "from-code":
         state = code_fibred(_load_code(args))
     elif args.mode == "clq":
         code = _load_code(args)
-        seed = _seed_state(args.seed_state, code.spec,
-                           code.k if args.variant == "direct" else code.n - code.k)
+        n_q = code.k if args.variant == "direct" else code.n - code.k
+        seed = bell_pair(code.spec) if args.seed_state == "bell" else ghz(n_q, code.spec)
         state = cl_plus_q_fibred(code, seed, variant=args.variant)
     elif args.mode == "clq-rep":
         for flag, path in (("--g", args.g), ("--q-matrix", args.q_matrix)):
@@ -104,7 +95,7 @@ def cmd_construct(args) -> int:
         G = parse_matrix(Path(args.g).read_text())
         Q = parse_qmatrix(Path(args.q_matrix).read_text())
         state = repetition_fibred(G, Q)
-    elif args.mode == "builtin":
+    else:
         obj = builtin_state(args.name, q=args.q, n=args.n, l=args.l, m=args.m)
         if isinstance(obj, tuple):
             G, Q = obj
@@ -115,8 +106,6 @@ def cmd_construct(args) -> int:
             print(f"wrote generator to {g_path} and label columns to {q_path}")
             return EXIT_OK
         state = obj
-    else:
-        raise KuniError(f"unknown construct mode {args.mode!r}")
     out = args.output or "out.state"
     # a code-fibred state streams in sorted order; chunks() checks the term
     # cap before the file is opened
@@ -267,12 +256,10 @@ def cmd_codes(args) -> int:
             print(f"[{code.n},{code.k}]_{code.q}: {verdict} "
                   f"via {cert.method} ({cert.checks} checks)")
         return EXIT_OK if cert.is_mds else EXIT_REFUTED
-    if args.codes_mode == "distance":
-        code = parse_code(Path(args.file).read_text())
-        d = min_distance(code, method=args.method)
-        print(f"[{code.n},{code.k}]_{code.q}: d = {d}")
-        return EXIT_OK
-    raise KuniError(f"unknown codes mode {args.codes_mode!r}")
+    code = parse_code(Path(args.file).read_text())
+    d = min_distance(code, method=args.method)
+    print(f"[{code.n},{code.k}]_{code.q}: d = {d}")
+    return EXIT_OK
 
 
 # --- table1 -----------------------------------------------------------------
@@ -352,10 +339,9 @@ def _table1_verify(n_cl, k_cl, seed_kind, q, k_target, seed):
     code = mds_from_singleton(n_cl, k_cl, spec)
     quantum = state_from_code(mds_from_singleton(*_SEED_CODE[seed_kind], spec))
     state = cl_plus_q_fibred(code, quantum, variant="direct")
-    state.check_cap()  # as materialize() would; the sweep reads only the table
     table = KeyTable(state.n, q, state.terms())
     work = sum(math.comb(table.n, s) for s in range(1, k_target + 1)) * table.size
-    if work <= _EXHAUSTIVE_WORK_CAP and q ** k_target <= MAX_RHO_DIM:
+    if work <= _EXHAUSTIVE_WORK_CAP:
         rep = uniformity(table, k_max=k_target)
     else:
         rep = uniformity(table, k_max=k_target, sample=10, seed=seed if seed is not None else 0)
@@ -378,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--l", type=int)
     c.add_argument("--m", type=int)
     c.add_argument("--name", help="builtin name")
-    c.add_argument("--seed-state", default="bell", help="clq quantum seed: bell | ghz")
+    c.add_argument("--seed-state", default="bell", choices=["bell", "ghz"],
+                   help="clq quantum seed")
     c.add_argument("--variant", default="direct", choices=["direct", "dual"])
     c.add_argument("--g", help="generator matrix file (clq-rep)")
     c.add_argument("--q-matrix", help="Q matrix file (clq-rep)")
@@ -452,7 +439,7 @@ def main(argv=None) -> int:
     try:
         max_terms()  # an invalid KUNI_MAX_TERMS is a usage error for every command
         return args.func(args)
-    except (KuniError, OSError) as exc:
+    except (KuniError, OSError, UnicodeDecodeError) as exc:  # a file that is not text is malformed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:  # a run that cannot finish is no verdict

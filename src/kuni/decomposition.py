@@ -213,8 +213,6 @@ def shifted_identity_block(A: FFMatrix) -> FFMatrix:
 def _g_q_gf4(spec: FieldSpec):
     """GF(4) special case: the [5,3]_4 code with codewords
     (i, j, l, i+j+l, i+xj+(1+x)l) and labels alpha = i+j, beta = i+xl."""
-    if (spec.p, spec.m) != (2, 2):
-        raise OutOfRange("the q = 4 case needs GF(4)")
     x = 2  # repr of x under the coefficient encoding
     one_plus_x = 3
     G = FFMatrix(spec, [
@@ -240,21 +238,14 @@ def search_Q(G: FFMatrix, budget: int = 10 ** 6, seed: int | None = None) -> QMa
         raise CertificationFailed(f"search_Q needs an MDS parent: witness {parent_cert.witness}")
     q = spec.q
 
-    def candidates():
-        if seed is None:
-            for q1 in itertools.product(range(q), repeat=k):
-                for q2 in itertools.product(range(q), repeat=k):
-                    yield q1, q2
-        else:
-            rng = _random.Random(seed)
-            while True:
-                yield (
-                    tuple(rng.randrange(q) for _ in range(k)),
-                    tuple(rng.randrange(q) for _ in range(k)),
-                )
-
-    for q1, q2 in itertools.islice(candidates(), budget):
-        Q = QMatrix(spec, q1, q2)
+    # each candidate is one vector of 2k symbols, Q1 then Q2
+    if seed is None:
+        vectors = itertools.product(range(q), repeat=2 * k)
+    else:
+        rng = _random.Random(seed)
+        vectors = iter(lambda: tuple(rng.randrange(q) for _ in range(2 * k)), None)
+    for v in itertools.islice(vectors, budget):
+        Q = QMatrix(spec, v[:k], v[k:])
         try:  # a Q of rank < 2 leaves a kernel of the wrong dimension
             sub = kernel_subcode(G, Q)
         except BadKernelDimension:

@@ -204,7 +204,8 @@ class FibredState:
         """(key, amplitude) pairs, messages in lexicographic order, then seed
         terms in seed order.  Shifted keys are tabled per X part of the label,
         amplitudes per Z part, and one amplitude object serves each (seed
-        term, phase)."""
+        term, phase).  The term cap is checked before the first term."""
+        self.check_cap()
         x_part, z_part, shifted, phases = self._action()
         powers = [[amp.mul_root(t) for t in range(self.q)] for amp in self.seed.terms.values()]
         tails = lru_cache(maxsize=None)(shifted)
@@ -219,7 +220,6 @@ class FibredState:
             yield from zip(map(word[:n].__add__, tails(x_part(word[n:]))), amps(z_part(word[n:])))
 
     def materialize(self) -> SparseState:
-        self.check_cap()
         # a root of unity times a nonzero seed amplitude is never zero
         return SparseState._of_nonzero(self.n, self.seed.spec, dict(self.terms()))
 

@@ -12,7 +12,8 @@ import pytest
 import kuni
 from kuni.cli import EXIT_OK, EXIT_REFUTED, EXIT_SAMPLED, EXIT_USAGE, _digest, main
 from kuni.states import FibredState, SparseState, format_state, ghz, parse_state
-from kuni.field import gf
+from kuni.codes import LinearCode, format_code, singleton_array
+from kuni.field import FFMatrix, gf
 from test_golden import RANK1_Q7
 
 
@@ -54,6 +55,19 @@ def test_codes_check_refutes_non_mds(tmp_path, capsys):
     path.write_text("CODE 4 2\n2 4 2 1\n1 0 1 0\n0 1 1 1\n")
     code, out, _ = run(capsys, "codes", "check", str(path))
     assert code == EXIT_REFUTED and "not MDS" in out
+    # the [26,13]_29 Singleton-array code with one zero entry: C(26, 13) - 1
+    # minors is no bar to the submatrix method, whose walk stops at once and
+    # whose scan meets the 1x1 zero minor eighth (the columns scan would take
+    # minutes here)
+    sp = gf(29)
+    rows = [list(row) for row in
+            FFMatrix.identity(sp, 13).hstack(singleton_array(sp).block(13, 13)).data]
+    rows[0][20] = 0
+    path.write_text(format_code(LinearCode(FFMatrix(sp, rows))))
+    code, out, _ = run(capsys, "codes", "check", str(path), "--method", "submatrix", "--json")
+    mds = json.loads(out)["mds"]
+    assert code == EXIT_REFUTED and not mds["is_mds"] and mds["checks"] == 8
+    assert mds["witness"][:3] == ["submatrix", [0], [7]]
 
 
 def test_construct_and_verify_ame52(tmp_path, capsys):
@@ -280,6 +294,23 @@ def test_malformed_matrix_exits_usage(tmp_path, capsys):
     q_path.write_text("2 2 3 1\n1 0\n0 1\n")
     code, _, err = run(capsys, "certify", "--g", str(g_path), "--q-matrix", str(q_path))
     assert code == EXIT_USAGE and "bad matrix row" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "BAD"],
+    ["codes", "check", "BAD"],
+    ["codes", "distance", "BAD"],
+    ["certify", "--g", "BAD", "--q-matrix", "BAD"],
+    ["construct", "clq", "--code", "BAD", "-o", "OUT"],
+], ids=["verify", "codes-check", "codes-distance", "certify", "construct-clq"])
+def test_non_utf8_input_exits_usage(tmp_path, capsys, argv):
+    # a file that is not text is malformed input, not a refutation
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"CODE 4 2\n2 4 2 1\n1 0 1 \xff\n0 1 1 1\n")
+    paths = {"BAD": str(bad), "OUT": str(tmp_path / "out.state")}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+    assert os.listdir(tmp_path) == ["bad.txt"]
 
 
 def test_construct_clq_rep_names_the_failed_hypotheses(tmp_path, capsys):

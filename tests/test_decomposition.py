@@ -233,6 +233,10 @@ def test_search_Q_finds_valid_label_columns():
     G, _ = construct_G_Q(gf(5))
     Q = search_Q(G, budget=10 ** 5)
     assert verify_decomposition(G, Q).all_pass
+    # the unseeded search is lexicographic in (Q1, Q2): its first hits are pinned
+    assert (Q.q1, Q.q2) == ((0, 0, 1), (1, 2, 0))
+    Q7 = search_Q(construct_G_Q(gf(7))[0])
+    assert (Q7.q1, Q7.q2) == ((0, 0, 0, 1), (1, 2, 5, 0))
     # seeded random search also lands on a valid pair
     Q2 = search_Q(G, budget=10 ** 5, seed=123)
     assert verify_decomposition(G, Q2).all_pass

@@ -47,7 +47,7 @@ from kuni.states import (
     tensor,
     weyl_basis,
 )
-from kuni.verify import gram_check, uniformity
+from kuni.verify import KeyTable, gram_check, uniformity
 
 
 def one(q):
@@ -495,8 +495,14 @@ def test_streamed_file_without_tables_matches_formatter():
 
 def test_chunks_checks_the_cap_before_any_text(monkeypatch):
     monkeypatch.setenv("KUNI_MAX_TERMS", "10")
+    fib = builtin_state("ame_5_q", q=3)
     with pytest.raises(TooLarge, match="exceeds the term cap"):
-        builtin_state("ame_5_q", q=3).chunks()
+        fib.chunks()
+    # the term stream owns the cap: each of its readers meets it at the first term
+    for read in (lambda: next(fib.terms()), fib.materialize,
+                 lambda: KeyTable(fib.n, fib.q, fib.terms())):
+        with pytest.raises(TooLarge, match="exceeds the term cap"):
+            read()
 
 
 def test_fibred_state_shares_amplitude_objects():

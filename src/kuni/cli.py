@@ -72,6 +72,13 @@ def _manifest(args, inputs=()):
     }
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a file that is not text is malformed
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _emit_json(payload: dict) -> None:
     import json
 
@@ -92,8 +99,8 @@ def cmd_construct(args) -> int:
         for flag, path in (("--g", args.g), ("--q-matrix", args.q_matrix)):
             if path is None:
                 raise KuniError(f"clq-rep needs {flag} FILE")
-        G = parse_matrix(Path(args.g).read_text())
-        Q = parse_qmatrix(Path(args.q_matrix).read_text())
+        G = parse_matrix(_read(args.g))
+        Q = parse_qmatrix(_read(args.q_matrix))
         state = repetition_fibred(G, Q)
     else:
         obj = builtin_state(args.name, q=args.q, n=args.n, l=args.l, m=args.m)
@@ -125,7 +132,7 @@ def cmd_construct(args) -> int:
 
 def _load_code(args) -> LinearCode:
     if args.code:
-        return parse_code(Path(args.code).read_text())
+        return parse_code(_read(args.code))
     if args.n is None or args.k is None or args.q is None:
         raise KuniError("need --code FILE or all of --n/--k/--q")
     return mds_from_singleton(args.n, args.k, gf(args.q))
@@ -136,7 +143,7 @@ def _load_code(args) -> LinearCode:
 def cmd_verify(args) -> int:
     # the sweep reads only the key table: the text, its lines and the
     # checker's state are gone once it is built
-    n, spec, terms = read_state(Path(args.state).read_text())
+    n, spec, terms = read_state(_read(args.state))
     first = next(terms, None)  # before the table, which is sized by n
     if first is None:
         raise FormatError(f"{args.state} has no nonzero term: the zero vector is not a state")
@@ -173,8 +180,8 @@ def cmd_verify(args) -> int:
 # --- certify ----------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    G = parse_matrix(Path(args.g).read_text())
-    Q = parse_qmatrix(Path(args.q_matrix).read_text())
+    G = parse_matrix(_read(args.g))
+    Q = parse_qmatrix(_read(args.q_matrix))
     cert = certify_ame_via_codes(G, Q)
     result = {
         "claim": cert.claim,
@@ -240,7 +247,7 @@ def cmd_codes(args) -> int:
             sys.stdout.write(text)
         return EXIT_OK
     if args.codes_mode == "check":
-        code = parse_code(Path(args.file).read_text())
+        code = parse_code(_read(args.file))
         cert = is_mds(code, method=args.method)
         d = code.cached_distance
         result = {
@@ -256,7 +263,7 @@ def cmd_codes(args) -> int:
             print(f"[{code.n},{code.k}]_{code.q}: {verdict} "
                   f"via {cert.method} ({cert.checks} checks)")
         return EXIT_OK if cert.is_mds else EXIT_REFUTED
-    code = parse_code(Path(args.file).read_text())
+    code = parse_code(_read(args.file))
     d = min_distance(code, method=args.method)
     print(f"[{code.n},{code.k}]_{code.q}: d = {d}")
     return EXIT_OK
@@ -341,10 +348,8 @@ def _table1_verify(n_cl, k_cl, seed_kind, q, k_target, seed):
     state = cl_plus_q_fibred(code, quantum, variant="direct")
     table = KeyTable(state.n, q, state.terms())
     work = sum(math.comb(table.n, s) for s in range(1, k_target + 1)) * table.size
-    if work <= _EXHAUSTIVE_WORK_CAP:
-        rep = uniformity(table, k_max=k_target)
-    else:
-        rep = uniformity(table, k_max=k_target, sample=10, seed=seed if seed is not None else 0)
+    rep = uniformity(table, k_max=k_target, sample=None if work <= _EXHAUSTIVE_WORK_CAP else 10,
+                     seed=0 if seed is None else seed)
     return {"verified_k": rep.max_verified_k, "mode": rep.mode, "support": table.size}
 
 
@@ -439,7 +444,7 @@ def main(argv=None) -> int:
     try:
         max_terms()  # an invalid KUNI_MAX_TERMS is a usage error for every command
         return args.func(args)
-    except (KuniError, OSError, UnicodeDecodeError) as exc:  # a file that is not text is malformed
+    except (KuniError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:  # a run that cannot finish is no verdict

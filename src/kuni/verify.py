@@ -230,21 +230,20 @@ def uniformity(state, k_max: int | None = None, sample: int | None = None,
         if sample is not None and len(subsets) > sample:
             subsets = sorted(rng.sample(subsets, sample))
             report.mode = "sampled"
-        checked = passed = 0
-        failure = None
-        for S in subsets:
-            checked += 1
-            ok, witness = is_maximally_mixed(reduced_density(table, S))
-            if ok:
-                passed += 1
-            elif failure is None:
-                failure = (S, witness)
-        report.tallies[size] = (checked, passed)
-        if failure is not None:
-            report.first_failure = failure
+        failures = [(S, witness) for S, ok, witness in _decisions(table, subsets) if not ok]
+        report.tallies[size] = (len(subsets), len(subsets) - len(failures))
+        if failures:
+            report.first_failure = failures[0]
             break
         report.max_verified_k = size
     return report
+
+
+def _decisions(table: KeyTable, subsets):
+    """(S, ok, witness) for each subset in order: the one place a sweep asks
+    whether rho_S is maximally mixed, through the module's two functions."""
+    for S in subsets:
+        yield (S, *is_maximally_mixed(reduced_density(table, S)))
 
 
 def support_census(state: SparseState, k: int):
@@ -258,28 +257,19 @@ def support_census(state: SparseState, k: int):
     return s, s == minimal
 
 
-def slocc_witness(state: SparseState, k: int, classical_cut: int | None = None):
-    """First size-(k+1) subset with a maximally mixed reduction, or None.
+def slocc_witness(state, k: int, classical_cut: int | None = None):
+    """First size-(k+1) subset with a maximally mixed reduction, or None, of
+    `state`, a SparseState or a KeyTable; only the table is read.
 
-    When `classical_cut` is given, subsets with exactly k sites in the
-    classical block [0, cut) and one site in the quantum block are searched
-    first (the natural witness shape); a hit proves non-minimal support and
-    hence a different SLOCC class from any minimal-support state.
+    When `classical_cut` is given, subsets with one site in the quantum block
+    [cut, n), and so k in the classical block, are searched first (the natural
+    witness shape); a hit proves non-minimal support and hence a different
+    SLOCC class from any minimal-support state.
     """
-    n = state.n
-    preferred = []
-    if classical_cut is not None:
-        for cl in itertools.combinations(range(classical_cut), k):
-            for qsite in range(classical_cut, n):
-                preferred.append(tuple(sorted(cl + (qsite,))))
-    seen = set(preferred)
-    rest = [S for S in itertools.combinations(range(n), k + 1) if S not in seen]
-    table = KeyTable.of(state)
-    for S in preferred + rest:
-        ok, _ = is_maximally_mixed(reduced_density(table, S))
-        if ok:
-            return S
-    return None
+    subsets = itertools.combinations(range(state.n), k + 1)
+    if classical_cut is not None:  # a stable sort: each shape stays lexicographic
+        subsets = sorted(subsets, key=lambda S: sum(i >= classical_cut for i in S) != 1)
+    return next((S for S, ok, _ in _decisions(KeyTable.of(state), subsets) if ok), None)
 
 
 def gram_check(states):

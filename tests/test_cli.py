@@ -302,15 +302,22 @@ def test_malformed_matrix_exits_usage(tmp_path, capsys):
     ["codes", "distance", "BAD"],
     ["certify", "--g", "BAD", "--q-matrix", "BAD"],
     ["construct", "clq", "--code", "BAD", "-o", "OUT"],
-], ids=["verify", "codes-check", "codes-distance", "certify", "construct-clq"])
+    ["certify", "--g", "GOOD", "--q-matrix", "BAD"],
+    ["construct", "clq-rep", "--g", "GOOD", "--q-matrix", "BAD", "-o", "OUT"],
+], ids=["verify", "codes-check", "codes-distance", "certify", "construct-clq",
+        "certify-q", "construct-clq-rep-q"])
 def test_non_utf8_input_exits_usage(tmp_path, capsys, argv):
-    # a file that is not text is malformed input, not a refutation
+    # a file that is not text is malformed input, not a refutation, and the
+    # message names it; a good G is read before the bad Q
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"CODE 4 2\n2 4 2 1\n1 0 1 \xff\n0 1 1 1\n")
-    paths = {"BAD": str(bad), "OUT": str(tmp_path / "out.state")}
+    good = tmp_path / "g.txt"
+    good.write_text("2 3 3 1\n1 0 1\n0 1 1\n")
+    paths = {"BAD": str(bad), "GOOD": str(good), "OUT": str(tmp_path / "out.state")}
     code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
     assert code == EXIT_USAGE and out == "" and err.startswith("error:")
-    assert os.listdir(tmp_path) == ["bad.txt"]
+    assert f"{bad} is not UTF-8 text" in err
+    assert sorted(os.listdir(tmp_path)) == ["bad.txt", "g.txt"]
 
 
 def test_construct_clq_rep_names_the_failed_hypotheses(tmp_path, capsys):

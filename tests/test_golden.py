@@ -39,6 +39,11 @@ COMMANDS = [
     ("codes", "check", "bad7.txt", "--method", "submatrix", "--json"),
     ("codes", "check", "bad7.txt", "--method", "distance", "--json"),
     ("codes", "distance", "bad7.txt", "--method", "rank"),
+    # refuted at |S| = 3 with two failures, so the first one is the one reported
+    ("verify", "clq7dual.state", "--json"),
+    ("verify", "clq7dual.state"),
+    ("verify", "clq7dual.state", "--sample", "5", "--seed", "2", "--json"),
+    ("verify", "code8.state", "--sample", "3", "--seed", "1", "--json"),
 ]
 
 # label columns of rank 1 for the GF(7) pair: the certificate is refuted (exit 1)
@@ -100,6 +105,14 @@ GOLDEN_COMMANDS = {
         "0dc8b5bb2deed6940cd7eccd1bb165ef068490457b4f971da04ed88244e61ffe",
     "codes distance bad7.txt --method rank":
         "a1d0b09750f2f1a670d89e127da2113cad51812190cc89f2d847ecc329678e34",
+    "verify clq7dual.state --json":
+        "5d5c81686ea8b38da42dcb0f5d184212d4d6667294ee8085048d10712e2a4121",
+    "verify clq7dual.state":
+        "38c5211ebfac06d3b3c0521ca055975ef8f38118f8bb418545f67da61d861225",
+    "verify clq7dual.state --sample 5 --seed 2 --json":
+        "a7b308676a6d5a5497c44c412ed3defbcf46c94e94f407af170d4e98b5e7c874",
+    "verify code8.state --sample 3 --seed 1 --json":
+        "05e2a283b5ff86692773fcde82455d7c0500e52f5f12231740daa5ddae6665fa",
 }
 
 GOLDEN_FILES = {

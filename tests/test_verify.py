@@ -7,12 +7,14 @@ import random
 import pytest
 
 from kuni import verify
+from kuni.cli import _SEED_CODE, _TABLE1_ROWS, _min_q_clq
 from kuni.codes import LinearCode, is_mds, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from kuni.decomposition import QMatrix, construct_G_Q
 from kuni.errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
 from kuni.field import FFMatrix, FieldElement, gf
 from kuni.states import (
+    FibredState,
     SparseState,
     WeylWord,
     ame_5_q,
@@ -20,6 +22,7 @@ from kuni.states import (
     bell,
     bell_pair,
     cl_plus_q,
+    cl_plus_q_fibred,
     cl_plus_q_repetition,
     ghz,
     local_fourier,
@@ -404,6 +407,67 @@ def test_slocc_witness_rank_bound_blocks_ame_instances():
     code = LinearCode(FFMatrix(gf(2), [[1, 0, 1], [0, 1, 1]]))
     s = cl_plus_q(code, bell_pair(gf(2)))
     assert slocc_witness(s, 2, classical_cut=3) is None
+
+
+def _preferred_then_rest(n, k, cut):
+    """The reference witness order, built the long way: k classical sites
+    plus one quantum site, then every other size-(k+1) subset, each
+    lexicographic."""
+    preferred = []
+    if cut is not None:
+        for cl in itertools.combinations(range(cut), k):
+            for qsite in range(cut, n):
+                preferred.append(tuple(sorted(cl + (qsite,))))
+    seen = set(preferred)
+    return preferred + [S for S in itertools.combinations(range(n), k + 1) if S not in seen]
+
+
+@pytest.mark.parametrize("n,k,cut", [(6, 2, 4), (7, 2, 5), (8, 3, 5), (6, 1, None),
+                                     (5, 0, 2), (5, 2, 9)])
+def test_slocc_witness_visits_the_preferred_shape_first(monkeypatch, n, k, cut):
+    # no reduction is maximally mixed, so the whole order is visited
+    visited = []
+
+    def empty_rho(table, S):
+        visited.append(S)
+        return ReducedDensity(S, table.q, {})
+
+    monkeypatch.setattr(verify, "reduced_density", empty_rho)
+    assert slocc_witness(ghz(n, gf(2)), k, classical_cut=cut) is None
+    assert visited == _preferred_then_rest(n, k, cut)
+
+
+def test_slocc_witness_on_a_streamed_table(monkeypatch):
+    """The Table 1 rows as key tables streamed from their fibred states: a
+    witness of the preferred shape at the first subset, where n allows one,
+    and the materialized state's witness on the rows that are small enough."""
+    expected = {5: None, 6: (0, 1, 4), 7: (0, 1, 5), 8: (0, 1, 5), 10: (0, 1, 7),
+                11: (0, 1, 2, 7), 12: (0, 1, 2, 8)}
+    rows = {n: (k, row) for (k, n), row in _TABLE1_ROWS.items() if n in expected}
+    reduced, calls = verify.reduced_density, []
+
+    def counted(table, S):
+        calls.append(S)
+        return reduced(table, S)
+
+    def refuse(self):
+        raise AssertionError("the witness materialized a fibred state")
+
+    for n, (k, ((n_cl, k_cl), seed_kind)) in sorted(rows.items()):
+        q = _min_q_clq(n_cl, k_cl, seed_kind)
+        spec = gf(q)
+        quantum = state_from_code(mds_from_singleton(*_SEED_CODE[seed_kind], spec))
+        fib = cl_plus_q_fibred(mds_from_singleton(n_cl, k_cl, spec), quantum)
+        with monkeypatch.context() as patch:
+            patch.setattr(FibredState, "materialize", refuse)
+            patch.setattr(verify, "reduced_density", counted)
+            S = slocc_witness(verify.KeyTable(fib.n, q, fib.terms()), k, classical_cut=n_cl)
+        assert S == expected[n], n
+        if S is not None:
+            assert calls == [S], n  # the first subset of the order
+        calls.clear()
+        if n <= 10:
+            assert slocc_witness(fib.materialize(), k, classical_cut=n_cl) == S, n
 
 
 def test_gram_check_detects_overlap():

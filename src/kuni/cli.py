@@ -29,12 +29,10 @@ from .decomposition import construct_G_Q, format_qmatrix, parse_qmatrix, search_
 from .errors import FormatError, KuniError
 from .field import format_matrix, gf, parse_matrix
 from .states import (
-    FibredState,
     bell_pair,
     builtin_state,
     cl_plus_q_fibred,
     code_fibred,
-    format_state,
     ghz,
     max_terms,
     read_state,
@@ -114,16 +112,21 @@ def cmd_construct(args) -> int:
             return EXIT_OK
         state = obj
     out = args.output or "out.state"
-    # a code-fibred state streams in sorted order; chunks() checks the term
-    # cap before the file is opened
-    chunks = state.chunks() if isinstance(state, FibredState) else [format_state(state)]
-    tmp = out + ".tmp"
+    # every state streams its text in sorted order; a fibred state's chunks()
+    # checks the term cap before the file is opened
+    chunks = state.chunks()
+    # a FIFO or a device is written through; a regular file, or a symlink's
+    # target, is replaced whole by a finished .tmp file beside it
+    through = os.path.exists(out) and not os.path.isfile(out)
+    dest = os.path.realpath(out)
+    tmp = out if through else dest + ".tmp"
     try:
         with open(tmp, "w") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, out)
+        if not through:
+            os.replace(tmp, dest)
     except BaseException:  # leave neither a partial file nor a clobbered one
-        if os.path.exists(tmp):
+        if not through and os.path.exists(tmp):
             os.unlink(tmp)
         raise
     print(f"wrote {state.n}-party state over GF({state.q}), support {state.support}, to {out}")
@@ -246,8 +249,8 @@ def cmd_codes(args) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
+    code = parse_code(_read(args.file))
     if args.codes_mode == "check":
-        code = parse_code(_read(args.file))
         cert = is_mds(code, method=args.method)
         d = code.cached_distance
         result = {
@@ -263,7 +266,6 @@ def cmd_codes(args) -> int:
             print(f"[{code.n},{code.k}]_{code.q}: {verdict} "
                   f"via {cert.method} ({cert.checks} checks)")
         return EXIT_OK if cert.is_mds else EXIT_REFUTED
-    code = parse_code(_read(args.file))
     d = min_distance(code, method=args.method)
     print(f"[{code.n},{code.k}]_{code.q}: d = {d}")
     return EXIT_OK
@@ -296,19 +298,21 @@ _PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32
 _EXHAUSTIVE_WORK_CAP = 5 * 10 ** 6
 
 
-def _min_q_clq(n_cl: int, k_cl: int, seed_kind: str) -> int:
-    sn, sk = _SEED_CODE[seed_kind]
+def _min_q(exists) -> int:
+    """The least q in _PRIME_POWERS for which exists(q) holds."""
     for q in _PRIME_POWERS:
-        if mds_exists(n_cl, k_cl, q) and mds_exists(sn, sk, q):
+        if exists(q):
             return q
     raise KuniError("no prime power in range")
+
+
+def _min_q_clq(n_cl: int, k_cl: int, seed_kind: str) -> int:
+    sn, sk = _SEED_CODE[seed_kind]
+    return _min_q(lambda q: mds_exists(n_cl, k_cl, q) and mds_exists(sn, sk, q))
 
 
 def _min_q_mds(n: int, k: int) -> int:
-    for q in _PRIME_POWERS:
-        if any(mds_exists(n, kp, q) for kp in range(k, n // 2 + 1)):
-            return q
-    raise KuniError("no prime power in range")
+    return _min_q(lambda q: any(mds_exists(n, kp, q) for kp in range(k, n // 2 + 1)))
 
 
 def cmd_table1(args) -> int:

@@ -121,11 +121,16 @@ class DecompositionReport:
     the four hypotheses, and the check counts that make it auditable."""
 
     def __init__(self, n: int, q: int, parent_mds: MdsCertificate,
-                 kernel_mds: MdsCertificate | None, q_rank: int, labels_onto: bool,
-                 kernel_error: str | None = None):
+                 kernel_mds: MdsCertificate | None, q_rank: int, kernel_error: str | None = None):
         self.n, self.q = n, q
         self.parent_mds, self.kernel_mds = parent_mds, kernel_mds
-        self.q_rank, self.labels_onto, self.kernel_error = q_rank, labels_onto, kernel_error
+        self.q_rank, self.kernel_error = q_rank, kernel_error
+
+    @property
+    def labels_onto(self) -> bool:
+        # v -> vQ is linear, so surjectivity onto GF(q)^2 is exactly rank 2;
+        # recorded separately because it is a separate hypothesis of the certificate
+        return self.q_rank == 2
 
     @property
     def failures(self) -> list:
@@ -165,9 +170,6 @@ def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
     parent = LinearCode(G)
     parent_cert = is_mds(parent, method="columns")
     q_rank = Q.rank()
-    # v -> vQ is linear, so surjectivity onto GF(q)^2 is exactly rank 2;
-    # recorded separately because it is a separate hypothesis of the certificate
-    labels_onto = q_rank == 2
     kernel_cert = None
     kernel_error = None
     try:
@@ -175,8 +177,7 @@ def verify_decomposition(G: FFMatrix, Q: QMatrix) -> DecompositionReport:
         kernel_cert = is_mds(sub, method="columns")
     except BadKernelDimension as exc:
         kernel_error = str(exc)
-    return DecompositionReport(G.cols, G.spec.q, parent_cert, kernel_cert, q_rank,
-                               labels_onto, kernel_error)
+    return DecompositionReport(G.cols, G.spec.q, parent_cert, kernel_cert, q_rank, kernel_error)
 
 
 def construct_G_Q(spec: FieldSpec):

@@ -103,16 +103,13 @@ class FieldSpec:
         if not _is_prime(p):
             raise NonPrimeP(f"p={p} is not prime")
         q = p ** m
-        if m == 1:
-            modulus = (0, 1) if modulus is None else tuple(int(c) % p for c in modulus)
-        else:
-            if modulus is None:
-                modulus = _DEFAULT_MODULI.get((p, m)) or _find_irreducible(p, m)
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ReducibleModulus(f"modulus must be monic of degree {m}")
-            if not _is_irreducible(modulus, p):
-                raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
+        if modulus is None:  # x for a prime field: _find_irreducible's first candidate
+            modulus = _DEFAULT_MODULI.get((p, m)) or _find_irreducible(p, m)
+        modulus = tuple(int(c) % p for c in modulus)
+        if len(modulus) != m + 1 or modulus[-1] != 1:
+            raise ReducibleModulus(f"modulus must be monic of degree {m}")
+        if not _is_irreducible(modulus, p):
+            raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.p, self.m, self.q, self.modulus = p, m, q, modulus
         self._add_table = self._neg_table = self._mul_table = self._inv_table = None
         if m > 1 and q <= _MUL_TABLE_MAX_Q:

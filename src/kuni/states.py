@@ -82,6 +82,21 @@ class SparseState:
     def support(self) -> int:
         return len(self.terms)
 
+    def chunks(self):
+        """The text of format_state(self), one line at a time in sorted key order:
+        one line template per distinct coefficient vector, filled with each key."""
+        if self.n < 1:  # parse_state reads only states of at least one party
+            raise ShapeMismatch(f"a state file needs at least one party, state has {self.n}")
+        yield f"STATE {self.n} {self.q}\n"
+        head = " ".join(["%d"] * self.n) + " : "
+        templates = {}
+        for key in sorted(self.terms):
+            coeffs = self.terms[key].coeffs
+            fmt = templates.get(coeffs)
+            if fmt is None:
+                fmt = templates[coeffs] = head + " ".join(map(str, coeffs)) + "\n"
+            yield fmt % key
+
     def equals(self, other: "SparseState") -> bool:
         """Exact equality of the unnormalized representations."""
         if self.n != other.n or self.spec != other.spec:
@@ -151,7 +166,11 @@ class FibredState:
     the q^k * s terms are distinct."""
 
     def __init__(self, G: FFMatrix, W: FFMatrix, seed: SparseState, types: str):
+        if not len(types) == W.cols == seed.n or set(types) - set("XZ"):
+            raise LayoutMismatch(f"types {types!r} (X or Z) for a {seed.n}-party seed")
         self.G, self.W, self.seed, self.types = G, W, seed, types
+        self.x_sites = [j for j, t in enumerate(types) if t == "X"]
+        self.z_sites = [j for j, t in enumerate(types) if t == "Z"]
 
     @property
     def n(self) -> int:
@@ -170,35 +189,25 @@ class FibredState:
             raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
                            f"{self.seed.support} exceeds the term cap")
 
-    def _action(self):
-        """How a word's label word[G.cols:] acts on the seed: (x_part, z_part,
-        shifted, phases).  x_part and z_part pick the label's exponents at the
-        X and Z sites; shifted(ex) lists the seed keys with each X site moved by
-        field addition of its exponent, phases(ez) each seed term's power of w,
-        the sum of int(e_j) * int(symbol) over the Z sites; both in seed order."""
-        if not len(self.types) == self.W.cols == self.seed.n or set(self.types) - set("XZ"):
-            raise LayoutMismatch(f"types {self.types!r} (X or Z) for a {self.seed.n}-party seed")
+    # A word's label word[G.cols:] acts on the seed through its exponents at
+    # the X sites (ex) and at the Z sites (ez); both methods list seed terms in
+    # seed order.
+
+    def _shifted(self, ex) -> list:
+        """The seed keys, each X site moved by field addition of its exponent."""
         sp = self.seed.spec
-        x_sites = [j for j, t in enumerate(self.types) if t == "X"]
-        z_sites = [j for j, t in enumerate(self.types) if t == "Z"]
-        keys = list(self.seed.terms)
+        out = []
+        for key in self.seed.terms:
+            symbols = list(key)
+            for j, a in zip(self.x_sites, ex):
+                symbols[j] = sp.add(symbols[j], a)
+            out.append(tuple(symbols))
+        return out
 
-        def part(sites):
-            return lambda label: tuple(map(label.__getitem__, sites))
-
-        def shifted(ex):
-            out = []
-            for key in keys:
-                symbols = list(key)
-                for j, a in zip(x_sites, ex):
-                    symbols[j] = sp.add(symbols[j], a)
-                out.append(tuple(symbols))
-            return out
-
-        def phases(ez):
-            return [sum(a * key[j] for j, a in zip(z_sites, ez)) % sp.q for key in keys]
-
-        return part(x_sites), part(z_sites), shifted, phases
+    def _phases(self, ez) -> list:
+        """Each seed term's power of w: sum int(e_j) * int(symbol) over the Z sites."""
+        return [sum(a * key[j] for j, a in zip(self.z_sites, ez)) % self.q
+                for key in self.seed.terms]
 
     def terms(self):
         """(key, amplitude) pairs, messages in lexicographic order, then seed
@@ -206,18 +215,19 @@ class FibredState:
         amplitudes per Z part, and one amplitude object serves each (seed
         term, phase).  The term cap is checked before the first term."""
         self.check_cap()
-        x_part, z_part, shifted, phases = self._action()
         powers = [[amp.mul_root(t) for t in range(self.q)] for amp in self.seed.terms.values()]
-        tails = lru_cache(maxsize=None)(shifted)
+        tails = lru_cache(maxsize=None)(self._shifted)
 
         @lru_cache(maxsize=None)
         def amps(ez):
-            return list(map(getitem, powers, phases(ez)))
+            return list(map(getitem, powers, self._phases(ez)))
 
-        n = self.G.cols
+        n, xs, zs = self.G.cols, self.x_sites, self.z_sites
         # words of [G | W]: a codeword, then its label
         for word in enumerate_codewords(LinearCode(self.G.hstack(self.W))):
-            yield from zip(map(word[:n].__add__, tails(x_part(word[n:]))), amps(z_part(word[n:])))
+            label = word[n:]
+            yield from zip(map(word[:n].__add__, tails(tuple(map(label.__getitem__, xs)))),
+                           amps(tuple(map(label.__getitem__, zs))))
 
     def materialize(self) -> SparseState:
         # a root of unity times a nonzero seed amplitude is never zero
@@ -240,7 +250,6 @@ class FibredState:
         the table can hold no more lines than there are words; no word is
         kept, so memory grows with neither the q^k words nor the q^k * s terms."""
         self.check_cap()
-        x_part, z_part, shifted, phases = self._action()
         R = matrix_rref(self.G.hstack(self.W))[0]
         words = enumerate_codewords(LinearCode(R))
         n, q, s = self.G.cols, self.q, self.seed.support
@@ -258,16 +267,17 @@ class FibredState:
 
         def heads(ex):
             """(seed term, its shifted key's text) in shifted key order."""
-            tails = shifted(ex)
+            tails = self._shifted(ex)
             return [(i, sep + " ".join(map(str, tails[i])))
                     for i in sorted(range(s), key=tails.__getitem__)]
 
         def block(label):
             # led by "", so that joining with the codeword's text starts each line
-            ph = phases(z_part(label))
-            return ["", *(head + amp_texts[i][ph[i]] for i, head in heads(x_part(label)))]
+            ph = self._phases(tuple(map(label.__getitem__, self.z_sites)))
+            ex = tuple(map(label.__getitem__, self.x_sites))
+            return ["", *(head + amp_texts[i][ph[i]] for i, head in heads(ex))]
 
-        heads = tabled(heads, self.types.count("X"))
+        heads = tabled(heads, len(self.x_sites))
         block = tabled(block, self.W.cols)
         prefix = " ".join(["%d"] * n)
         return itertools.chain(
@@ -363,8 +373,7 @@ def _z_block_size(seed: SparseState) -> int:
 
 def bell_pair(spec: FieldSpec) -> SparseState:
     """Unnormalized sum_r |r, r> over GF(q)."""
-    one = Cyclotomic.integer(spec.q, 1)
-    return SparseState(2, spec, {(r, r): one for r in range(spec.q)})
+    return ghz(2, spec)
 
 
 def bell(spec: FieldSpec, l: int, m: int) -> SparseState:
@@ -440,26 +449,27 @@ def builtin_state(name: str, **kwargs):
     the AME states their FibredState descriptions (materialize() gives the
     state).  Each takes exactly its own flags: a missing one and one it does
     not take are both usage errors."""
-    takes = {"ghz": ("n", "q"), "bell": ("q", "l", "m"), "ame_5_q": ("q",), "ame_7_4": (),
-             "ame_19_17_matrices": (), "ame_21_19_matrices": ()}.get(name)
-    if takes is None:
+    if name not in _BUILTINS:
         raise UnknownName(f"unknown builtin {name!r}")
+    takes, factory = _BUILTINS[name]
     for key in ("q", "n", "l", "m"):
         given = kwargs.get(key) is not None
         if given != (key in takes):
             raise KuniError(f"builtin {name!r} {'takes no' if given else 'needs'} --{key}")
-    arg = {key: int(kwargs[key]) for key in takes}
-    if name == "ghz":
-        return ghz(arg["n"], gf(arg["q"]))
-    if name == "bell":
-        return bell(gf(arg["q"]), arg["l"], arg["m"])
-    if name == "ame_5_q":
-        return repetition_fibred(*_ame_5_q_matrices(gf(arg["q"])))
-    if name == "ame_7_4":
-        return repetition_fibred(*construct_G_Q(gf(4)))
-    if name == "ame_19_17_matrices":
-        return ame_19_17_matrices()
-    return ame_21_19_matrices()
+    return factory(*(int(kwargs[key]) for key in takes))
+
+
+# name -> (the flags it takes, in order, and its factory of them); each
+# factory looks its functions up when called, so a wrapper set on a module
+# name (a test's patch, the benchmark's tracer) applies
+_BUILTINS = {
+    "ghz": (("n", "q"), lambda n, q: ghz(n, gf(q))),
+    "bell": (("q", "l", "m"), lambda q, l, m: bell(gf(q), l, m)),
+    "ame_5_q": (("q",), lambda q: repetition_fibred(*_ame_5_q_matrices(gf(q)))),
+    "ame_7_4": ((), lambda: repetition_fibred(*construct_G_Q(gf(4)))),
+    "ame_19_17_matrices": ((), lambda: ame_19_17_matrices()),
+    "ame_21_19_matrices": ((), lambda: ame_21_19_matrices()),
+}
 
 
 def ame_19_17_matrices():
@@ -507,22 +517,10 @@ def ame_21_19_matrices():
 # sorted key order so equal states round-trip byte-identically.
 
 def format_state(state: SparseState) -> str:
-    if state.n < 1:  # parse_state reads only states of at least one party
-        raise ShapeMismatch(f"a state file needs at least one party, state has {state.n}")
-    # one line template per distinct coefficient vector, filled with each key;
     # a StringIO keeps no string per line alive, which halves the peak memory
     # of joining a list of lines
-    head = " ".join(["%d"] * state.n) + " : "
-    templates = {}
     out = io.StringIO()
-    out.write(f"STATE {state.n} {state.q}\n")
-    terms = state.terms
-    for key in sorted(terms):
-        coeffs = terms[key].coeffs
-        fmt = templates.get(coeffs)
-        if fmt is None:
-            fmt = templates[coeffs] = head + " ".join(map(str, coeffs)) + "\n"
-        out.write(fmt % key)
+    out.writelines(state.chunks())
     return out.getvalue()
 
 

@@ -8,6 +8,7 @@ equal, never a comparison against 1/q^|S|.
 from __future__ import annotations
 
 import itertools
+import math
 import random as _random
 from collections import Counter
 from operator import and_, lshift
@@ -226,10 +227,13 @@ def uniformity(state, k_max: int | None = None, sample: int | None = None,
     rng = _random.Random(seed)
     table = KeyTable.of(state)
     for size in range(1, top + 1):
-        subsets = list(itertools.combinations(range(n), size))
-        if sample is not None and len(subsets) > sample:
-            subsets = sorted(rng.sample(subsets, sample))
+        count, subsets = math.comb(n, size), itertools.combinations(range(n), size)
+        if sample is not None and count > sample:
+            # the indices rng.sample(list(subsets), sample) would pick, without the list
+            drawn = set(rng.sample(range(count), sample))
+            subsets = [S for i, S in enumerate(subsets) if i in drawn]
             report.mode = "sampled"
+        subsets = list(subsets)
         failures = [(S, witness) for S, ok, witness in _decisions(table, subsets) if not ok]
         report.tallies[size] = (len(subsets), len(subsets) - len(failures))
         if failures:

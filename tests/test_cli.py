@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import kuni
 from kuni.cli import EXIT_OK, EXIT_REFUTED, EXIT_SAMPLED, EXIT_USAGE, _digest, main
-from kuni.states import FibredState, SparseState, format_state, ghz, parse_state
+from kuni.states import FibredState, SparseState, bell, format_state, ghz, parse_state
 from kuni.codes import LinearCode, format_code, singleton_array
 from kuni.field import FFMatrix, gf
 from test_golden import RANK1_Q7
@@ -114,6 +115,54 @@ def test_construct_builtin_state(tmp_path, capsys):
                      "--n", "4", "--q", "3", "-o", str(out_path))
     assert code == EXIT_OK
     assert parse_state(out_path.read_text()).equals(ghz(4, gf(3)))
+
+
+def test_builtin_states_are_written_line_by_line(monkeypatch, tmp_path, capsys):
+    # a built-in SparseState is written through its own chunks(), never as
+    # one formatted text
+    def refuse(state):
+        raise AssertionError("construct formatted the whole state file")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("kuni")]:
+        for attr, value in list(vars(module).items()):
+            if value is format_state:
+                monkeypatch.setattr(module, attr, refuse)
+    for argv, expected in ((["--name", "ghz", "--n", "3", "--q", "4"], ghz(3, gf(4))),
+                           (["--name", "bell", "--q", "5", "--l", "1", "--m", "2"],
+                            bell(gf(5), 1, 2))):
+        out = tmp_path / f"{argv[1]}.state"
+        code, _, err = run(capsys, "construct", "builtin", *argv, "-o", str(out))
+        assert code == EXIT_OK, err
+        assert parse_state(out.read_text()).equals(expected)
+
+
+def test_construct_replaces_the_target_of_a_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.state", tmp_path / "link.state"
+    target.write_text("an earlier run\n")
+    link.symlink_to(target.name)
+    code, _, err = run(capsys, "construct", "builtin", "--name", "ghz", "--n", "3", "--q", "3",
+                       "-o", str(link))
+    assert code == EXIT_OK, err
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == format_state(ghz(3, gf(3)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.state", "target.state"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_construct_writes_through_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "pipe.state"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so that the writer's open returns
+    try:
+        code, _, err = run(capsys, "construct", "builtin", "--name", "ghz", "--n", "3",
+                           "--q", "3", "-o", str(fifo))
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert code == EXIT_OK, err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert received == format_state(ghz(3, gf(3)))
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_construct_builtin_matrices(tmp_path, capsys):

@@ -189,6 +189,15 @@ def test_gf9_default_modulus():
     assert sp.mul(3, 3) == 2
 
 
+def test_prime_field_modulus_is_checked():
+    # a modulus given for m = 1 must be monic of degree 1, as for any m
+    for modulus in ((1, 2), (3,)):
+        with pytest.raises(ReducibleModulus):
+            make_field(5, 1, modulus=modulus)
+    assert make_field(5, 1, modulus=(7, 1)).modulus == (2, 1)  # x + 2
+    assert make_field(5).modulus == gf(5).modulus == (0, 1)  # x, the default
+
+
 def test_make_field_rejects_bad_inputs():
     with pytest.raises(NonPrimeP):
         make_field(6)

@@ -4,9 +4,15 @@ Each command runs through kuni.cli.main in a fresh directory with relative
 paths, so the run manifests inside the JSON documents are stable.  The test
 pins the sha256 of every command's exit code and stdout, and of every file
 the commands write.  A refactor that keeps behaviour keeps these digests.
+
+`PYTHONPATH=src python tests/test_golden.py` runs the command set in a
+temporary directory and prints both digest dicts in the layout below, so
+the pins of a commit can be recorded with one command.
 """
 
+import contextlib
 import hashlib
+import io
 from pathlib import Path
 
 from kuni.cli import main
@@ -44,6 +50,10 @@ COMMANDS = [
     ("verify", "clq7dual.state"),
     ("verify", "clq7dual.state", "--sample", "5", "--seed", "2", "--json"),
     ("verify", "code8.state", "--sample", "3", "--seed", "1", "--json"),
+    # built-in SparseStates, written through their own chunks()
+    ("construct", "builtin", "--name", "ghz", "--n", "3", "--q", "4", "-o", "ghz34.state"),
+    ("construct", "builtin", "--name", "bell", "--q", "5", "--l", "1", "--m", "2",
+     "-o", "bell5.state"),
 ]
 
 # label columns of rank 1 for the GF(7) pair: the certificate is refuted (exit 1)
@@ -113,12 +123,17 @@ GOLDEN_COMMANDS = {
         "a7b308676a6d5a5497c44c412ed3defbcf46c94e94f407af170d4e98b5e7c874",
     "verify code8.state --sample 3 --seed 1 --json":
         "05e2a283b5ff86692773fcde82455d7c0500e52f5f12231740daa5ddae6665fa",
+    "construct builtin --name ghz --n 3 --q 4 -o ghz34.state":
+        "aa7c45d4347b3aa447d47c01bebf52a0ef9461540883ba3c1358c4ca63dc1472",
+    "construct builtin --name bell --q 5 --l 1 --m 2 -o bell5.state":
+        "102f58bab4eed36eea7ef2203828200a2ae58d23f0abf424b38a0faf0a700377",
 }
 
 GOLDEN_FILES = {
     "ame53.state": "d40c19e6b23822ef4acea6a112559940292b498bfeff7add32a57170cf25a3e6",
     "ame74.state": "d35ca2155537626b7dc10d55fa6e12a09f2c620c7071cedd8e13d4a694c0a2eb",
     "bad7.txt": "bc0f21624c921fd37fcd174794679d850ebceaf3ddd8b7524cf9b7642d52a6dc",
+    "bell5.state": "0c5149803f7e2601a07da2ec2f6a459411a317913ac906978bced7ab6026a9f1",
     "c7.txt": "91a6978b9bd5e269bb0824d80f17fec3d57c81b9fd5a7a9da5b195dfe42e3e43",
     "c8.txt": "814ece10969aacc16e6f3e919605430080aad988e8db600a4fec042f9f26a9d9",
     "clq5.state": "68ad1fd867b1af7a15eb362f7276f122a848334fee38da3a0ed428da7bc115d2",
@@ -126,6 +141,7 @@ GOLDEN_FILES = {
     "code8.state": "5d3a921e2738fe701e08de49e0ecf2439ba25634daec9553abcf885acb9a81fd",
     "g7.txt": "a3a72549f7f25fa878bbb3fec751cefa0adc209a8ef37166ba257a610450657f",
     "g9.txt": "5d565f4aff29045e6be6db16ee787e80e3c45f18d9407adcc98918ea12b3613e",
+    "ghz34.state": "be54e2128f7d31d01667135b9106a2737eac433df0920a11db140e180c3655bf",
     "q7.txt": "cf41e53916b274e331e64b0bc20dafe298c3d10cf3b329b7f0b97c7d5b0ab957",
     "q7rank1.txt": "cb7c4b840cd4f0afd471d499cd6731247028b3c1f810ebdf8832d300dfd5e856",
     "q9.txt": "d445554b9f92c283a0b566f08f0256085c091f08e339c3ab32a332dc4e9590f5",
@@ -138,22 +154,44 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_commands(capsys):
+def run_commands():
     """(digest per command line, digest per file written) in the cwd."""
     Path("q7rank1.txt").write_text(RANK1_Q7)
     Path("bad7.txt").write_text(BAD_CODE7)
     commands = {}
     for argv in COMMANDS:
-        code = main(list(argv))
-        out = capsys.readouterr().out
-        commands[" ".join(argv)] = _sha(f"{code}\n{out}".encode())
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        commands[" ".join(argv)] = _sha(f"{code}\n{out.getvalue()}".encode())
     files = {p.name: _sha(p.read_bytes()) for p in sorted(Path().iterdir())}
     return commands, files
 
 
-def test_golden_cli_outputs(tmp_path, monkeypatch, capsys):
+def test_golden_cli_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("KUNI_MAX_TERMS", raising=False)  # the cap is in every manifest
-    commands, files = run_commands(capsys)
+    commands, files = run_commands()
     assert commands == GOLDEN_COMMANDS
     assert files == GOLDEN_FILES
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    os.environ.pop("KUNI_MAX_TERMS", None)  # the cap is in every manifest
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            commands, files = run_commands()
+        finally:
+            os.chdir(start)  # leave the directory before it is removed
+    print("GOLDEN_COMMANDS = {")
+    for line, digest in commands.items():
+        print(f'    "{line}":\n        "{digest}",')
+    print("}\n\nGOLDEN_FILES = {")
+    for name, digest in files.items():
+        print(f'    "{name}": "{digest}",')
+    print("}")

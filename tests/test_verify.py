@@ -570,3 +570,34 @@ def test_certify_ame_via_codes_refutes_bad_q():
     G, _ = construct_G_Q(gf(5))
     cert = certify_ame_via_codes(G, QMatrix(gf(5), (1, 2, 0), (2, 4, 0)))
     assert not cert.all_pass and cert.claim is None
+
+
+def test_sampled_sweep_draws_indices_without_listing_subsets(monkeypatch):
+    """A sampled size draws N indices into its combinations and keeps the
+    subsets at those indices as it walks them: the subsets that drawing from
+    the listed combinations gives, in memory that does not grow with C(n, s)."""
+    import tracemalloc
+
+    n, sample, seed = 40, 3, 5
+    one = Cyclotomic.integer(2, 1)
+    table = verify.KeyTable(n, 2, [((0,) * n, one), ((1,) * n, one)])
+    swept = []
+
+    def recorded(table, S):
+        swept.append(S)
+
+    monkeypatch.setattr(verify, "reduced_density", recorded)
+    monkeypatch.setattr(verify, "is_maximally_mixed", lambda rho: (True, None))
+    tracemalloc.start()
+    try:
+        report = verify.uniformity(table, k_max=5, sample=sample, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20, peak  # listing C(40, 5) = 658,008 subsets takes tens of MB
+    rng = random.Random(seed)
+    listed = [S for size in range(1, 6)
+              for S in sorted(rng.sample(list(itertools.combinations(range(n), size)), sample))]
+    assert swept == listed
+    assert report.mode == "sampled" and report.max_verified_k == 5
+    assert report.tallies == {size: (sample, sample) for size in range(1, 6)}

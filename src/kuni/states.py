@@ -27,6 +27,7 @@ from .errors import (
     KuniError,
     LayoutMismatch,
     OutOfRange,
+    RankDeficient,
     ShapeMismatch,
     SizeMismatch,
     SpecMismatch,
@@ -143,14 +144,13 @@ def apply_weyl(state: SparseState, word: WeylWord) -> SparseState:
     if word.n != state.n:
         raise LayoutMismatch(f"word covers {word.n} sites, state has {state.n}")
     sp = state.spec
-    q = sp.q
     out = {}
     x_map = dict(word.x)
     z_map = dict(word.z)
     for key, amp in state.terms.items():
         new_key = list(key)
         for site, a in x_map.items():
-            new_key[site] = sp.add(new_key[site], a % q if sp.m == 1 else a)
+            new_key[site] = sp.add(new_key[site], a)
         phase = 0
         for site, b in z_map.items():
             phase += int(b) * int(new_key[site])
@@ -162,12 +162,18 @@ class FibredState:
     """sum_v |vG> (x) M(vW)|seed>, M(e) applying types[j]^(e_j), Z or X, at
     seed site j.  Cl+Q has W = I_k; the repetition construction has W = Q, a
     Bell seed and types "XZ"; a code state has W of width 0 and a 0-party
-    seed.  G must have full row rank, so each message gives one codeword and
-    the q^k * s terms are distinct."""
+    seed.  G, W and the seed share one field, and G has full row rank, so
+    each message gives one codeword and the q^k * s terms are distinct: the
+    RREF R of [G | W], made once here, has rank G.rows and its pivots in G."""
 
     def __init__(self, G: FFMatrix, W: FFMatrix, seed: SparseState, types: str):
         if not len(types) == W.cols == seed.n or set(types) - set("XZ"):
             raise LayoutMismatch(f"types {types!r} (X or Z) for a {seed.n}-party seed")
+        if not G.spec == W.spec == seed.spec:
+            raise SpecMismatch("code and seed live over different fields")
+        self.R, rank, pivots = matrix_rref(G.hstack(W))
+        if rank != G.rows or any(c >= G.cols for c in pivots):
+            raise RankDeficient(f"generator {G.rows}x{G.cols} is not full row rank")
         self.G, self.W, self.seed, self.types = G, W, seed, types
         self.x_sites = [j for j, t in enumerate(types) if t == "X"]
         self.z_sites = [j for j, t in enumerate(types) if t == "Z"]
@@ -184,75 +190,67 @@ class FibredState:
     def support(self) -> int:
         return self.q ** self.G.rows * self.seed.support
 
-    def check_cap(self) -> None:
+    def _words(self):
+        """The words of [G | W] in codeword order, once the term cap is checked:
+        R's rows are unit vectors at its pivots, all in G's columns, so R's
+        message order is codeword order.  A key is a codeword + a shifted seed
+        key, so each word's seed terms in `_order` give sorted key order, the
+        file's."""
         if self.support > max_terms():
             raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
                            f"{self.seed.support} exceeds the term cap")
+        return enumerate_codewords(LinearCode(self.R))
 
     # A word's label word[G.cols:] acts on the seed through its exponents at
-    # the X sites (ex) and at the Z sites (ez); both methods list seed terms in
-    # seed order.
+    # the X sites (ex) and at the Z sites (ez).
 
-    def _shifted(self, ex) -> list:
-        """The seed keys, each X site moved by field addition of its exponent."""
-        sp = self.seed.spec
-        out = []
-        for key in self.seed.terms:
-            symbols = list(key)
-            for j, a in zip(self.x_sites, ex):
-                symbols[j] = sp.add(symbols[j], a)
-            out.append(tuple(symbols))
-        return out
+    def _order(self, ex):
+        """(perm, tails): the seed keys with each X site moved by field addition
+        of its exponent, sorted, and the seed term indices in that order."""
+        add, shift = self.seed.spec.add, dict(zip(self.x_sites, ex))
+        shifted = [tuple(add(s, shift[j]) if j in shift else s for j, s in enumerate(key))
+                   for key in self.seed.terms]
+        perm = sorted(range(len(shifted)), key=shifted.__getitem__)
+        return perm, [shifted[i] for i in perm]
 
     def _phases(self, ez) -> list:
         """Each seed term's power of w: sum int(e_j) * int(symbol) over the Z sites."""
         return [sum(a * key[j] for j, a in zip(self.z_sites, ez)) % self.q
                 for key in self.seed.terms]
 
+    def _tabled(self, fn, sites: int):
+        """fn, tabled only where q^sites arguments of s terms each fit in q^k words."""
+        tabled = self.q ** sites * self.seed.support <= self.q ** self.G.rows
+        return lru_cache(maxsize=None)(fn) if tabled else fn
+
     def terms(self):
-        """(key, amplitude) pairs, messages in lexicographic order, then seed
-        terms in seed order.  Shifted keys are tabled per X part of the label,
-        amplitudes per Z part, and one amplitude object serves each (seed
-        term, phase).  The term cap is checked before the first term."""
-        self.check_cap()
+        """(key, amplitude) pairs in sorted key order, the cap checked first (see
+        `_words`); seed orders are tabled per X part of the label, amplitudes per
+        Z part, and one amplitude object serves each (seed term, phase)."""
         powers = [[amp.mul_root(t) for t in range(self.q)] for amp in self.seed.terms.values()]
-        tails = lru_cache(maxsize=None)(self._shifted)
-
-        @lru_cache(maxsize=None)
-        def amps(ez):
-            return list(map(getitem, powers, self._phases(ez)))
-
+        order = self._tabled(self._order, len(self.x_sites))
+        amps = self._tabled(lambda ez: list(map(getitem, powers, self._phases(ez))),
+                            len(self.z_sites))
         n, xs, zs = self.G.cols, self.x_sites, self.z_sites
-        # words of [G | W]: a codeword, then its label
-        for word in enumerate_codewords(LinearCode(self.G.hstack(self.W))):
+        for word in self._words():
             label = word[n:]
-            yield from zip(map(word[:n].__add__, tails(tuple(map(label.__getitem__, xs)))),
-                           amps(tuple(map(label.__getitem__, zs))))
+            perm, tails = order(tuple(map(label.__getitem__, xs)))
+            yield from zip(map(word[:n].__add__, tails),
+                           map(amps(tuple(map(label.__getitem__, zs))).__getitem__, perm))
 
     def materialize(self) -> SparseState:
         # a root of unity times a nonzero seed amplitude is never zero
         return SparseState._of_nonzero(self.n, self.seed.spec, dict(self.terms()))
 
     def chunks(self):
-        """The text of format_state(self.materialize()), one piece per word,
-        without building the state.  Keys are codeword + shifted seed key, and
-        codewords are distinct, so the words of [G | W] in codeword order, each
-        followed by its label's seed lines sorted by shifted key, give the
-        sorted key order.  The words come in that order from the RREF R of
-        [G | W]: G has full row rank, so every pivot of R lies in G's columns,
-        where R's rows are unit vectors; a word's symbols up to the i-th pivot
-        depend only on its first i message symbols, and message order is
-        codeword order.  The term cap is checked here, before the first piece
-        is asked for.
-
-        A word costs one lookup of its label's lines, joined by its codeword's
-        text; they are tabled per label, and their heads per X part, only where
-        the table can hold no more lines than there are words; no word is
-        kept, so memory grows with neither the q^k words nor the q^k * s terms."""
-        self.check_cap()
-        R = matrix_rref(self.G.hstack(self.W))[0]
-        words = enumerate_codewords(LinearCode(R))
-        n, q, s = self.G.cols, self.q, self.seed.support
+        """The text of format_state(self.materialize()), one piece per word in
+        `terms()`'s order, without building the state; the term cap is checked
+        here, before the first piece is asked for.  A word costs one lookup of
+        its label's lines (tabled per label, their heads per X part), joined by
+        its codeword's text; no word is kept, so memory grows with neither the
+        q^k words nor the q^k * s terms."""
+        words = self._words()
+        n, q = self.G.cols, self.q
         sep = " " if self.seed.n else ""  # a code state's lines have no seed key
         # " : coefficients" of each seed amplitude times each power of w
         texts = {}
@@ -262,14 +260,9 @@ class FibredState:
                                      for t in range(q)]
         amp_texts = [texts[amp.coeffs] for amp in self.seed.terms.values()]
 
-        def tabled(fn, sites):
-            return lru_cache(maxsize=None)(fn) if q ** sites * s <= q ** self.G.rows else fn
-
         def heads(ex):
             """(seed term, its shifted key's text) in shifted key order."""
-            tails = self._shifted(ex)
-            return [(i, sep + " ".join(map(str, tails[i])))
-                    for i in sorted(range(s), key=tails.__getitem__)]
+            return [(i, sep + " ".join(map(str, tail))) for i, tail in zip(*self._order(ex))]
 
         def block(label):
             # led by "", so that joining with the codeword's text starts each line
@@ -277,8 +270,8 @@ class FibredState:
             ex = tuple(map(label.__getitem__, self.x_sites))
             return ["", *(head + amp_texts[i][ph[i]] for i, head in heads(ex))]
 
-        heads = tabled(heads, len(self.x_sites))
-        block = tabled(block, self.W.cols)
+        heads = self._tabled(heads, len(self.x_sites))
+        block = self._tabled(block, self.W.cols)
         prefix = " ".join(["%d"] * n)
         return itertools.chain(
             [f"STATE {self.n} {q}\n"],
@@ -340,8 +333,6 @@ def cl_plus_q_fibred(code: LinearCode, quantum_seed: SparseState,
     The message tuple doubles (lexicographically) as the Weyl exponent
     vector, which is the free bijection the construction needs.
     """
-    if code.spec != quantum_seed.spec:
-        raise SpecMismatch("code and seed live over different fields")
     if variant == "direct":
         cl = code
     elif variant == "dual":

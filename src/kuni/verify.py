@@ -229,18 +229,30 @@ def uniformity(state, k_max: int | None = None, sample: int | None = None,
     for size in range(1, top + 1):
         count, subsets = math.comb(n, size), itertools.combinations(range(n), size)
         if sample is not None and count > sample:
-            # the indices rng.sample(list(subsets), sample) would pick, without the list
-            drawn = set(rng.sample(range(count), sample))
-            subsets = [S for i, S in enumerate(subsets) if i in drawn]
-            report.mode = "sampled"
-        subsets = list(subsets)
+            # the subsets rng.sample(list(subsets), sample) would pick, in
+            # lexicographic order, each unranked from its index
+            subsets = [_combination(n, size, i) for i in sorted(rng.sample(range(count), sample))]
+            count, report.mode = sample, "sampled"
         failures = [(S, witness) for S, ok, witness in _decisions(table, subsets) if not ok]
-        report.tallies[size] = (len(subsets), len(subsets) - len(failures))
+        report.tallies[size] = (count, count - len(failures))
         if failures:
             report.first_failure = failures[0]
             break
         report.max_verified_k = size
     return report
+
+
+def _combination(n: int, size: int, index: int) -> tuple:
+    """The index-th size-subset of range(n) in lexicographic order, in n steps."""
+    S = []
+    for c in range(n):
+        # how many of the subsets still open (index counts among them) take c next
+        skip = math.comb(n - 1 - c, size - 1 - len(S)) if len(S) < size else 0
+        if index < skip:
+            S.append(c)
+        else:
+            index -= skip
+    return tuple(S)
 
 
 def _decisions(table: KeyTable, subsets):

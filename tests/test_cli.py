@@ -369,6 +369,26 @@ def test_non_utf8_input_exits_usage(tmp_path, capsys, argv):
     assert sorted(os.listdir(tmp_path)) == ["bad.txt", "g.txt"]
 
 
+@pytest.mark.parametrize("given, missing", [("--g", "--q-matrix"), ("--q-matrix", "--g")])
+def test_construct_clq_rep_names_its_missing_matrix(tmp_path, capsys, given, missing):
+    g_path, q_path = tmp_path / "g.txt", tmp_path / "q.txt"
+    run(capsys, "decompose", "--q", "5", "--emit-g", str(g_path), "--emit-q", str(q_path))
+    path = {"--g": g_path, "--q-matrix": q_path}[given]
+    code, out, err = run(capsys, "construct", "clq-rep", given, str(path),
+                         "-o", str(tmp_path / "s.state"))
+    assert code == EXIT_USAGE and out == "" and f"clq-rep needs {missing} FILE" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "q.txt"]
+
+
+def test_codes_mds_prints_the_file_it_would_write(tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    argv = ("codes", "mds", "--n", "5", "--k", "2", "--q", "5")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert run(capsys, *argv, "-o", str(path))[0] == EXIT_OK
+    assert out == path.read_text()
+
+
 def test_construct_clq_rep_names_the_failed_hypotheses(tmp_path, capsys):
     # the golden GF(7) parent with label columns of rank 1: the state is not
     # built, and the message names what failed, the same on every run

@@ -13,6 +13,7 @@ from kuni.errors import (
     FormatError,
     KuniError,
     LayoutMismatch,
+    RankDeficient,
     ShapeMismatch,
     SizeMismatch,
     SpecMismatch,
@@ -42,6 +43,7 @@ from kuni.states import (
     inner_product,
     local_fourier,
     parse_state,
+    read_state,
     repetition_fibred,
     state_from_code,
     tensor,
@@ -389,15 +391,22 @@ def _reference_cl_plus_q_repetition(G, Q):
 def _assert_same_state(fib, reference):
     """The description materializes to the reference with the same term order
     (witnesses depend on it), and its streamed file is byte-identical to the
-    formatted one."""
+    formatted one.  Its terms come in the file's order, strictly increasing
+    keys, so its key table is the one read back from its own file."""
     state = fib.materialize()
     assert state.equals(reference) and reference.equals(state)
-    assert list(state.terms) == list(reference.terms)
+    assert list(state.terms) == sorted(reference.terms)
     text = format_state(reference)
     assert format_state(state) == text
     # lines first: a failure names the first differing line instead of diffing the files
     streamed = "".join(fib.chunks())
     assert streamed.splitlines() == text.splitlines() and streamed == text
+    terms = list(fib.terms())
+    assert all(a[0] < b[0] for a, b in zip(terms, terms[1:]))
+    n, spec, read = read_state(streamed)
+    in_memory, from_file = KeyTable(fib.n, fib.q, terms), KeyTable(n, spec.q, read)
+    assert in_memory.codes == from_file.codes and in_memory.pairs == from_file.pairs
+    assert in_memory.norm == from_file.norm
 
 
 def _random_monomial_seed(rng, spec, n, r):
@@ -459,6 +468,20 @@ def test_cl_plus_q_matches_per_message_oracle(q, variant, seed_kind):
                        _reference_cl_plus_q(code, seed, variant=variant))
 
 
+def test_clq_witness_is_the_same_in_memory_and_from_the_file():
+    # the dual [4,1]_3 code with a GHZ(3) seed is refuted at |S| = 3; the
+    # witness names the first nonzero off-diagonal in term order, so it is
+    # the same only if the terms and the file list the keys in one order
+    sp = gf(3)
+    code, seed = mds_from_singleton(4, 1, sp), ghz(3, sp)
+    fib = cl_plus_q_fibred(code, seed, variant="dual")
+    _assert_same_state(fib, _reference_cl_plus_q(code, seed, variant="dual"))
+    n, spec, terms = read_state("".join(fib.chunks()))
+    in_memory = uniformity(KeyTable(fib.n, fib.q, fib.terms())).first_failure
+    assert in_memory == uniformity(KeyTable(n, spec.q, terms)).first_failure
+    assert in_memory[0] == (0, 1, 4)
+
+
 def test_clq_rep_on_dense_pairs_matches_per_message_oracle():
     rng = random.Random(6)
     G7, Q7 = construct_G_Q(gf(7))
@@ -510,6 +533,24 @@ def test_fibred_state_shares_amplitude_objects():
     assert len({id(amp) for amp in s.terms.values()}) <= 9 * 9  # per (seed term, phase)
     code = mds_from_singleton(6, 3, gf(8))
     assert len({id(amp) for amp in state_from_code(code).terms.values()}) == 1
+
+
+def test_fibred_state_rejects_a_rank_deficient_generator():
+    # the two rows of G are dependent, so each codeword comes from three
+    # messages: 27 terms on 9 distinct keys with "ZZ", an unsorted file with "ZX"
+    sp = gf(3)
+    G = FFMatrix(sp, [[1, 1], [2, 2]])
+    for types in ("ZZ", "ZX"):
+        with pytest.raises(RankDeficient):
+            FibredState(G, FFMatrix.identity(sp, 2), ghz(2, sp), types)
+
+
+def test_fibred_state_rejects_mixed_fields():
+    G, W = FFMatrix(gf(3), [[1, 0, 1], [0, 1, 1]]), FFMatrix.identity(gf(3), 2)
+    with pytest.raises(SpecMismatch):
+        FibredState(G, W, ghz(2, gf(5)), "ZX")
+    with pytest.raises(SpecMismatch):
+        FibredState(G, FFMatrix.identity(gf(5), 2), ghz(2, gf(3)), "ZX")
 
 
 def test_fibred_state_rejects_mismatched_types():

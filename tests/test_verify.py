@@ -2,7 +2,9 @@
 entanglement witnesses, stabilizers, and the algebraic AME certificate."""
 
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -601,3 +603,32 @@ def test_sampled_sweep_draws_indices_without_listing_subsets(monkeypatch):
     assert swept == listed
     assert report.mode == "sampled" and report.max_verified_k == 5
     assert report.tallies == {size: (sample, sample) for size in range(1, 6)}
+    # each drawn index is unranked straight to its subset: a 60-party sweep to
+    # |S| = 6 does not walk the C(60, 6) ~ 5.0e7 combinations to reach them
+    n = 60
+    table = verify.KeyTable(n, 2, [((0,) * n, one), ((1,) * n, one)])
+    swept.clear()
+    start = time.perf_counter()
+    report = verify.uniformity(table, k_max=6, sample=sample, seed=seed)
+    assert time.perf_counter() - start < 1.0
+    assert report.tallies == {size: (sample, sample) for size in range(1, 7)}
+    rng = random.Random(seed)  # listed up to |S| = 4; the larger sizes draw alike
+    listed = [S for size in range(1, 5)
+              for S in sorted(rng.sample(list(itertools.combinations(range(n), size)), sample))]
+    assert swept[:len(listed)] == listed
+    assert [len(S) for S in swept[len(listed):]] == [5] * sample + [6] * sample
+    # the index-to-subset step is lexicographic order itself
+    for n in range(11):
+        for size in range(n + 1):
+            assert ([verify._combination(n, size, i) for i in range(math.comb(n, size))]
+                    == list(itertools.combinations(range(n), size))), (n, size)
+
+
+def test_key_table_terms_decode_to_the_state_keys_in_term_order():
+    # the benchmark's tracer reads a swept state's keys through this property
+    rng = random.Random(4)
+    for q in (2, 4, 5, 9):
+        keys = [tuple(rng.randrange(q) for _ in range(4)) for _ in range(30)]
+        state = SparseState(4, gf(q), {key: Cyclotomic.integer(q, 1) for key in keys})
+        assert list(verify.KeyTable.of(state).terms) == list(state.terms)
+        assert list(state.terms) != sorted(state.terms)  # term order, not sorted order

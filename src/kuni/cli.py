@@ -47,7 +47,7 @@ EXIT_SAMPLED = 2
 EXIT_USAGE = 64
 
 
-def _digest(path: str) -> str:
+def _digest(data: bytes) -> str:
     # the interpreter's built-in SHA-256; hashlib would map OpenSSL's libcrypto
     try:
         from _sha256 import sha256
@@ -56,31 +56,51 @@ def _digest(path: str) -> str:
             from _sha2 import sha256  # Python 3.12+
         except ImportError:
             from hashlib import sha256
-    return sha256(Path(path).read_bytes()).hexdigest()
+    return sha256(data).hexdigest()
 
 
-def _manifest(args, inputs=()):
-    return {
+# every input is read once, and its manifest digest is of the bytes read,
+# so a pipe or a FIFO is read and digested like a regular file
+def _read(args, path: str) -> str:
+    data = Path(path).read_bytes()
+    args._inputs[path] = _digest(data)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # a file that is not text is malformed
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+# every output file is written here: a FIFO or a device is written through; a
+# regular file, or a symlink's target, is replaced whole by a finished .tmp
+# file beside it, so a failed write leaves the old file as it was
+def _write(out: str, chunks) -> None:
+    through = os.path.exists(out) and not os.path.isfile(out)
+    dest = os.path.realpath(out)
+    tmp = out if through else dest + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        if not through:
+            os.replace(tmp, dest)
+    except BaseException:  # leave neither a partial file nor a clobbered one
+        if not through and os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _emit_json(args, key: str, result) -> None:
+    # the run manifest's inputs are the digests of every file this run read
+    import json
+
+    manifest = {
         "tool": "kuni",
         "version": __version__,
         "command": args._command_line,
         "seed": getattr(args, "seed", None),
         "caps": {"max_terms": max_terms()},
-        "inputs": {p: _digest(p) for p in inputs},
+        "inputs": args._inputs,
     }
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:  # a file that is not text is malformed
-        raise FormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-
-
-def _emit_json(payload: dict) -> None:
-    import json
-
-    print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+    print(json.dumps({"manifest": manifest, key: result}, indent=2, sort_keys=True, default=str))
 
 
 # --- construct --------------------------------------------------------------
@@ -97,45 +117,36 @@ def cmd_construct(args) -> int:
         for flag, path in (("--g", args.g), ("--q-matrix", args.q_matrix)):
             if path is None:
                 raise KuniError(f"clq-rep needs {flag} FILE")
-        G = parse_matrix(_read(args.g))
-        Q = parse_qmatrix(_read(args.q_matrix))
+        G = parse_matrix(_read(args, args.g))
+        Q = parse_qmatrix(_read(args, args.q_matrix))
         state = repetition_fibred(G, Q)
     else:
         obj = builtin_state(args.name, q=args.q, n=args.n, l=args.l, m=args.m)
         if isinstance(obj, tuple):
+            if args.output:
+                raise KuniError(f"{args.name} writes matrices: -o does not apply, "
+                                "use --emit-g and --emit-q")
             G, Q = obj
-            g_path = args.emit_g or "g.txt"
-            q_path = args.emit_q or "q.txt"
-            Path(g_path).write_text(format_matrix(G))
-            Path(q_path).write_text(format_qmatrix(Q))
+            g_path, q_path = args.emit_g or "g.txt", args.emit_q or "q.txt"
+            _write(g_path, [format_matrix(G)])
+            _write(q_path, [format_qmatrix(Q)])
             print(f"wrote generator to {g_path} and label columns to {q_path}")
             return EXIT_OK
         state = obj
+    for flag, path in (("--emit-g", args.emit_g), ("--emit-q", args.emit_q)):
+        if path is not None:
+            raise KuniError(f"{flag} applies only to a matrix built-in; a state goes to -o")
     out = args.output or "out.state"
-    # every state streams its text in sorted order; a fibred state's chunks()
-    # checks the term cap before the file is opened
-    chunks = state.chunks()
-    # a FIFO or a device is written through; a regular file, or a symlink's
-    # target, is replaced whole by a finished .tmp file beside it
-    through = os.path.exists(out) and not os.path.isfile(out)
-    dest = os.path.realpath(out)
-    tmp = out if through else dest + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.writelines(chunks)
-        if not through:
-            os.replace(tmp, dest)
-    except BaseException:  # leave neither a partial file nor a clobbered one
-        if not through and os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    # every state streams its text in sorted order; its chunks() checks the
+    # term cap before the file is opened
+    _write(out, state.chunks())
     print(f"wrote {state.n}-party state over GF({state.q}), support {state.support}, to {out}")
     return EXIT_OK
 
 
 def _load_code(args) -> LinearCode:
     if args.code:
-        return parse_code(_read(args.code))
+        return parse_code(_read(args, args.code))
     if args.n is None or args.k is None or args.q is None:
         raise KuniError("need --code FILE or all of --n/--k/--q")
     return mds_from_singleton(args.n, args.k, gf(args.q))
@@ -146,7 +157,7 @@ def _load_code(args) -> LinearCode:
 def cmd_verify(args) -> int:
     # the sweep reads only the key table: the text, its lines and the
     # checker's state are gone once it is built
-    n, spec, terms = read_state(_read(args.state))
+    n, spec, terms = read_state(_read(args, args.state))
     first = next(terms, None)  # before the table, which is sized by n
     if first is None:
         raise FormatError(f"{args.state} has no nonzero term: the zero vector is not a state")
@@ -169,7 +180,7 @@ def cmd_verify(args) -> int:
     else:
         exit_code, verdict = EXIT_SAMPLED, "sampled (non-certifying)"
     if args.json:
-        _emit_json({"manifest": _manifest(args, [args.state]), "uniformity": result})
+        _emit_json(args, "uniformity", result)
     else:
         print(f"uniformity k = {report.max_verified_k} [{verdict}] "
               f"for {report.n}-party state over GF({report.q})")
@@ -183,8 +194,8 @@ def cmd_verify(args) -> int:
 # --- certify ----------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    G = parse_matrix(_read(args.g))
-    Q = parse_qmatrix(_read(args.q_matrix))
+    G = parse_matrix(_read(args, args.g))
+    Q = parse_qmatrix(_read(args, args.q_matrix))
     cert = certify_ame_via_codes(G, Q)
     result = {
         "claim": cert.claim,
@@ -198,7 +209,7 @@ def cmd_certify(args) -> int:
         "labels_onto": cert.labels_onto,
     }
     if args.json:
-        _emit_json({"manifest": _manifest(args, [args.g, args.q_matrix]), "certificate": result})
+        _emit_json(args, "certificate", result)
     elif cert.all_pass:
         print(f"certificate PASSED: {cert.claim} "
               f"({cert.parent_checks} parent + {cert.kernel_checks} kernel rank checks)")
@@ -217,10 +228,9 @@ def cmd_decompose(args) -> int:
         budget = {} if args.budget is None else {"budget": args.budget}
         Q = search_Q(G, seed=args.seed, **budget)
     cert = certify_ame_via_codes(G, Q)
-    if args.emit_g:
-        Path(args.emit_g).write_text(format_matrix(G))
-    if args.emit_q:
-        Path(args.emit_q).write_text(format_qmatrix(Q))
+    for path, text in ((args.emit_g, format_matrix(G)), (args.emit_q, format_qmatrix(Q))):
+        if path:
+            _write(path, [text])
     result = {
         "q": args.q,
         "claim": cert.claim,
@@ -230,7 +240,7 @@ def cmd_decompose(args) -> int:
         "q2": list(Q.q2),
     }
     if args.json:
-        _emit_json({"manifest": _manifest(args), "decomposition": result})
+        _emit_json(args, "decomposition", result)
     else:
         print(f"GF({args.q}): G is {G.rows}x{G.cols}, Q1 = {list(Q.q1)}, Q2 = {list(Q.q2)}")
         print(f"certificate: {cert.claim or 'FAILED'}")
@@ -244,12 +254,12 @@ def cmd_codes(args) -> int:
         code = mds_from_singleton(args.n, args.k, gf(args.q))
         text = format_code(code)
         if args.output:
-            Path(args.output).write_text(text)
+            _write(args.output, [text])
             print(f"wrote MDS [{code.n},{code.k}]_{code.q} code to {args.output}")
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    code = parse_code(_read(args.file))
+    code = parse_code(_read(args, args.file))
     if args.codes_mode == "check":
         cert = is_mds(code, method=args.method)
         d = code.cached_distance
@@ -260,7 +270,7 @@ def cmd_codes(args) -> int:
             "distance": d,
         }
         if args.json:
-            _emit_json({"manifest": _manifest(args, [args.file]), "mds": result})
+            _emit_json(args, "mds", result)
         else:
             verdict = "MDS" if cert.is_mds else f"not MDS (witness: {cert.witness})"
             print(f"[{code.n},{code.k}]_{code.q}: {verdict} "
@@ -334,7 +344,7 @@ def cmd_table1(args) -> int:
                 sampled_any = True
         rows.append(row)
     if args.json:
-        _emit_json({"manifest": _manifest(args), "table1": rows})
+        _emit_json(args, "table1", rows)
     else:
         for row in rows:
             line = (f"k={row['k']} n={row['n']:2d}  Cl {row['cl']:>7} + {row['seed']:<4} "
@@ -444,7 +454,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    args._command_line = ["kuni"] + argv
+    # the manifest's command, and each input path's SHA-256 as _read adds it
+    args._command_line, args._inputs = ["kuni"] + argv, {}
     try:
         max_terms()  # an invalid KUNI_MAX_TERMS is a usage error for every command
         return args.func(args)

@@ -86,8 +86,14 @@ class SparseState:
     def chunks(self):
         """The text of format_state(self), one line at a time in sorted key order:
         one line template per distinct coefficient vector, filled with each key."""
+        # both checks are made here, when called, before a line is asked for
         if self.n < 1:  # parse_state reads only states of at least one party
             raise ShapeMismatch(f"a state file needs at least one party, state has {self.n}")
+        if self.support > max_terms():
+            raise TooLarge(f"support {self.support} exceeds the term cap")
+        return self._lines()
+
+    def _lines(self):
         yield f"STATE {self.n} {self.q}\n"
         head = " ".join(["%d"] * self.n) + " : "
         templates = {}
@@ -171,10 +177,11 @@ class FibredState:
             raise LayoutMismatch(f"types {types!r} (X or Z) for a {seed.n}-party seed")
         if not G.spec == W.spec == seed.spec:
             raise SpecMismatch("code and seed live over different fields")
-        self.R, rank, pivots = matrix_rref(G.hstack(W))
+        R, rank, pivots = matrix_rref(G.hstack(W))
         if rank != G.rows or any(c >= G.cols for c in pivots):
             raise RankDeficient(f"generator {G.rows}x{G.cols} is not full row rank")
         self.G, self.W, self.seed, self.types = G, W, seed, types
+        self._code = LinearCode(R)  # R's words, walked by every _words()
         self.x_sites = [j for j, t in enumerate(types) if t == "X"]
         self.z_sites = [j for j, t in enumerate(types) if t == "Z"]
 
@@ -199,7 +206,7 @@ class FibredState:
         if self.support > max_terms():
             raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
                            f"{self.seed.support} exceeds the term cap")
-        return enumerate_codewords(LinearCode(self.R))
+        return enumerate_codewords(self._code)
 
     # A word's label word[G.cols:] acts on the seed through its exponents at
     # the X sites (ex) and at the Z sites (ez).

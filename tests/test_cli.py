@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -507,11 +508,11 @@ def _run_under_memory_limit(*argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def _run_process(*argv, cwd=None, timeout=120):
+def _run_process(*argv, cwd=None, timeout=120, pass_fds=()):
     """A fresh interpreter running `argv`, with kuni importable."""
     env = dict(os.environ, PYTHONPATH=str(Path(kuni.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
-                          cwd=cwd, timeout=timeout)
+                          cwd=cwd, timeout=timeout, pass_fds=pass_fds)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux statm")
@@ -597,6 +598,148 @@ def test_failed_construct_keeps_an_existing_output(monkeypatch, tmp_path, capsys
     assert list(tmp_path.iterdir()) == [out]  # no partial file beside it
 
 
+def test_matrix_builtin_refuses_an_output_file(tmp_path):
+    # -o names a state file; the matrices go to --emit-g and --emit-q, and
+    # nothing is written, not even their g.txt and q.txt defaults
+    proc = _run_process("-m", "kuni.cli", "construct", "builtin", "--name", "ame_19_17_matrices",
+                        "-o", "x.state", cwd=tmp_path)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "-o" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["from-code", "--n", "4", "--k", "2", "--q", "5", "--emit-g", "x.txt"],
+    ["clq", "--n", "4", "--k", "2", "--q", "5", "--emit-q", "x.txt"],
+    ["builtin", "--name", "ghz", "--n", "3", "--q", "3", "--emit-g", "x.txt"],
+])
+def test_a_state_refuses_matrix_outputs(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "construct", *argv, "-o", "y.state")
+    assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+    assert argv[-2] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_term_cap_bounds_builtin_states(monkeypatch, tmp_path, capsys):
+    # a built-in SparseState is capped like a fibred one, before the file is opened
+    monkeypatch.setenv("KUNI_MAX_TERMS", "5")
+    out = tmp_path / "g.state"
+    for argv in (["--name", "ghz", "--n", "3", "--q", "7"],
+                 ["--name", "bell", "--q", "7", "--l", "0", "--m", "0"],
+                 ["--name", "ame_5_q", "--q", "3"]):
+        code, stdout, err = run(capsys, "construct", "builtin", *argv, "-o", str(out))
+        assert code == EXIT_USAGE and stdout == "" and "term cap" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Runs the CLI with every file it writes capped at argv[1] bytes (RLIMIT_FSIZE),
+# set in the child only; Python ignores SIGXFSZ, so a write past the cap
+# raises OSError.
+_UNDER_FILE_SIZE_LIMIT = """
+import resource, sys
+from kuni.cli import main
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("limit, argv", [
+    (53, ["codes", "mds", "--n", "6", "--k", "3", "--q", "17", "-o", "old.txt"]),
+    (24, ["decompose", "--q", "7", "--emit-g", "old.txt"]),
+    (24, ["construct", "builtin", "--name", "ame_19_17_matrices", "--emit-g", "old.txt",
+          "--emit-q", "q.txt"]),
+    (24, ["construct", "builtin", "--name", "ame_19_17_matrices", "--emit-g", os.devnull,
+          "--emit-q", "old.txt"]),
+])
+def test_a_failed_write_keeps_the_old_file(monkeypatch, tmp_path, limit, argv):
+    # a truncated code or matrix would read as a refuted one; the old file
+    # stays whole and no .tmp is left beside it
+    pytest.importorskip("resource")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for name in ("old.txt", "q.txt"):
+        (tmp_path / name).write_text("an earlier run\n")
+    proc = _run_process("-c", _UNDER_FILE_SIZE_LIMIT, str(limit), *argv, cwd=tmp_path)
+    assert proc.returncode == EXIT_USAGE and proc.stderr.startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt", "q.txt"]
+    assert all(p.read_text() == "an earlier run\n" for p in tmp_path.iterdir())
+
+
+def _ame53(tmp_path, capsys) -> bytes:
+    path = tmp_path / "ame.state"
+    assert run(capsys, "construct", "builtin", "--name", "ame_5_q", "--q", "3",
+               "-o", str(path))[0] == EXIT_OK
+    return path.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_verify_reads_a_fifo_once(tmp_path, capsys):
+    # the writer writes the file once: a second open of the FIFO would wait
+    # for a writer that never comes
+    data = _ame53(tmp_path, capsys)
+    fifo = tmp_path / "ame.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()  # its open returns once the reader has opened the FIFO
+    proc = _run_process("-m", "kuni.cli", "verify", str(fifo), "--json", timeout=20)
+    writer.join(5)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert not writer.is_alive()
+    doc = json.loads(proc.stdout)
+    assert doc["manifest"]["inputs"] == {str(fifo): hashlib.sha256(data).hexdigest()}
+    code, out, _ = run(capsys, "verify", str(tmp_path / "ame.state"), "--json")
+    assert code == EXIT_OK and json.loads(out)["uniformity"] == doc["uniformity"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_verify_digests_the_bytes_of_a_pipe(tmp_path, capsys):
+    # /dev/fd/N of a drained pipe reads as empty; the digest is of the bytes read
+    data = _ame53(tmp_path, capsys)
+    r, w = os.pipe()
+    try:
+        os.write(w, data)  # far below the pipe's buffer
+        os.close(w)
+        proc = _run_process("-m", "kuni.cli", "verify", f"/dev/fd/{r}", "--json",
+                            timeout=60, pass_fds=(r,))
+    finally:
+        os.close(r)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    inputs = json.loads(proc.stdout)["manifest"]["inputs"]
+    assert inputs == {f"/dev/fd/{r}": hashlib.sha256(data).hexdigest()}
+
+
+def test_crlf_inputs_give_the_lf_documents(monkeypatch, tmp_path, capsys):
+    # the parsers split lines themselves, so only the input digests differ
+    monkeypatch.chdir(tmp_path)
+    files = {"ame.state": _ame53(tmp_path, capsys)}
+    run(capsys, "decompose", "--q", "5", "--emit-g", "g.txt", "--emit-q", "q.txt")
+    run(capsys, "codes", "mds", "--n", "6", "--k", "3", "--q", "7", "-o", "c.txt")
+    files.update((name, Path(name).read_bytes()) for name in ("g.txt", "q.txt", "c.txt"))
+    for sub, newline in (("lf", b"\n"), ("crlf", b"\r\n")):
+        (tmp_path / sub).mkdir()
+        for name, data in files.items():
+            (tmp_path / sub / name).write_bytes(data.replace(b"\n", newline))
+    for argv in (["verify", "ame.state", "--json"],
+                 ["certify", "--g", "g.txt", "--q-matrix", "q.txt", "--json"],
+                 ["codes", "check", "c.txt", "--json"],
+                 ["construct", "clq-rep", "--g", "g.txt", "--q-matrix", "q.txt", "-o", "s.state"]):
+        results = []
+        for sub in ("lf", "crlf"):
+            monkeypatch.chdir(tmp_path / sub)
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_OK, err
+            if "--json" in argv:
+                out = json.loads(out)
+                inputs = out["manifest"].pop("inputs")
+                assert inputs == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                                  for p in argv if p in files}
+            results.append(out)
+        assert results[0] == results[1]
+    assert (tmp_path / "lf" / "s.state").read_bytes() == (tmp_path / "crlf" / "s.state").read_bytes()
+
+
 def test_sweeps_build_no_sparse_state(monkeypatch, tmp_path, capsys):
     # verify builds its key table from the checked lines of the file, and
     # table1 --verify from the terms of the row's fibred state; only the
@@ -630,12 +773,9 @@ def test_sweeps_build_no_sparse_state(monkeypatch, tmp_path, capsys):
         built.clear()
 
 
-def test_digest_is_sha256(tmp_path):
-    for name, data in (("empty", b""), ("small", b"STATE 1 2\n0 : 1 0\n"),
-                       ("large", bytes(range(256)) * 4096)):
-        path = tmp_path / name
-        path.write_bytes(data)
-        assert _digest(str(path)) == hashlib.sha256(data).hexdigest()
+def test_digest_is_sha256():
+    for data in (b"", b"STATE 1 2\n0 : 1 0\n", bytes(range(256)) * 4096):
+        assert _digest(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_construct_streams_without_materializing(monkeypatch, tmp_path, capsys):

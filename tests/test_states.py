@@ -553,6 +553,33 @@ def test_fibred_state_rejects_mixed_fields():
         FibredState(G, FFMatrix.identity(gf(5), 2), ghz(2, gf(3)), "ZX")
 
 
+def test_fibred_state_eliminates_once(monkeypatch):
+    # [G | W] is eliminated at construction; its walks read the kept code
+    import kuni.field
+
+    calls = []
+    original = kuni.field._rref_data
+
+    def counted(spec, data):
+        calls.append(len(data))
+        return original(spec, data)
+
+    fib = repetition_fibred(*construct_G_Q(gf(5)))
+    monkeypatch.setattr(kuni.field, "_rref_data", counted)
+    assert sum(1 for _ in fib.terms()) == fib.support
+    assert "".join(fib.chunks()) == format_state(fib.materialize())
+    assert calls == []
+
+
+def test_sparse_state_chunks_check_before_the_first_line(monkeypatch):
+    monkeypatch.setenv("KUNI_MAX_TERMS", "5")
+    with pytest.raises(TooLarge, match="exceeds the term cap"):
+        ghz(3, gf(7)).chunks()  # 7 terms, refused before a line is asked for
+    with pytest.raises(ShapeMismatch):
+        SparseState(0, gf(3), {(): Cyclotomic.integer(3, 1)}).chunks()
+    assert "".join(ghz(3, gf(5)).chunks()).startswith("STATE 3 5\n")
+
+
 def test_fibred_state_rejects_mismatched_types():
     sp = gf(3)
     G = FFMatrix(sp, [[1, 1, 1]])

@@ -70,21 +70,33 @@ def _read(args, path: str) -> str:
         raise FormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-# every output file is written here: a FIFO or a device is written through; a
-# regular file, or a symlink's target, is replaced whole by a finished .tmp
-# file beside it, so a failed write leaves the old file as it was
-def _write(out: str, chunks) -> None:
-    through = os.path.exists(out) and not os.path.isfile(out)
-    dest = os.path.realpath(out)
-    tmp = out if through else dest + ".tmp"
+# every (path, chunks) output of one command is written here: a FIFO or a
+# device is written through; a regular file, or a symlink's target, is
+# written to a .tmp file beside it, and the .tmp files replace their files
+# only once every write has finished, so a failed run leaves each old file
+# as it was and a pair is never half replaced
+def _write(*outputs) -> None:
+    staged = {}  # .tmp -> the file it replaces
     try:
-        with open(tmp, "w") as fh:
-            fh.writelines(chunks)
-        if not through:
+        for out, chunks in outputs:
+            through = os.path.exists(out) and not os.path.isfile(out)
+            dest = os.path.realpath(out)
+            tmp = out if through else dest + ".tmp"
+            try:
+                with open(tmp, "w") as fh:
+                    if not through:
+                        staged[tmp] = dest
+                    fh.writelines(chunks)
+            except OSError as exc:  # name the path the user gave, not its .tmp
+                if exc.filename == tmp:  # an OSError without a filename keeps none
+                    exc.filename = out
+                raise
+        for tmp, dest in staged.items():
             os.replace(tmp, dest)
     except BaseException:  # leave neither a partial file nor a clobbered one
-        if not through and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -128,8 +140,7 @@ def cmd_construct(args) -> int:
                                 "use --emit-g and --emit-q")
             G, Q = obj
             g_path, q_path = args.emit_g or "g.txt", args.emit_q or "q.txt"
-            _write(g_path, [format_matrix(G)])
-            _write(q_path, [format_qmatrix(Q)])
+            _write((g_path, [format_matrix(G)]), (q_path, [format_qmatrix(Q)]))
             print(f"wrote generator to {g_path} and label columns to {q_path}")
             return EXIT_OK
         state = obj
@@ -139,7 +150,7 @@ def cmd_construct(args) -> int:
     out = args.output or "out.state"
     # every state streams its text in sorted order; its chunks() checks the
     # term cap before the file is opened
-    _write(out, state.chunks())
+    _write((out, state.chunks()))
     print(f"wrote {state.n}-party state over GF({state.q}), support {state.support}, to {out}")
     return EXIT_OK
 
@@ -173,12 +184,8 @@ def cmd_verify(args) -> int:
         "first_failure": report.first_failure,
         "support": table.size,
     }
-    if report.max_verified_k < report.k_target:
-        exit_code, verdict = EXIT_REFUTED, "refuted"
-    elif report.certifying:
-        exit_code, verdict = EXIT_OK, "certified"
-    else:
-        exit_code, verdict = EXIT_SAMPLED, "sampled (non-certifying)"
+    exit_code = _outcome(report)  # 0, 1 or 2: EXIT_OK, EXIT_REFUTED or EXIT_SAMPLED
+    verdict = ("certified", "refuted", "sampled (non-certifying)")[exit_code]
     if args.json:
         _emit_json(args, "uniformity", result)
     else:
@@ -189,6 +196,15 @@ def cmd_verify(args) -> int:
         if report.first_failure:
             print(f"  first failure: {report.first_failure}")
     return exit_code
+
+
+# the one rule from a sweep to its exit code, for verify and for each Table 1
+# row: refuted if it stopped short of its target, else certified if it was
+# exhaustive and non-certifying if it was sampled
+def _outcome(report) -> int:
+    if report.max_verified_k < report.k_target:
+        return EXIT_REFUTED
+    return EXIT_OK if report.certifying else EXIT_SAMPLED
 
 
 # --- certify ----------------------------------------------------------------
@@ -228,9 +244,8 @@ def cmd_decompose(args) -> int:
         budget = {} if args.budget is None else {"budget": args.budget}
         Q = search_Q(G, seed=args.seed, **budget)
     cert = certify_ame_via_codes(G, Q)
-    for path, text in ((args.emit_g, format_matrix(G)), (args.emit_q, format_qmatrix(Q))):
-        if path:
-            _write(path, [text])
+    _write(*((path, [text]) for path, text in ((args.emit_g, format_matrix(G)),
+                                               (args.emit_q, format_qmatrix(Q))) if path))
     result = {
         "q": args.q,
         "claim": cert.claim,
@@ -254,7 +269,7 @@ def cmd_codes(args) -> int:
         code = mds_from_singleton(args.n, args.k, gf(args.q))
         text = format_code(code)
         if args.output:
-            _write(args.output, [text])
+            _write((args.output, [text]))
             print(f"wrote MDS [{code.n},{code.k}]_{code.q} code to {args.output}")
         else:
             sys.stdout.write(text)
@@ -326,8 +341,7 @@ def _min_q_mds(n: int, k: int) -> int:
 
 
 def cmd_table1(args) -> int:
-    rows = []
-    sampled_any = False
+    rows, outcomes = [], []
     for (k, n), ((n_cl, k_cl), seed_kind) in sorted(_TABLE1_ROWS.items()):
         if not (args.n_min <= n <= args.n_max and (args.k is None or k == args.k)):
             continue
@@ -337,11 +351,11 @@ def cmd_table1(args) -> int:
                "clq_min_q": q_clq, "mds_min_q": q_mds}
         if args.verify:
             try:
-                row.update(_table1_verify(n_cl, k_cl, seed_kind, q_clq, k, args.seed))
-            except KuniError as exc:
-                row.update({"verified_k": None, "mode": "skipped", "why": str(exc)})
-            if row.get("mode") == "sampled":
-                sampled_any = True
+                fields, outcome = _table1_verify(n_cl, k_cl, seed_kind, q_clq, k, args.seed)
+                outcomes.append(outcome)
+            except KuniError as exc:  # a skipped row does not set the exit code
+                fields = {"verified_k": None, "mode": "skipped", "why": str(exc)}
+            row.update(fields)
         rows.append(row)
     if args.json:
         _emit_json(args, "table1", rows)
@@ -352,7 +366,8 @@ def cmd_table1(args) -> int:
             if args.verify:
                 line += f"  [{row.get('mode')}: k={row.get('verified_k')}]"
             print(line)
-    return EXIT_SAMPLED if sampled_any else EXIT_OK
+    # the worst row: refuted over sampled over certified
+    return max(outcomes, key=(EXIT_OK, EXIT_SAMPLED, EXIT_REFUTED).index, default=EXIT_OK)
 
 
 def _table1_verify(n_cl, k_cl, seed_kind, q, k_target, seed):
@@ -364,7 +379,7 @@ def _table1_verify(n_cl, k_cl, seed_kind, q, k_target, seed):
     work = sum(math.comb(table.n, s) for s in range(1, k_target + 1)) * table.size
     rep = uniformity(table, k_max=k_target, sample=None if work <= _EXHAUSTIVE_WORK_CAP else 10,
                      seed=0 if seed is None else seed)
-    return {"verified_k": rep.max_verified_k, "mode": rep.mode, "support": table.size}
+    return dict(verified_k=rep.max_verified_k, mode=rep.mode, support=table.size), _outcome(rep)
 
 
 # --- parser -----------------------------------------------------------------

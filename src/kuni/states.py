@@ -20,7 +20,7 @@ from operator import getitem
 
 from .codes import LinearCode, dual_code, enumerate_codewords
 from .cyclotomic import Cyclotomic
-from .decomposition import QMatrix, construct_G_Q, shifted_identity_block, verify_decomposition
+from .decomposition import QMatrix, construct_G_Q, verify_decomposition
 from .errors import (
     CertificationMissing,
     FormatError,
@@ -471,42 +471,13 @@ _BUILTINS = {
 
 
 def ame_19_17_matrices():
-    """Hard-coded 9x17 generator and label columns for AME(19,17)."""
-    spec = gf(17)
-    A_rows = [
-        [1, 1, 1, 1, 1, 1, 1, 1, 1],
-        [1, 8, 2, 15, 7, 4, 6, 5, 9],
-        [1, 2, 15, 7, 4, 6, 5, 9, 13],
-        [1, 15, 7, 4, 6, 5, 9, 13, 12],
-        [1, 7, 4, 6, 5, 9, 13, 12, 14],
-        [1, 4, 6, 5, 9, 13, 12, 14, 11],
-        [1, 6, 5, 9, 13, 12, 14, 11, 3],
-        [1, 5, 9, 13, 12, 14, 11, 3, 16],
-        [1, 9, 13, 12, 14, 11, 3, 16, 10],
-    ]
-    G = shifted_identity_block(FFMatrix(spec, A_rows))
-    Q = QMatrix(spec, (1, 13, 12, 14, 11, 3, 16, 10, 0), (0,) * 8 + (1,))
-    return G, Q
+    """The 9x17 generator and label columns for AME(19,17)."""
+    return construct_G_Q(gf(17))
 
 
 def ame_21_19_matrices():
-    """Hard-coded 10x19 generator and label columns for AME(21,19)."""
-    spec = gf(19)
-    A_rows = [
-        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
-        [1, 18, 6, 8, 5, 11, 3, 16, 7, 10],
-        [1, 6, 8, 5, 11, 3, 16, 7, 10, 13],
-        [1, 8, 5, 11, 3, 16, 7, 10, 13, 4],
-        [1, 5, 11, 3, 16, 7, 10, 13, 4, 17],
-        [1, 11, 3, 16, 7, 10, 13, 4, 17, 9],
-        [1, 3, 16, 7, 10, 13, 4, 17, 9, 15],
-        [1, 16, 7, 10, 13, 4, 17, 9, 15, 12],
-        [1, 7, 10, 13, 4, 17, 9, 15, 12, 14],
-        [1, 10, 13, 4, 17, 9, 15, 12, 14, 2],
-    ]
-    G = shifted_identity_block(FFMatrix(spec, A_rows))
-    Q = QMatrix(spec, (1, 13, 4, 17, 9, 15, 12, 14, 2, 0), (0,) * 9 + (1,))
-    return G, Q
+    """The 10x19 generator and label columns for AME(21,19)."""
+    return construct_G_Q(gf(19))
 
 
 # --- state file format ------------------------------------------------------

@@ -287,6 +287,24 @@ def test_table1_large_row_is_sampled_not_certified(capsys):
     assert "[sampled: k=3]" in out
 
 
+def test_table1_exits_refuted_on_a_refuted_row(monkeypatch, capsys):
+    # a [3,2] code over GF(2) that is not MDS: its Cl+Q state stops at k = 1,
+    # which is a refuted row, not a certified one
+    import kuni.cli
+
+    real = kuni.cli.mds_from_singleton
+
+    def non_mds(n, k, spec):
+        if (n, k, spec.q) == (3, 2, 2):
+            return LinearCode(FFMatrix(spec, [[1, 0, 0], [0, 1, 1]]))
+        return real(n, k, spec)
+
+    monkeypatch.setattr(kuni.cli, "mds_from_singleton", non_mds)
+    code, out, _ = run(capsys, "table1", "--n-max", "5", "--verify")
+    assert "[exhaustive: k=1]" in out
+    assert code == EXIT_REFUTED
+
+
 def test_table1_json_reproducible(capsys):
     args = ("table1", "--n-max", "6", "--json")
     _, first, _ = run(capsys, *args)
@@ -665,6 +683,22 @@ def test_a_failed_write_keeps_the_old_file(monkeypatch, tmp_path, limit, argv):
     assert "Traceback" not in proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt", "q.txt"]
     assert all(p.read_text() == "an earlier run\n" for p in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--q", "7"],
+    ["construct", "builtin", "--name", "ame_19_17_matrices"],
+])
+def test_a_failed_pair_write_keeps_the_old_pair(monkeypatch, tmp_path, capsys, argv):
+    # the second file of a pair cannot be written: the first is not replaced,
+    # so the two files still hold one pair over one field
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "decompose", "--q", "5", "--emit-g", "g.txt", "--emit-q", "q.txt")[0] == 0
+    old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, err = run(capsys, *argv, "--emit-g", "g.txt", "--emit-q", "nodir/q.txt")
+    assert code == EXIT_USAGE and err.startswith("error:")
+    assert "nodir/q.txt" in err and ".tmp" not in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old  # and no .tmp
 
 
 def _ame53(tmp_path, capsys) -> bytes:

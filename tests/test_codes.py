@@ -26,7 +26,7 @@ from kuni.codes import (
     walk_minors,
 )
 from kuni.decomposition import kernel_subcode
-from kuni.errors import FormatError, OutOfRange, RankDeficient, RankDrop
+from kuni.errors import FormatError, OutOfRange, RankDeficient, RankDrop, TooLarge
 from kuni.field import FFMatrix, gf, matrix_rank, rank_of_rows
 from kuni.states import ame_19_17_matrices, ame_21_19_matrices
 
@@ -491,6 +491,20 @@ def test_puncture_rank_drop():
     code = LinearCode(FFMatrix(gf(2), [[1, 0, 0], [0, 1, 1]]))
     with pytest.raises(RankDrop):
         puncture(code, 0)
+
+
+def test_mds_exists_rejects_degenerate_parameters():
+    for n in (0, 1):
+        assert not any(mds_exists(n, k, 5) for k in range(-1, 3))
+    assert not mds_exists(4, 0, 5) and not mds_exists(4, 5, 5) and not mds_exists(4, -1, 5)
+
+
+def test_codeword_set_refuses_past_the_enumeration_cap():
+    # the [11,10]_7 parity code: 7^10 words
+    code = LinearCode(FFMatrix.identity(gf(7), 10).hstack(FFMatrix(gf(7), [[1]] * 10)))
+    assert (code.n, code.k) == (11, 10) and 7 ** 10 > MAX_ENUM_CODEWORDS
+    with pytest.raises(TooLarge):
+        code.codeword_set()
 
 
 def test_mds_exists_intervals():

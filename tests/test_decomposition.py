@@ -34,6 +34,7 @@ from kuni.errors import (
     OutOfRange,
     ShapeMismatch,
     SpecMismatch,
+    TooLarge,
 )
 from kuni.field import FFMatrix, format_matrix, gf, parse_matrix
 from kuni.states import FibredState, bell_pair, repetition_fibred
@@ -284,3 +285,30 @@ def test_qmatrix_format_roundtrip():
 def test_parse_qmatrix_rejects_wrong_width():
     with pytest.raises(FormatError):
         parse_qmatrix("1 3 5 1\n1 2 3\n")
+
+
+def test_kernel_subcode_needs_a_q_of_g_height():
+    G, Q = construct_G_Q(gf(7))
+    short = QMatrix(Q.spec, Q.q1[:-1], Q.q2[:-1])
+    with pytest.raises(BadKernelDimension):
+        kernel_subcode(G, short)
+
+
+def test_search_q_needs_room_for_a_rank_2_label_map():
+    # k = 2 leaves a kernel of dimension 0 at best; the search refuses at once
+    G = FFMatrix(gf(5), [[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(BadKernelDimension):
+        search_Q(G)
+    with pytest.raises(BadKernelDimension):
+        search_Q(FFMatrix(gf(5), [[1, 1, 1]]))
+
+
+def test_coset_partition_refuses_before_enumerating(monkeypatch):
+    import kuni.decomposition
+
+    def enumerate_nothing(code):
+        raise AssertionError("enumerated a code past the partition cap")
+
+    monkeypatch.setattr(kuni.decomposition, "enumerate_codewords", enumerate_nothing)
+    with pytest.raises(TooLarge):
+        coset_partition(*construct_G_Q(gf(17)))

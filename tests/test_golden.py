@@ -15,6 +15,8 @@ import hashlib
 import io
 from pathlib import Path
 
+import pytest
+
 from kuni.cli import main
 
 COMMANDS = [
@@ -54,6 +56,11 @@ COMMANDS = [
     ("construct", "builtin", "--name", "ghz", "--n", "3", "--q", "4", "-o", "ghz34.state"),
     ("construct", "builtin", "--name", "bell", "--q", "5", "--l", "1", "--m", "2",
      "-o", "bell5.state"),
+    # the matrix built-ins, pinned across their move onto construct_G_Q
+    ("construct", "builtin", "--name", "ame_19_17_matrices", "--emit-g", "g17.txt",
+     "--emit-q", "q17.txt"),
+    ("construct", "builtin", "--name", "ame_21_19_matrices", "--emit-g", "g19.txt",
+     "--emit-q", "q19.txt"),
 ]
 
 # label columns of rank 1 for the GF(7) pair: the certificate is refuted (exit 1)
@@ -127,6 +134,10 @@ GOLDEN_COMMANDS = {
         "aa7c45d4347b3aa447d47c01bebf52a0ef9461540883ba3c1358c4ca63dc1472",
     "construct builtin --name bell --q 5 --l 1 --m 2 -o bell5.state":
         "102f58bab4eed36eea7ef2203828200a2ae58d23f0abf424b38a0faf0a700377",
+    "construct builtin --name ame_19_17_matrices --emit-g g17.txt --emit-q q17.txt":
+        "499bfd27841992f0707dfdcc6164537bc816ff1e930cced5c6bd4c88e8b8bda9",
+    "construct builtin --name ame_21_19_matrices --emit-g g19.txt --emit-q q19.txt":
+        "f8a21c86645920782a746931efc62727bab1b5a4b1e9834dab255717136a9a13",
 }
 
 GOLDEN_FILES = {
@@ -139,9 +150,13 @@ GOLDEN_FILES = {
     "clq5.state": "68ad1fd867b1af7a15eb362f7276f122a848334fee38da3a0ed428da7bc115d2",
     "clq7dual.state": "63d7e66c54bdeff1c0f1a310d176f5e9e552aed84c4e7065d244e1483e8d81fb",
     "code8.state": "5d3a921e2738fe701e08de49e0ecf2439ba25634daec9553abcf885acb9a81fd",
+    "g17.txt": "62b572badf704871ff75d711c956d14f1f3c83b2c812cfb4a4763f97b125ac94",
+    "g19.txt": "3f02119096300e9a1bbe278288dcb3fe3ec655ee6a7abd7a8cf09199629fce9d",
     "g7.txt": "a3a72549f7f25fa878bbb3fec751cefa0adc209a8ef37166ba257a610450657f",
     "g9.txt": "5d565f4aff29045e6be6db16ee787e80e3c45f18d9407adcc98918ea12b3613e",
     "ghz34.state": "be54e2128f7d31d01667135b9106a2737eac433df0920a11db140e180c3655bf",
+    "q17.txt": "280a6bcddd38462112f94a64628c25e93456748e7261955e273e240931ddd40d",
+    "q19.txt": "a8c6019fb09cdca70b80c6f917fe61caa77d0b24c3b4434c2070b9ddbbe65532",
     "q7.txt": "cf41e53916b274e331e64b0bc20dafe298c3d10cf3b329b7f0b97c7d5b0ab957",
     "q7rank1.txt": "cb7c4b840cd4f0afd471d499cd6731247028b3c1f810ebdf8832d300dfd5e856",
     "q9.txt": "d445554b9f92c283a0b566f08f0256085c091f08e339c3ab32a332dc4e9590f5",
@@ -174,6 +189,16 @@ def test_golden_cli_outputs(tmp_path, monkeypatch):
     commands, files = run_commands()
     assert commands == GOLDEN_COMMANDS
     assert files == GOLDEN_FILES
+
+
+@pytest.mark.parametrize("name, q", [("ame_19_17_matrices", 17), ("ame_21_19_matrices", 19)])
+def test_matrix_builtins_write_the_decompose_pair(tmp_path, monkeypatch, capsys, name, q):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "builtin", "--name", name, "--emit-g", "bg.txt",
+                 "--emit-q", "bq.txt"]) == 0
+    assert main(["decompose", "--q", str(q), "--emit-g", "dg.txt", "--emit-q", "dq.txt"]) == 0
+    assert Path("bg.txt").read_bytes() == Path("dg.txt").read_bytes()
+    assert Path("bq.txt").read_bytes() == Path("dq.txt").read_bytes()
 
 
 if __name__ == "__main__":

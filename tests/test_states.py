@@ -7,7 +7,13 @@ import pytest
 
 from kuni.codes import LinearCode, dual_code, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic
-from kuni.decomposition import QMatrix, construct_G_Q, search_Q, verify_decomposition
+from kuni.decomposition import (
+    QMatrix,
+    construct_G_Q,
+    search_Q,
+    shifted_identity_block,
+    verify_decomposition,
+)
 from kuni.errors import (
     CertificationMissing,
     FormatError,
@@ -275,16 +281,46 @@ def test_builtin_state_dispatch():
         builtin_state("mystery")
 
 
+# the AME(19,17) and AME(21,19) pairs as literal tables: the free block A of
+# G = [I | A'] (shifted_identity_block) and the label columns (Q1, Q2)
+LITERAL_A_19_17 = [
+    [1, 1, 1, 1, 1, 1, 1, 1, 1],
+    [1, 8, 2, 15, 7, 4, 6, 5, 9],
+    [1, 2, 15, 7, 4, 6, 5, 9, 13],
+    [1, 15, 7, 4, 6, 5, 9, 13, 12],
+    [1, 7, 4, 6, 5, 9, 13, 12, 14],
+    [1, 4, 6, 5, 9, 13, 12, 14, 11],
+    [1, 6, 5, 9, 13, 12, 14, 11, 3],
+    [1, 5, 9, 13, 12, 14, 11, 3, 16],
+    [1, 9, 13, 12, 14, 11, 3, 16, 10],
+]
+LITERAL_Q_19_17 = ((1, 13, 12, 14, 11, 3, 16, 10, 0), (0,) * 8 + (1,))
+LITERAL_A_21_19 = [
+    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+    [1, 18, 6, 8, 5, 11, 3, 16, 7, 10],
+    [1, 6, 8, 5, 11, 3, 16, 7, 10, 13],
+    [1, 8, 5, 11, 3, 16, 7, 10, 13, 4],
+    [1, 5, 11, 3, 16, 7, 10, 13, 4, 17],
+    [1, 11, 3, 16, 7, 10, 13, 4, 17, 9],
+    [1, 3, 16, 7, 10, 13, 4, 17, 9, 15],
+    [1, 16, 7, 10, 13, 4, 17, 9, 15, 12],
+    [1, 7, 10, 13, 4, 17, 9, 15, 12, 14],
+    [1, 10, 13, 4, 17, 9, 15, 12, 14, 2],
+]
+LITERAL_Q_21_19 = ((1, 13, 4, 17, 9, 15, 12, 14, 2, 0), (0,) * 9 + (1,))
+
+
 def test_hardcoded_ame_matrices_shapes():
     G17, Q17 = ame_19_17_matrices()
     assert G17.rows == 9 and G17.cols == 17 and Q17.k == 9
     G19, Q19 = ame_21_19_matrices()
     assert G19.rows == 10 and G19.cols == 19 and Q19.k == 10
-    # they coincide with the closed-form assembly
-    G, Q = construct_G_Q(gf(17))
-    assert G == G17 and (Q.q1, Q.q2) == (Q17.q1, Q17.q2)
-    G, Q = construct_G_Q(gf(19))
-    assert G == G19 and (Q.q1, Q.q2) == (Q19.q1, Q19.q2)
+    # the closed-form assembly, which the built-ins return, is the literal pair
+    for q, A_rows, (q1, q2), (Gb, Qb) in ((17, LITERAL_A_19_17, LITERAL_Q_19_17, (G17, Q17)),
+                                          (19, LITERAL_A_21_19, LITERAL_Q_21_19, (G19, Q19))):
+        G, Q = construct_G_Q(gf(q))
+        assert G == shifted_identity_block(FFMatrix(gf(q), A_rows)) and (Q.q1, Q.q2) == (q1, q2)
+        assert G == Gb and (Q.q1, Q.q2) == (Qb.q1, Qb.q2)
 
 
 def test_term_cap_respected(monkeypatch):

@@ -61,6 +61,16 @@ COMMANDS = [
      "--emit-q", "q17.txt"),
     ("construct", "builtin", "--name", "ame_21_19_matrices", "--emit-g", "g19.txt",
      "--emit-q", "q19.txt"),
+    # the state writer on each regime: two states whose labels are not tabled but
+    # their X and Z parts are; a code state, whose one label is; a SparseState
+    # over an extension field with 9 distinct amplitudes; symbols above 255
+    ("construct", "builtin", "--name", "ame_5_q", "--q", "9", "-o", "ame59.state"),
+    ("construct", "clq", "--n", "6", "--k", "3", "--q", "7", "--seed-state", "ghz",
+     "-o", "clq7ghz.state"),
+    ("construct", "from-code", "--n", "9", "--k", "5", "--q", "8", "-o", "code98.state"),
+    ("construct", "builtin", "--name", "bell", "--q", "9", "--l", "2", "--m", "3",
+     "-o", "bell9.state"),
+    ("construct", "builtin", "--name", "ghz", "--n", "2", "--q", "257", "-o", "ghz257.state"),
 ]
 
 # label columns of rank 1 for the GF(7) pair: the certificate is refuted (exit 1)
@@ -138,22 +148,37 @@ GOLDEN_COMMANDS = {
         "499bfd27841992f0707dfdcc6164537bc816ff1e930cced5c6bd4c88e8b8bda9",
     "construct builtin --name ame_21_19_matrices --emit-g g19.txt --emit-q q19.txt":
         "f8a21c86645920782a746931efc62727bab1b5a4b1e9834dab255717136a9a13",
+    "construct builtin --name ame_5_q --q 9 -o ame59.state":
+        "86e28eccb143b6efab110ebe7a0701e806f0e7bf1e18e40c77e50892f26bce2c",
+    "construct clq --n 6 --k 3 --q 7 --seed-state ghz -o clq7ghz.state":
+        "06648faf8ed39ef107db31303106cd2b781711104d2e1c254df60552bedd88c5",
+    "construct from-code --n 9 --k 5 --q 8 -o code98.state":
+        "95793cde3ac58ca6aa12aea2b14420252b94e6c42473e354bb6e9d0a9691c1d0",
+    "construct builtin --name bell --q 9 --l 2 --m 3 -o bell9.state":
+        "ed5e4a2af9a47611443f91f40ec466181d47873676a2ee532b3adcebe923c0bd",
+    "construct builtin --name ghz --n 2 --q 257 -o ghz257.state":
+        "d797e34153c4ad964722977b1da8eb0e0ac0675599155392b8395d45e625faf7",
 }
 
 GOLDEN_FILES = {
     "ame53.state": "d40c19e6b23822ef4acea6a112559940292b498bfeff7add32a57170cf25a3e6",
+    "ame59.state": "2a39f3f6e34f5c173e4dca836573c64c0fd58b1c29658c356739211802d52d7d",
     "ame74.state": "d35ca2155537626b7dc10d55fa6e12a09f2c620c7071cedd8e13d4a694c0a2eb",
     "bad7.txt": "bc0f21624c921fd37fcd174794679d850ebceaf3ddd8b7524cf9b7642d52a6dc",
     "bell5.state": "0c5149803f7e2601a07da2ec2f6a459411a317913ac906978bced7ab6026a9f1",
+    "bell9.state": "48d6ed7154cb02d4ab53dfed3c3b1aff9789edceec45c7f8dca472083d3c8f5e",
     "c7.txt": "91a6978b9bd5e269bb0824d80f17fec3d57c81b9fd5a7a9da5b195dfe42e3e43",
     "c8.txt": "814ece10969aacc16e6f3e919605430080aad988e8db600a4fec042f9f26a9d9",
     "clq5.state": "68ad1fd867b1af7a15eb362f7276f122a848334fee38da3a0ed428da7bc115d2",
     "clq7dual.state": "63d7e66c54bdeff1c0f1a310d176f5e9e552aed84c4e7065d244e1483e8d81fb",
+    "clq7ghz.state": "28ca512960b8bc066bb13c57dfa2e4849200acec718dbf860145ad76e83598c2",
     "code8.state": "5d3a921e2738fe701e08de49e0ecf2439ba25634daec9553abcf885acb9a81fd",
+    "code98.state": "ba78fac0954a2a6f12f802852e22ee928f1c7994e7a15a5882e911b1befedb6a",
     "g17.txt": "62b572badf704871ff75d711c956d14f1f3c83b2c812cfb4a4763f97b125ac94",
     "g19.txt": "3f02119096300e9a1bbe278288dcb3fe3ec655ee6a7abd7a8cf09199629fce9d",
     "g7.txt": "a3a72549f7f25fa878bbb3fec751cefa0adc209a8ef37166ba257a610450657f",
     "g9.txt": "5d565f4aff29045e6be6db16ee787e80e3c45f18d9407adcc98918ea12b3613e",
+    "ghz257.state": "486e411ded7db535ba269fdfb79e9bcb0a8e67dd8339328c5dc3c356b7bd0718",
     "ghz34.state": "be54e2128f7d31d01667135b9106a2737eac433df0920a11db140e180c3655bf",
     "q17.txt": "280a6bcddd38462112f94a64628c25e93456748e7261955e273e240931ddd40d",
     "q19.txt": "a8c6019fb09cdca70b80c6f917fe61caa77d0b24c3b4434c2070b9ddbbe65532",

@@ -552,6 +552,64 @@ def test_streamed_file_without_tables_matches_formatter():
     assert streamed.splitlines() == text.splitlines() and streamed == text
 
 
+def _reference_fibred(G, W, seed, types):
+    """sum_v |vG> (x) M(vW)|seed>, one message at a time: M(e) applies
+    types[j]^(e_j) at seed site j through apply_weyl."""
+    sp, terms = G.spec, {}
+    for v in itertools.product(range(sp.q), repeat=G.rows):
+        e = W.row_vector_mul(v)
+        word = WeylWord(seed.n, z=tuple((j, a) for j, a in enumerate(e) if a and types[j] == "Z"),
+                        x=tuple((j, a) for j, a in enumerate(e) if a and types[j] == "X"))
+        for key, amp in apply_weyl(seed, word).terms.items():
+            terms[G.row_vector_mul(v) + key] = amp
+    return SparseState(G.cols + seed.n, sp, terms)
+
+
+def _fibred_cases():
+    """(G, W, seed, types) per tabling regime.  A label's block is tabled where
+    q^(seed sites) * s <= q^k, its X part where q^(X sites) * s <= q^k and its
+    Z part where q^(Z sites) * s <= q^k, for seed support s and k = G.rows."""
+    rng = random.Random(27)
+    g3, g4, g5 = gf(3), gf(4), gf(5)
+    parity3 = FFMatrix(g3, [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]])
+    G3 = FFMatrix(g3, [[1, 0, 1, 1], [0, 1, 1, 2]])
+    W3 = FFMatrix(g3, [[1, 0, 2], [2, 1, 1]])
+    g257 = gf(257)
+    seed257 = SparseState(1, g257, {(0,): one(257), (200,): Cyclotomic.root(257, 3, -2),
+                                    (256,): Cyclotomic.root(257, 250, 3)})
+    # block 27 <= 27, X 9 <= 27, Z 9 <= 27: everything tabled
+    yield "block", parity3, FFMatrix(g3, [[1, 2], [0, 1], [2, 2]]), bell_pair(g3), "XZ"
+    # block 125 > 25, X 25 <= 25, Z 25 <= 25: only the parts tabled
+    yield "parts", FFMatrix(g5, [[1, 0, 1], [0, 1, 1]]), FFMatrix.identity(g5, 2), \
+        bell_pair(g5), "XZ"
+    # block 81 > 9, X 9 <= 9, Z 27 > 9: only the X part tabled
+    yield "x_part", G3, W3, ghz(3, g3), "XZZ"
+    # block 81 > 9, Z 9 <= 9, X 27 > 9: only the Z part tabled
+    yield "z_part", G3, W3, ghz(3, g3), "ZXX"
+    # block 3125 > 5, X 625 > 5, Z 125 > 5: nothing tabled; several amplitude norms
+    yield "none", FFMatrix(g5, [[1, 2, 3, 4]]), FFMatrix(g5, [[1, 2, 3]]), \
+        _random_monomial_seed(rng, g5, 3, 2), "XZX"
+    # an X-only seed over GF(4): block and X 64 > 16, Z 4 <= 16
+    yield "x_seed", FFMatrix(g4, [[1, 0, 1], [0, 1, 1]]), FFMatrix(g4, [[1, 2], [3, 1]]), \
+        bell_pair(g4), "XX"
+    # a Z-only seed of several norms: block and Z 27 <= 27, X 3 <= 27
+    yield "z_seed", parity3, FFMatrix(g3, [[2, 1], [1, 1], [0, 2]]), \
+        _random_monomial_seed(rng, g3, 2, 1), "ZZ"
+    # a 0-party seed over GF(8): the one empty label, 1 <= 8^2, is tabled
+    code = mds_from_singleton(5, 2, gf(8))
+    yield "code", code.G, FFMatrix(code.spec, [[]] * 2), \
+        SparseState(0, code.spec, {(): one(8)}), ""
+    # symbols above 255: block and X 771 > 257, Z 3 <= 257; then the Z twin
+    yield "gf257_x", FFMatrix(g257, [[1, 3]]), FFMatrix(g257, [[5]]), seed257, "X"
+    yield "gf257_z", FFMatrix(g257, [[1, 3]]), FFMatrix(g257, [[5]]), seed257, "Z"
+
+
+@pytest.mark.parametrize("G, W, seed, types",
+                         [pytest.param(*case[1:], id=case[0]) for case in _fibred_cases()])
+def test_fibred_state_matches_per_message_oracle_on_every_table(G, W, seed, types):
+    _assert_same_state(FibredState(G, W, seed, types), _reference_fibred(G, W, seed, types))
+
+
 def test_chunks_checks_the_cap_before_any_text(monkeypatch):
     monkeypatch.setenv("KUNI_MAX_TERMS", "10")
     fib = builtin_state("ame_5_q", q=3)

@@ -10,6 +10,7 @@ all equality tests go through is_zero of a difference.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 from .errors import OrderMismatch
 
@@ -73,7 +74,7 @@ class Cyclotomic:
         if coeffs is None:
             self.coeffs = (0,) * order
         else:
-            coeffs = tuple(map(int, coeffs))
+            coeffs = tuple(map(index, coeffs))  # a float raises TypeError
             if len(coeffs) != order:
                 raise ValueError(f"need {order} coefficients, got {len(coeffs)}")
             self.coeffs = coeffs

@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import add, getitem, mod
+from operator import add, getitem, index, mod
 
 from .errors import (
     DivisionByZero,
     FormatError,
     NonPrimeP,
     NotSquare,
+    OutOfRange,
     ReducibleModulus,
     SpecMismatch,
     UnsupportedSize,
@@ -235,7 +236,10 @@ class FieldSpec:
     # -- elements -------------------------------------------------------------
 
     def element(self, r: int) -> "FieldElement":
-        return FieldElement(self, r % self.q if self.m == 1 else r)
+        """r mod p in a prime field; an extension field takes only a repr in [0, q)."""
+        if self.m > 1 and not 0 <= index(r) < self.q:
+            raise OutOfRange(f"repr {r} is not in [0, {self.q}) for {self!r}")
+        return FieldElement(self, index(r) % self.q)  # an int or a bool, never a float
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -329,7 +333,7 @@ class FieldElement:
     def __bool__(self):
         return self.repr != 0
 
-    def __int__(self):
+    def __index__(self):  # int(e) and every exact constructor read the repr
         return self.repr
 
     def __repr__(self):
@@ -360,7 +364,7 @@ class FFMatrix:
     def __init__(self, spec: FieldSpec, rows_data, cols: int = 0):
         """`cols` is the width of a matrix with no rows; rows set it otherwise."""
         self.spec = spec
-        self.data = [list(int(x) for x in row) for row in rows_data]
+        self.data = [list(map(index, row)) for row in rows_data]  # a float raises TypeError
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else cols
         for row in self.data:

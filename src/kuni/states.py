@@ -16,7 +16,6 @@ import io
 import itertools
 import os
 from functools import lru_cache
-from operator import getitem
 
 from .codes import LinearCode, dual_code, enumerate_codewords
 from .cyclotomic import Cyclotomic
@@ -84,25 +83,15 @@ class SparseState:
         return len(self.terms)
 
     def chunks(self):
-        """The text of format_state(self), one line at a time in sorted key order:
-        one line template per distinct coefficient vector, filled with each key."""
+        """The text of format_state(self), one line at a time in sorted key order."""
         # both checks are made here, when called, before a line is asked for
         if self.n < 1:  # parse_state reads only states of at least one party
             raise ShapeMismatch(f"a state file needs at least one party, state has {self.n}")
         if self.support > max_terms():
             raise TooLarge(f"support {self.support} exceeds the term cap")
-        return self._lines()
-
-    def _lines(self):
-        yield f"STATE {self.n} {self.q}\n"
-        head = " ".join(["%d"] * self.n) + " : "
-        templates = {}
-        for key in sorted(self.terms):
-            coeffs = self.terms[key].coeffs
-            fmt = templates.get(coeffs)
-            if fmt is None:
-                fmt = templates[coeffs] = head + " ".join(map(str, coeffs)) + "\n"
-            yield fmt % key
+        keys = sorted(self.terms)
+        return itertools.chain([f"STATE {self.n} {self.q}\n"],
+                               _lines(self.n, keys, map(self.terms.__getitem__, keys), {}))
 
     def equals(self, other: "SparseState") -> bool:
         """Exact equality of the unnormalized representations."""
@@ -220,30 +209,40 @@ class FibredState:
         perm = sorted(range(len(shifted)), key=shifted.__getitem__)
         return perm, [shifted[i] for i in perm]
 
-    def _phases(self, ez) -> list:
-        """Each seed term's power of w: sum int(e_j) * int(symbol) over the Z sites."""
-        return [sum(a * key[j] for j, a in zip(self.z_sites, ez)) % self.q
-                for key in self.seed.terms]
-
     def _tabled(self, fn, sites: int):
         """fn, tabled only where q^sites arguments of s terms each fit in q^k words."""
         tabled = self.q ** sites * self.seed.support <= self.q ** self.G.rows
         return lru_cache(maxsize=None)(fn) if tabled else fn
 
+    def _block(self):
+        """label -> (tails, amplitudes): its shifted seed keys in sorted order and
+        their amplitudes.  Seed orders are tabled per X part of the label,
+        amplitudes per Z part, and one amplitude object serves each (seed term,
+        phase); each reader tables what it keeps per label."""
+        q, xs, zs = self.q, self.x_sites, self.z_sites
+        powers = [[amp.mul_root(t) for t in range(q)] for amp in self.seed.terms.values()]
+        order = self._tabled(self._order, len(xs))
+
+        def amps(ez):
+            # a seed term's power of w: sum int(e_j) * int(symbol) over the Z sites
+            return [row[sum(a * key[j] for j, a in zip(zs, ez)) % q]
+                    for row, key in zip(powers, self.seed.terms)]
+
+        amps = self._tabled(amps, len(zs))
+
+        def block(label):
+            perm, tails = order(tuple(map(label.__getitem__, xs)))
+            return tails, list(map(amps(tuple(map(label.__getitem__, zs))).__getitem__, perm))
+
+        return block
+
     def terms(self):
         """(key, amplitude) pairs in sorted key order, the cap checked first (see
-        `_words`); seed orders are tabled per X part of the label, amplitudes per
-        Z part, and one amplitude object serves each (seed term, phase)."""
-        powers = [[amp.mul_root(t) for t in range(self.q)] for amp in self.seed.terms.values()]
-        order = self._tabled(self._order, len(self.x_sites))
-        amps = self._tabled(lambda ez: list(map(getitem, powers, self._phases(ez))),
-                            len(self.z_sites))
-        n, xs, zs = self.G.cols, self.x_sites, self.z_sites
+        `_words`); each word is its codeword + its label's block."""
+        n, block = self.G.cols, self._tabled(self._block(), self.W.cols)
         for word in self._words():
-            label = word[n:]
-            perm, tails = order(tuple(map(label.__getitem__, xs)))
-            yield from zip(map(word[:n].__add__, tails),
-                           map(amps(tuple(map(label.__getitem__, zs))).__getitem__, perm))
+            tails, amps = block(word[n:])
+            yield from zip(map(word[:n].__add__, tails), amps)
 
     def materialize(self) -> SparseState:
         # a root of unity times a nonzero seed amplitude is never zero
@@ -253,36 +252,29 @@ class FibredState:
         """The text of format_state(self.materialize()), one piece per word in
         `terms()`'s order, without building the state; the term cap is checked
         here, before the first piece is asked for.  A word costs one lookup of
-        its label's lines (tabled per label, their heads per X part), joined by
-        its codeword's text; no word is kept, so memory grows with neither the
-        q^k words nor the q^k * s terms."""
-        words = self._words()
-        n, q = self.G.cols, self.q
-        sep = " " if self.seed.n else ""  # a code state's lines have no seed key
-        # " : coefficients" of each seed amplitude times each power of w
-        texts = {}
-        for amp in self.seed.terms.values():
-            if amp.coeffs not in texts:
-                texts[amp.coeffs] = [" : " + " ".join(map(str, amp.mul_root(t).coeffs)) + "\n"
-                                     for t in range(q)]
-        amp_texts = [texts[amp.coeffs] for amp in self.seed.terms.values()]
-
-        def heads(ex):
-            """(seed term, its shifted key's text) in shifted key order."""
-            return [(i, sep + " ".join(map(str, tail))) for i, tail in zip(*self._order(ex))]
-
-        def block(label):
-            # led by "", so that joining with the codeword's text starts each line
-            ph = self._phases(tuple(map(label.__getitem__, self.z_sites)))
-            ex = tuple(map(label.__getitem__, self.x_sites))
-            return ["", *(head + amp_texts[i][ph[i]] for i, head in heads(ex))]
-
-        heads = self._tabled(heads, len(self.x_sites))
-        block = self._tabled(block, self.W.cols)
-        prefix = " ".join(["%d"] * n)
+        its label's lines (tabled per label), joined by its codeword's text; no
+        word is kept, so memory grows with neither the q^k words nor the
+        q^k * s terms."""
+        words, block, texts = self._words(), self._block(), {}
+        # led by "", so that joining with the codeword's text starts each line
+        lines = self._tabled(lambda label: ["", *_lines(self.seed.n, *block(label), texts)],
+                             self.W.cols)
+        n, sep = self.G.cols, " " if self.seed.n else ""  # a code state's lines have no seed key
+        prefix = " ".join(["%d"] * n) + sep
         return itertools.chain(
-            [f"STATE {self.n} {q}\n"],
-            ((prefix % word[:n]).join(block(word[n:])) for word in words))
+            [f"STATE {self.n} {self.q}\n"],
+            ((prefix % word[:n]).join(lines(word[n:])) for word in words))
+
+
+def _lines(width: int, keys, amps, texts: dict):
+    """The `key : coefficients` line of each width-symbol key and its amplitude;
+    `texts` keeps the " : coefficients" text of each coefficient vector met."""
+    head = " ".join(["%d"] * width)
+    for key, amp in zip(keys, amps):
+        text = texts.get(amp.coeffs)
+        if text is None:
+            text = texts[amp.coeffs] = " : " + " ".join(map(str, amp.coeffs)) + "\n"
+        yield head % key + text
 
 
 def code_fibred(code: LinearCode) -> FibredState:

@@ -26,7 +26,14 @@ from kuni.codes import (
     walk_minors,
 )
 from kuni.decomposition import kernel_subcode
-from kuni.errors import FormatError, OutOfRange, RankDeficient, RankDrop, TooLarge
+from kuni.errors import (
+    DegenerateCoordinate,
+    FormatError,
+    OutOfRange,
+    RankDeficient,
+    RankDrop,
+    TooLarge,
+)
 from kuni.field import FFMatrix, gf, matrix_rank, rank_of_rows
 from kuni.states import ame_19_17_matrices, ame_21_19_matrices
 
@@ -113,6 +120,13 @@ def test_singleton_array_gf17_values():
     # border rows/columns are all ones, interior is a_{r+c-1}
     assert arr.entry(0, 5) == 1 and arr.entry(4, 0) == 1
     assert arr.entry(2, 3) == arr.a[4]
+
+
+def test_singleton_array_entry_outside_the_array():
+    arr = singleton_array(gf(7))
+    for r, c in ((-1, 0), (0, -1), (3, 4)):
+        with pytest.raises(IndexError, match="outside the Singleton array"):
+            arr.entry(r, c)
 
 
 def test_singleton_array_blocks_are_nonsingular():
@@ -484,6 +498,19 @@ def test_puncture_and_shorten_shapes():
         for c in range(code.n):
             expected = {w[:c] + w[c + 1:] for w in words if w[c] == 0}
             assert shorten(code, c).codeword_set() == expected
+
+
+def test_shorten_refuses_a_coordinate_every_word_has_zero():
+    code = LinearCode(FFMatrix(gf(3), [[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(DegenerateCoordinate):
+        shorten(code, 2)
+
+
+def test_unknown_check_methods_are_refused():
+    code = LinearCode(FFMatrix(gf(5), [[1, 0, 1, 1], [0, 1, 1, 2]]))  # no distance cached
+    for check in (is_mds, min_distance):
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            check(code, method="nope")
 
 
 def test_puncture_rank_drop():

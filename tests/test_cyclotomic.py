@@ -166,3 +166,24 @@ def test_prime_order_zero_test_matches_division(L):
         assert Cyclotomic(L, coeffs).is_zero() == want, coeffs
         zeros += want
     assert 100 <= zeros < len(vectors)
+
+
+@pytest.mark.parametrize("coeffs", [[0.5, 0, 0], [1.9, 0, 0]])
+def test_cyclotomic_rejects_non_integer_coefficients(coeffs):
+    # truncated, 0.5 made a false zero and 1.9 made 1
+    with pytest.raises(TypeError):
+        Cyclotomic(3, coeffs)
+
+
+def test_cyclotomic_rejects_a_wrong_coefficient_count():
+    with pytest.raises(ValueError, match="need 3 coefficients, got 2"):
+        Cyclotomic(3, [1, 0])
+
+
+def test_cyclotomic_against_ints_and_other_types():
+    assert Cyclotomic(3, [True, False, 2]).coeffs == (1, 0, 2)
+    a = Cyclotomic.root(5, 2, 3)
+    assert (2 * a).coeffs == (0, 0, 6, 0, 0)
+    assert Cyclotomic(3, [1, 1, 1]) == 0 and Cyclotomic(3, [2, 1, 1]) == 1 and not a == 3
+    assert a.__eq__("x") is NotImplemented and (a == "x") is False
+    assert bool(a) is True and bool(Cyclotomic(3, [1, 1, 1])) is False

@@ -10,6 +10,7 @@ from kuni.errors import (
     FormatError,
     NonPrimeP,
     NotSquare,
+    OutOfRange,
     ReducibleModulus,
     SpecMismatch,
     UnsupportedSize,
@@ -283,6 +284,34 @@ def test_field_element_cross_field_mix_rejected():
         gf(5).element(1) + gf(7).element(1)
 
 
+@pytest.mark.parametrize("make, error", [
+    pytest.param(lambda: FFMatrix(gf(5), [[1.7, 2]]), TypeError, id="float_entry"),
+    pytest.param(lambda: gf(5).element(2.5), TypeError, id="float_repr"),
+    pytest.param(lambda: gf(4).element(7), OutOfRange, id="gf4_repr_7"),
+    pytest.param(lambda: gf(81).element(100), OutOfRange, id="gf81_repr_100"),
+])
+def test_exact_constructors_refuse_what_they_would_truncate(make, error):
+    # before: [[1, 2]], an element of repr 2.5, 7∈GF(2^2) whose sum with 1
+    # raised IndexError, and 100∈GF(3^4) whose sum with 1 was 101
+    with pytest.raises(error):
+        make()
+
+
+def test_exact_constructors_take_ints_bools_and_elements():
+    sp = gf(4)
+    assert FFMatrix(sp, [[sp.element(3), True, 0]]).data == [[3, 1, 0]]
+    assert gf(5).element(7).repr == 2 and gf(5).element(-1).repr == 4  # mod p
+    assert gf(81).element(80).repr == 80 and sp.element(True).repr == 1
+
+
+def test_order_and_power_guards():
+    sp = gf(7)
+    with pytest.raises(DivisionByZero):
+        multiplicative_order(sp, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sp.pow(3, -1)
+
+
 # --- matrices ----------------------------------------------------------------
 
 def _random_matrix(rng, spec, rows, cols):
@@ -368,6 +397,21 @@ def test_matrix_ops():
     assert M.select_columns([1]).data == [[2], [1]]
     assert M.row_vector_mul((1, 1)) == (1, 0)
     assert int(M[0, 1]) == 2 and M.row(0) == (1, 2) and M.col(1) == (2, 1)
+
+
+def test_matrix_shape_and_field_guards():
+    sp = gf(5)
+    with pytest.raises(ValueError, match="ragged"):
+        FFMatrix(sp, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="out of range"):
+        FFMatrix(sp, [[1, 5]])
+    M, other = FFMatrix(sp, [[1, 2], [3, 4]]), FFMatrix.identity(gf(7), 2)
+    with pytest.raises(SpecMismatch):
+        M.hstack(other)
+    with pytest.raises(SpecMismatch):
+        M.matmul(other)
+    with pytest.raises(ValueError, match="shape"):
+        M.matmul(FFMatrix.identity(sp, 3))
 
 
 def _reference_row_vector_mul(M, v):

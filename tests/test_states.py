@@ -331,6 +331,21 @@ def test_term_cap_respected(monkeypatch):
         tensor(bell_pair(gf(5)), bell_pair(gf(5)))
 
 
+def test_local_fourier_meets_the_term_cap(monkeypatch):
+    monkeypatch.setenv("KUNI_MAX_TERMS", "10")
+    with pytest.raises(TooLarge, match="Fourier"):
+        local_fourier(bell_pair(gf(5)), [0])  # 5 terms times 5 > 10
+
+
+def test_sparse_state_shape_guards():
+    sp = gf(3)
+    with pytest.raises(ShapeMismatch):
+        SparseState(2, sp, {(0, 1, 2): one(3)})
+    for other in (ghz(3, sp), ghz(2, gf(5))):
+        with pytest.raises(ShapeMismatch):
+            inner_product(ghz(2, sp), other)
+
+
 def test_term_cap_hard_limit(monkeypatch):
     from kuni.states import HARD_MAX_TERMS, max_terms
 
@@ -599,7 +614,8 @@ def _fibred_cases():
     code = mds_from_singleton(5, 2, gf(8))
     yield "code", code.G, FFMatrix(code.spec, [[]] * 2), \
         SparseState(0, code.spec, {(): one(8)}), ""
-    # symbols above 255: block and X 771 > 257, Z 3 <= 257; then the Z twin
+    # symbols above 255 at an X site (block and X 771 > 257, Z 3 <= 257), then
+    # at a Z site (block and Z 771 > 257, X 3 <= 257)
     yield "gf257_x", FFMatrix(g257, [[1, 3]]), FFMatrix(g257, [[5]]), seed257, "X"
     yield "gf257_z", FFMatrix(g257, [[1, 3]]), FFMatrix(g257, [[5]]), seed257, "Z"
 

@@ -137,18 +137,15 @@ def min_distance(code: LinearCode, method: str = "auto") -> int:
     method: "brute" (weight scan over all codewords), "rank" (w columns of
     the parity-check matrix independent iff d >= w+1), or "auto".
     """
+    if method not in ("auto", "brute", "rank"):  # before the cache, which any method reads
+        raise ValueError(f"unknown method {method!r}")
     if code._distance is not None:
         return code._distance
     if code.k == 0:
         raise KuniError(f"the [{code.n},0]_{code.q} code has no nonzero word, so no distance")
     if method == "auto":
         method = "brute" if code.q ** code.k <= 10 ** 5 else "rank"
-    if method == "brute":
-        d = _min_weight_brute(code)
-    elif method == "rank":
-        d = _min_distance_rank(code)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    d = _min_weight_brute(code) if method == "brute" else _min_distance_rank(code)
     code._set_distance(d)
     return d
 

@@ -64,6 +64,9 @@ class SparseState:
             for key, amp in terms.items():
                 if len(key) != n:
                     raise ShapeMismatch(f"term {key} has {len(key)} symbols, state has {n}")
+                # a key table packs each symbol into bit_length(q - 1) bits
+                if key and (min(key) < 0 or max(key) >= spec.q):
+                    raise OutOfRange(f"term {key} has a symbol outside [0, {spec.q})")
                 if not amp.is_zero():
                     self.terms[key] = amp
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 import random as _random
-from collections import Counter
-from operator import and_, lshift
+from functools import cached_property
+from operator import and_, getitem, lshift, rshift
 
 from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
 from .errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
-from .field import FFMatrix
+from .field import FFMatrix, gf, matrix_rref, rank_of_rows
 from .states import SparseState, WeylWord, apply_weyl, inner_product
 
 MAX_RHO_DIM = 4096
@@ -53,7 +53,9 @@ class KeyTable:
     each amplitude's nonzero (exponent t, coefficient c) pairs.
 
     Built from distinct (key, amplitude) pairs in term order: a SparseState's
-    items, `read_state`'s checked lines or `FibredState.terms()`."""
+    items, `read_state`'s checked lines or `FibredState.terms()`.  `coset`
+    works out, once, whether the keys are a coset of a GF(q) subspace, for
+    the sweep's rank path (`_by_rank`)."""
 
     def __init__(self, n: int, q: int, terms):
         self.n, self.q = n, q
@@ -101,6 +103,56 @@ class KeyTable:
         sites = [[r >> self.shifts[i] & digit for r in rows] for i in S]
         return dict(zip(rows, zip(*sites))) if S else dict.fromkeys(rows, ())
 
+    @cached_property
+    def coset(self):
+        """The RREF rows of T when all amplitudes have one |amp|^2 and the keys
+        are exactly x0 + T, for x0 the first key and T a subspace of GF(q)^n
+        over gf(q) (the field read_state gives a file); else None.
+
+        The keys are read as site columns, one `bytes` of N symbols each, so
+        no object is built per key.  T is spanned by key - x0 over the first
+        keys that raise its rank (those at q^j first: the unit vectors of a
+        sorted linear code).  Every column off T's pivots, less T's multiples
+        of the pivot columns, must be constant: then every key lies in
+        x0 + T, and N = q^dim T distinct keys are all of it."""
+        q, size = self.q, self.size
+        r = round(math.log(size, q)) if size > 1 else 0
+        if self.norm is None or q > 256 or q ** r != size or len(set(self.codes)) != size:
+            return None
+        spec = gf(q)
+        cols = [bytes(map(and_, map(rshift, self.codes, itertools.repeat(s)),
+                          itertools.repeat(self.digit))) for s in self.shifts]
+        x0 = [col[0] for col in cols]
+        spanned = []  # (pivot, row): a leading 1, and 0 at every earlier pivot
+        for i in itertools.chain((q ** j for j in range(r)), range(size)):
+            if len(spanned) == r:
+                break
+            d = [spec.sub(col[i], x) for col, x in zip(cols, x0)]
+            for p, row in spanned:
+                if d[p]:
+                    d = spec.axpy(spec.neg(d[p]), d, row)
+            p = next((j for j, x in enumerate(d) if x), None)
+            if p is not None:
+                spanned.append((p, [spec.div(x, d[p]) for x in d]))
+        T, _, pivots = matrix_rref(FFMatrix(spec, [row for _, row in spanned], self.n))
+        sums = [bytes(spec.add(x, y) for y in range(q)) for x in range(q)]
+
+        def add(a, b):  # two columns, symbol by symbol
+            return bytes(map(getitem, map(sums.__getitem__, a), b))
+
+        for j in range(self.n):
+            if j in pivots:
+                continue
+            rest = cols[j]
+            for row, p in zip(T.data, pivots):
+                if row[j]:  # minus row[j] times the pivot column, symbol by symbol
+                    f = spec.neg(row[j])
+                    times = bytes(spec.mul(f, x) for x in range(q)).ljust(256, b"\0")
+                    rest = add(rest, cols[p].translate(times))
+            if rest.count(rest[0]) != size:
+                return None
+        return [tuple(row) for row in T.data]
+
 
 def reduced_density(state, subset) -> ReducedDensity:
     """Trace out the complement of `subset` (sorted site indices) of
@@ -112,18 +164,12 @@ def reduced_density(state, subset) -> ReducedDensity:
     a * conj(b) adds c_a * c_b at phase (t_a - t_b) mod q of the entry's
     integer vector; a finished vector is zero-tested once, before any
     Cyclotomic is built, and only the distinct row codes (at most q^|S|) are
-    decoded to symbols.  When the support projects injectively onto the
-    complement and all amplitudes have one norm, rho_S is diagonal and is
-    counted instead (`_diagonal`).
+    decoded to symbols.
     """
     S = tuple(sorted(subset))
     q = state.q
-    if q ** len(S) > MAX_RHO_DIM:
-        raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
+    _cap(q, S)
     table = KeyTable.of(state)
-    diagonal = _diagonal(table, S)
-    if diagonal is not None:
-        return ReducedDensity(S, q, diagonal)
     row_mask, group_mask = table.masks(S)
     codes = table.codes
     rows = list(map(and_, codes, itertools.repeat(row_mask)))
@@ -157,20 +203,25 @@ def reduced_density(state, subset) -> ReducedDensity:
     return ReducedDensity(S, q, entries)
 
 
-def _diagonal(table: KeyTable, S):
-    """rho_S entries by counting, or None for the general loop: when every
-    complement group holds one term (the complement codes are distinct) and
-    all amplitudes have one |amp|^2 (as monomials c * w^t of one |c| do),
-    (r, r) is m * |amp|^2 for the m terms in row r, in the general loop's
-    first-occurrence order; it is never zero, so nothing is zero-tested."""
-    if table.norm is None:
-        return None
-    row_mask, group_mask = table.masks(S)
-    if len(set(map(and_, table.codes, itertools.repeat(group_mask)))) != table.size:
-        return None
-    counts = Counter(map(and_, table.codes, itertools.repeat(row_mask)))
-    shared = {m: Cyclotomic(table.q, [m * x for x in table.norm]) for m in set(counts.values())}
-    return {(t, t): shared[counts[r]] for r, t in table.symbols(counts, S).items()}
+def _cap(q: int, S):
+    if q ** len(S) > MAX_RHO_DIM:
+        raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
+
+
+def _by_rank(table: KeyTable, S) -> bool:
+    """Whether rho_S is maximally mixed by two ranks of the table's coset
+    support x0 + T (False when it has none): rank T_{S^c} = dim T makes the
+    complement injective on the keys, so rho_S is diagonal with |amp|^2 times
+    the q^(dim T - rank T_S) keys of each row of x0_S + T_S, and rank T_S =
+    |S| fills every row.  False sends S through rho_S, which gives the
+    witness of a failure."""
+    T = table.coset
+    if T is None:
+        return False
+    spec, inside = gf(table.q), set(S)
+    rest = [i for i in range(table.n) if i not in inside]
+    return (rank_of_rows(spec, [[row[i] for i in rest] for row in T]) == len(T)
+            and rank_of_rows(spec, [[row[i] for i in S] for row in T]) == len(S))
 
 
 def is_maximally_mixed(rho: ReducedDensity):
@@ -257,9 +308,15 @@ def _combination(n: int, size: int, index: int) -> tuple:
 
 def _decisions(table: KeyTable, subsets):
     """(S, ok, witness) for each subset in order: the one place a sweep asks
-    whether rho_S is maximally mixed, through the module's two functions."""
+    whether rho_S is maximally mixed.  Past the matrix cap, a subset that
+    passes by rank (`_by_rank`) needs no rho_S; every other one is decided by
+    reduced_density and is_maximally_mixed."""
     for S in subsets:
-        yield (S, *is_maximally_mixed(reduced_density(table, S)))
+        _cap(table.q, S)
+        if _by_rank(table, S):
+            yield S, True, None
+        else:
+            yield (S, *is_maximally_mixed(reduced_density(table, S)))
 
 
 def support_census(state: SparseState, k: int):

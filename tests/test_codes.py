@@ -511,6 +511,11 @@ def test_unknown_check_methods_are_refused():
     for check in (is_mds, min_distance):
         with pytest.raises(ValueError, match="unknown method 'nope'"):
             check(code, method="nope")
+    # a cached distance does not let an unknown method through
+    cached = mds_from_singleton(4, 2, gf(5))
+    assert min_distance(cached) == 3
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        min_distance(cached, method="nope")
 
 
 def test_puncture_rank_drop():

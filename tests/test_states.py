@@ -19,6 +19,7 @@ from kuni.errors import (
     FormatError,
     KuniError,
     LayoutMismatch,
+    OutOfRange,
     RankDeficient,
     ShapeMismatch,
     SizeMismatch,
@@ -344,6 +345,15 @@ def test_sparse_state_shape_guards():
     for other in (ghz(3, sp), ghz(2, gf(5))):
         with pytest.raises(ShapeMismatch):
             inner_product(ghz(2, sp), other)
+
+
+def test_sparse_state_rejects_symbols_outside_the_field():
+    # 7 at q = 3 would spill into the next site's bits of a key table's code,
+    # and the writer would write a file the reader refuses
+    for key in ((7,), (-1,), (0, 3)):
+        with pytest.raises(OutOfRange, match=r"outside \[0, 3\)"):
+            SparseState(len(key), gf(3), {key: one(3)})
+    assert SparseState(2, gf(3), {(0, 2): one(3)}).support == 1
 
 
 def test_term_cap_hard_limit(monkeypatch):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -166,35 +167,13 @@ def _oracle_states():
     return out
 
 
-def test_reduced_density_matches_product_by_product_oracle(monkeypatch):
-    counted = []  # per reduced_density call: did _diagonal count rho_S?
-    diagonal = verify._diagonal
-
-    def observed(*args):
-        out = diagonal(*args)
-        counted.append(out is not None)
-        return out
-
-    monkeypatch.setattr(verify, "_diagonal", observed)
+def test_reduced_density_matches_product_by_product_oracle():
     seen_multi = set()
-    # the way each reduction went: counted, the general loop on an injective
-    # support (amplitudes of several norms), or the general loop otherwise
-    seen = {"counted": set(), "injective_general": set(), "general": set()}
     for name, s, subsets in _oracle_states():
         if any(len(amp.coeffs) - amp.coeffs.count(0) > 1 for amp in s.terms.values()):
             seen_multi.add(name)
-        one_norm = len({(amp * amp.conj()).coeffs for amp in s.terms.values()}) == 1
         for S in subsets:
             rho = reduced_density(s, S)
-            assert len(counted) == 1, (name, S)
-            took_count = counted.pop()
-            Sc = [i for i in range(s.n) if i not in S]
-            injective = len({tuple(key[i] for i in Sc) for key in s.terms}) == s.support
-            assert took_count == (injective and one_norm), (name, S)
-            if took_count:
-                seen["counted"].add(name)
-            else:
-                seen["injective_general" if injective else "general"].add(name)
             ref = _reference_reduced_density(s, S)
             assert list(rho.entries) == list(ref), (name, S)  # same keys, same order
             for key, v in ref.items():
@@ -203,10 +182,6 @@ def test_reduced_density_matches_product_by_product_oracle(monkeypatch):
                 ReducedDensity(rho.subset, s.q, ref)), (name, S)
     # the multi-term amplitudes really are exercised
     assert {"local_fourier", "random_multi", "random_sparse_multi", "ame_7_4_pool"} <= seen_multi
-    # every way runs; injective supports with unequal norms take the general loop
-    assert {"ame_5_3", "ame_7_4", "ame_9_7_dense"} <= seen["counted"]
-    assert {"random_sparse_multi", "ame_7_4_pool"} <= seen["injective_general"]
-    assert {"local_fourier", "random_sparse_multi", "ame_7_4_pool"} <= seen["general"]
 
 
 def _oracle_rho(state, subset):
@@ -220,11 +195,12 @@ def _injective(state, S):
 
 
 def test_sweep_matches_product_by_product_oracle(monkeypatch):
-    """uniformity builds one KeyTable and passes it to every reduction of
-    the sweep; each subset it checks, exhaustive or sampled, must give the
-    oracle's entries, order and coefficients."""
-    reduced = verify.reduced_density
-    tables = []
+    """uniformity builds one KeyTable and passes it to both deciders of the
+    sweep; each subset it checks, exhaustive or sampled, is decided once:
+    passed by rank where the oracle's rho_S is injective and maximally mixed,
+    else with the oracle's entries, order and coefficients."""
+    reduced, by_rank = verify.reduced_density, verify._by_rank
+    tables = []  # per decided subset, the table its decider read
 
     def checked_rho(table, S):
         rho = reduced(table, S)
@@ -235,7 +211,15 @@ def test_sweep_matches_product_by_product_oracle(monkeypatch):
         tables.append(table)
         return rho
 
+    def checked_rank(table, S):
+        passed = by_rank(table, S)
+        if passed:
+            assert _injective(s, S) and is_maximally_mixed(_oracle_rho(s, S)) == (True, None), S
+            tables.append(table)
+        return passed
+
     monkeypatch.setattr(verify, "reduced_density", checked_rho)
+    monkeypatch.setattr(verify, "_by_rank", checked_rank)
     swept = set()
     for name, s, _ in _oracle_states():
         # |S| <= 4 keeps the 10-party state under the matrix cap
@@ -250,9 +234,140 @@ def test_sweep_matches_product_by_product_oracle(monkeypatch):
             if max(rep.tallies) > 1:
                 swept.add(name)
             tables.clear()
-    # sweeps that get past the singletons: prime and composite q, counted
-    # and general reductions, supports from 16 to 16,807 terms
+    # sweeps that get past the singletons: prime and composite q, rank and
+    # reduction decisions, supports from 16 to 16,807 terms
     assert {"ame_5_4", "cl_plus_q", "ame_7_4", "cl_plus_q_10", "ame_9_7_dense"} <= swept
+
+
+def _table1_table(n):
+    """The Table 1 row with n parties as a key table streamed from its fibred state."""
+    (k, _), ((n_cl, k_cl), seed_kind) = next(
+        (key, row) for key, row in _TABLE1_ROWS.items() if key[1] == n)
+    spec = gf(_min_q_clq(n_cl, k_cl, seed_kind))
+    quantum = state_from_code(mds_from_singleton(*_SEED_CODE[seed_kind], spec))
+    fib = cl_plus_q_fibred(mds_from_singleton(n_cl, k_cl, spec), quantum)
+    return k, verify.KeyTable(fib.n, spec.q, fib.terms())
+
+
+def _complement_injective(table, S):
+    group_mask = table.masks(S)[1]
+    return len({code & group_mask for code in table.codes}) == table.size
+
+
+def test_rank_path_agrees_with_the_reduction_oracle():
+    """A subset passes by rank exactly when its complement is injective on the
+    support and reduced_density's rho_S is maximally mixed, on every coset
+    support the tests build: every subset of the small ones, a seeded sample
+    of the large ones, where rho_S costs a pass over 10^4 to 10^5 terms."""
+    rng = random.Random(11)
+    cases = [(name, verify.KeyTable.of(s), subsets) for name, s, subsets in _oracle_states()]
+    # beside the prime and GF(2^m) supports above: GF(9), odd characteristic with m = 2,
+    # and GF(131), whose site columns hold symbols past 127
+    for name, make in (("ame_7_5", lambda: cl_plus_q_repetition(*construct_G_Q(gf(5)))),
+                       ("ame_9_7", lambda: cl_plus_q_repetition(*construct_G_Q(gf(7)))),
+                       ("ame_5_9", lambda: ame_5_q(gf(9))),
+                       ("bell_131", lambda: bell(gf(131), 1, 0))):
+        table = verify.KeyTable.of(make())
+        cases.append((name, table, [S for size in range(1, table.n // 2 + 1)
+                                    for S in itertools.combinations(range(table.n), size)]))
+    for n in (5, 6, 7, 8, 10, 11, 12):  # [6,3]_4 for row 9 is past the Singleton array
+        k, table = _table1_table(n)
+        cases.append((f"row_{n}", table, [S for size in range(1, k + 2)
+                                          for S in itertools.combinations(range(n), size)]))
+    passed, failed = Counter(), Counter()
+    for name, table, subsets in cases:
+        if table.size > 2401:
+            subsets = rng.sample(subsets, min(6, len(subsets)))
+        for S in subsets:
+            by_rank = verify._by_rank(table, S)
+            if table.coset is None:
+                assert not by_rank, (name, S)
+                continue
+            ok = _complement_injective(table, S) and is_maximally_mixed(reduced_density(table, S))[0]
+            assert by_rank == ok, (name, S)
+            (passed if by_rank else failed)[name] += 1
+    linear = {"ame_5_2", "ame_5_7", "ghz", "bell", "cl_plus_q", "ame_7_4", "cl_plus_q_10",
+              "ame_9_7_dense", "ame_7_5", "ame_9_7", "ame_5_9", "bell_131", "row_5", "row_8",
+              "row_10", "row_11", "row_12"}
+    assert linear <= set(passed), linear - set(passed)
+    # the rank path hands on what it cannot pass: GHZ pairs, the k + 1 subsets of the rows
+    assert {"ghz", "ame_7_5", "row_5", "row_6", "row_10"} <= set(failed)
+    assert not {"local_fourier", "random", "random_multi", "ame_7_4_pool"} & (set(passed) | set(failed))
+
+
+def test_sweeps_with_and_without_the_rank_path_agree(monkeypatch):
+    """Each report, witness and decision equals the one of a sweep that
+    takes every subset through rho_S, refuted states included: Table 1 row
+    10 over a non-MDS [7,3]_7 code, and row 11 with a GHZ seed in place of
+    AME(4,7), which fails at 3 of its 165 triples."""
+    sp = gf(7)
+    G = mds_from_singleton(7, 3, sp).G
+    non_mds = LinearCode(FFMatrix(sp, [row[:6] + row[:1] for row in G.data]))  # column 0 twice
+    cases = [(name, s) for name, s, _ in _oracle_states() if s.support <= 2401]
+    cases.append(("row_10_non_mds", cl_plus_q(non_mds, ghz(3, sp))))
+    fib = cl_plus_q_fibred(mds_from_singleton(7, 4, sp), ghz(4, sp))
+    row_11_ghz = verify.KeyTable(fib.n, sp.q, fib.terms())
+    triples = [(1, 7, 8), *random.Random(2).sample(list(itertools.combinations(range(11), 3)), 10)]
+
+    def sweeps():
+        reports = [uniformity(verify.KeyTable.of(s), k_max=3) for _, s in cases]
+        return ([(r.mode, r.max_verified_k, r.tallies, r.first_failure) for r in reports],
+                [slocc_witness(s, 1) for _, s in cases],
+                list(verify._decisions(row_11_ghz, triples)))
+
+    with_rank = sweeps()
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_by_rank", lambda table, S: False)
+        assert sweeps() == with_rank
+    refuted = {name for (name, _), (*_, failure) in zip(cases, with_rank[0]) if failure}
+    assert {"ghz", "cl_plus_q_10", "row_10_non_mds"} <= refuted
+    assert with_rank[2][0] == ((1, 7, 8), False, ("diag_zero", (0, 0, 0)))
+    assert sum(ok for _, ok, _ in with_rank[2]) == 10
+
+
+def test_only_a_coset_support_of_one_norm_takes_the_rank_path():
+    sp = gf(3)
+    code_state = state_from_code(mds_from_singleton(4, 2, sp))  # [4,2]_3, pivots 0 and 1
+    keys = sorted(code_state.terms)
+    one = Cyclotomic.integer(3, 1)
+    assert verify.KeyTable.of(code_state).coset is not None
+
+    def table_of(keys, amps=None):
+        return verify.KeyTable(4, 3, zip(keys, amps or [one] * len(keys)))
+
+    assert keys[1] == (0, 1, 1, 2) and (0, 1, 0, 0) not in keys
+    # one key moved off the code, 9 keys kept
+    moved = [(0, 1, 0, 0)] + keys[:1] + keys[2:]
+    # (1, 0, ...) moved onto the pivot symbols (0, 1) of another key
+    repeated = [(0, 1, 2, 2) if key[:2] == (1, 0) else key for key in keys]
+    # a table read from a term list that holds one key twice
+    twice = keys[:-1] + keys[:1]
+    two_norms = [one] * 8 + [Cyclotomic.integer(3, 2)]
+    # a seed whose Fourier transform |k>(1 + w^k) has norms 4, 1 and 1
+    fourier_seed = local_fourier(SparseState(2, sp, {(0, 0): one, (1, 0): one}), [0])
+    clq = cl_plus_q(mds_from_singleton(4, 2, sp), fourier_seed)
+    for table in (table_of(moved), table_of(repeated), table_of(twice), table_of(keys, two_norms),
+                  verify.KeyTable.of(clq)):
+        assert table.coset is None
+        assert not any(verify._by_rank(table, S) for S in itertools.combinations(range(table.n), 2))
+    # Bell with l = 2: the coset {(r, r + 2)}, which misses the zero key
+    b = bell(gf(5), 2, 3)
+    assert (0, 0) not in b.terms and verify.KeyTable.of(b).coset == [(1, 1)]
+    assert verify._by_rank(verify.KeyTable.of(b), (0,)) and not verify._by_rank(
+        verify.KeyTable.of(b), (0, 1))
+
+
+def test_matrix_cap_comes_before_the_rank_path():
+    # a code state of support 17^3 = 4,913: every 3-subset passes by rank, but
+    # q^|S| = 4,913 is over the cap, so the sweep still raises at |S| = 3
+    state = state_from_code(mds_from_singleton(6, 3, gf(17)))
+    table = verify.KeyTable.of(state)
+    assert table.coset is not None and verify._by_rank(table, (0, 1, 2))
+    assert uniformity(table, k_max=2).tallies == {1: (6, 6), 2: (15, 15)}
+    with pytest.raises(TooLarge, match=r"17\^3 exceeds the matrix cap 4096"):
+        uniformity(table)
+    with pytest.raises(TooLarge):
+        slocc_witness(table, 2)
 
 
 def test_phase_flip_refutes_dense_ame_where_groups_interfere():
@@ -272,9 +387,8 @@ def test_phase_flip_refutes_dense_ame_where_groups_interfere():
 
 
 def test_sweep_over_gf257_matches_oracle(monkeypatch):
-    # symbols up to 256 take 9 bits of a key's code; the GHZ reductions are
-    # counted, the random state's (amplitudes of several norms) take the
-    # general loop
+    # symbols up to 256 take 9 bits of a key's code; q > 256 has no rank
+    # path, so every subset is decided by its rho_S
     rng = random.Random(23)
     states = [ghz(3, gf(257)), _random_state(rng, 4, 257, 30, powers=2)]
     reports = [uniformity(s, k_max=1) for s in states]
@@ -435,6 +549,7 @@ def test_slocc_witness_visits_the_preferred_shape_first(monkeypatch, n, k, cut):
         return ReducedDensity(S, table.q, {})
 
     monkeypatch.setattr(verify, "reduced_density", empty_rho)
+    monkeypatch.setattr(verify, "_by_rank", lambda table, S: False)
     assert slocc_witness(ghz(n, gf(2)), k, classical_cut=cut) is None
     assert visited == _preferred_then_rest(n, k, cut)
 
@@ -446,11 +561,17 @@ def test_slocc_witness_on_a_streamed_table(monkeypatch):
     expected = {5: None, 6: (0, 1, 4), 7: (0, 1, 5), 8: (0, 1, 5), 10: (0, 1, 7),
                 11: (0, 1, 2, 7), 12: (0, 1, 2, 8)}
     rows = {n: (k, row) for (k, n), row in _TABLE1_ROWS.items() if n in expected}
-    reduced, calls = verify.reduced_density, []
+    reduced, by_rank, calls = verify.reduced_density, verify._by_rank, []
 
     def counted(table, S):
         calls.append(S)
         return reduced(table, S)
+
+    def counted_if_passed(table, S):
+        passed = by_rank(table, S)
+        if passed:
+            calls.append(S)
+        return passed
 
     def refuse(self):
         raise AssertionError("the witness materialized a fibred state")
@@ -463,10 +584,11 @@ def test_slocc_witness_on_a_streamed_table(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(FibredState, "materialize", refuse)
             patch.setattr(verify, "reduced_density", counted)
+            patch.setattr(verify, "_by_rank", counted_if_passed)
             S = slocc_witness(verify.KeyTable(fib.n, q, fib.terms()), k, classical_cut=n_cl)
         assert S == expected[n], n
         if S is not None:
-            assert calls == [S], n  # the first subset of the order
+            assert calls == [S], n  # the first subset of the order, by either decider
         calls.clear()
         if n <= 10:
             assert slocc_witness(fib.materialize(), k, classical_cut=n_cl) == S, n
@@ -588,7 +710,15 @@ def test_sampled_sweep_draws_indices_without_listing_subsets(monkeypatch):
     def recorded(table, S):
         swept.append(S)
 
+    def recorded_if_passed(table, S):  # the singletons pass by rank, the rest take rho_S
+        passed = by_rank(table, S)
+        if passed:
+            swept.append(S)
+        return passed
+
+    by_rank = verify._by_rank
     monkeypatch.setattr(verify, "reduced_density", recorded)
+    monkeypatch.setattr(verify, "_by_rank", recorded_if_passed)
     monkeypatch.setattr(verify, "is_maximally_mixed", lambda rho: (True, None))
     tracemalloc.start()
     try:

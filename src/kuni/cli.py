@@ -357,6 +357,9 @@ def cmd_table1(args) -> int:
                 fields = {"verified_k": None, "mode": "skipped", "why": str(exc)}
             row.update(fields)
         rows.append(row)
+    if not rows:  # an empty table would exit 0, which --verify reads as certified
+        k = "any k" if args.k is None else f"k = {args.k}"
+        raise KuniError(f"no Table 1 row has {k} and {args.n_min} <= n <= {args.n_max}")
     if args.json:
         _emit_json(args, "table1", rows)
     else:

@@ -35,6 +35,10 @@ from .field import (
 # TooLarge instead of hanging.
 MAX_ENUM_CODEWORDS = 10 ** 8
 
+# Codewords are enumerated in blocks of at most this many words (at least q):
+# a block's n site columns of 16 KB each stay small beside any state.
+BLOCK_WORDS = 2 ** 14
+
 
 class LinearCode:
     """[n, k] linear code over GF(q) with a full-row-rank generator matrix.
@@ -90,25 +94,57 @@ def dual_code(code: LinearCode) -> LinearCode:
 
 
 def enumerate_codewords(code: LinearCode):
-    """All q^k codewords, lexicographic in the message vector.  Incremental:
-    words that share a message prefix share its partial sum, each row's q
-    multiples are tabled, and each (k-1)-prefix's q words come as one list,
-    chained flat; memory holds one such list per level, never the q^k words."""
+    """All q^k codewords, lexicographic in the message vector: the words of
+    `codeword_blocks`, one block after another."""
+    for block in codeword_blocks(code):
+        yield from block_words(block)
+
+
+def codeword_blocks(code: LinearCode):
+    """The codewords in `enumerate_codewords`' order, in blocks of q^L words,
+    each block its n site columns: q^L <= BLOCK_WORDS, but L >= 1 when k >= 1.
+
+    The columns of the words of G's last L rows are built once.  Each word p
+    of the first k - L rows, in message order (enumerated the same way),
+    gives one block: those columns, each shifted by p's symbol at its site.
+    Over q <= 256 a column is a `bytes`, shifted by `translate` through an
+    add table, and over a larger field a tuple, shifted by `add_each`; either
+    way no Python code runs per word.  Memory holds one block per level,
+    never the q^k words."""
     if code.q ** code.k > MAX_ENUM_CODEWORDS:
         raise TooLarge(f"q^k = {code.q}^{code.k} exceeds enumeration cap")
-    sp, k = code.spec, code.k
-    multiples = [[tuple(sp.mul(a, g) for g in row) for a in range(code.q)]
-                 for row in code.G.data]
+    spec, q = code.spec, code.q
+    if q <= 256:  # shifts(col, ss): the column with s added to each symbol, for each s in ss
+        tables = [bytes(spec.add(s, x) for x in range(q)).ljust(256, b"\0") for s in range(q)]
+        shifts = lambda col, ss: [col.translate(tables[s]) for s in ss]
+        join, zero = b"".join, b"\0"
+    else:
+        shifts = lambda col, ss: spec.add_each(col, map(itertools.repeat, ss))
+        join, zero = (lambda parts: tuple(itertools.chain.from_iterable(parts))), (0,)
 
-    def blocks(partial, r):
-        words = sp.add_each(partial, multiples[r])
-        if r == k - 1:
-            yield words
+    def blocks(rows):
+        L = min(len(rows), 1)
+        while L < len(rows) and q ** (L + 1) <= BLOCK_WORDS:
+            L += 1
+        cols = [zero] * code.n
+        for row in reversed(rows[len(rows) - L:]):  # the first of them varies slowest
+            cols = [join(shifts(col, [spec.mul(a, g) for a in range(q)]))
+                    for col, g in zip(cols, row)]
+        if L == len(rows):
+            yield cols
             return
-        for word in words:
-            yield from blocks(word, r + 1)
+        for heads in blocks(rows[:len(rows) - L]):
+            for head in block_words(heads):
+                yield [shifts(col, (s,))[0] for col, s in zip(cols, head)]
 
-    yield from itertools.chain.from_iterable(blocks((0,) * code.n, 0) if k else [[(0,) * code.n]])
+    yield from blocks(code.G.data)
+
+
+def block_words(block, sites=slice(None)):
+    """The words of one block of `codeword_blocks`, cut to the columns at
+    `sites`, each () where it has none (a block of none is the [0, 0] code's)."""
+    cols = block[sites]
+    return zip(*cols) if cols else itertools.repeat((), len(block[0]) if block else 1)
 
 
 def _min_weight_brute(code: LinearCode) -> int:

@@ -17,7 +17,7 @@ import itertools
 import os
 from functools import lru_cache
 
-from .codes import LinearCode, dual_code, enumerate_codewords
+from .codes import LinearCode, block_words, codeword_blocks, dual_code
 from .cyclotomic import Cyclotomic
 from .decomposition import QMatrix, construct_G_Q, verify_decomposition
 from .errors import (
@@ -190,18 +190,21 @@ class FibredState:
         return self.q ** self.G.rows * self.seed.support
 
     def _words(self):
-        """The words of [G | W] in codeword order, once the term cap is checked:
-        R's rows are unit vectors at its pivots, all in G's columns, so R's
-        message order is codeword order.  A key is a codeword + a shifted seed
-        key, so each word's seed terms in `_order` give sorted key order, the
-        file's."""
+        """Per block of the words of [G | W] in codeword order (`codeword_blocks`),
+        its codewords and its labels, word by word, once the term cap is
+        checked: R's rows are unit vectors at its pivots, all in G's columns,
+        so R's message order is codeword order.  A key is a codeword + a
+        shifted seed key, so each word's seed terms in `_order` give sorted
+        key order, the file's."""
         if self.support > max_terms():
             raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
                            f"{self.seed.support} exceeds the term cap")
-        return enumerate_codewords(self._code)
+        n = self.G.cols
+        return ((block_words(cols, slice(n)), block_words(cols, slice(n, None)))
+                for cols in codeword_blocks(self._code))
 
-    # A word's label word[G.cols:] acts on the seed through its exponents at
-    # the X sites (ex) and at the Z sites (ez).
+    # A word's label, its symbols after G's columns, acts on the seed through
+    # its exponents at the X sites (ex) and at the Z sites (ez).
 
     def _order(self, ex):
         """(perm, tails): the seed keys with each X site moved by field addition
@@ -242,10 +245,10 @@ class FibredState:
     def terms(self):
         """(key, amplitude) pairs in sorted key order, the cap checked first (see
         `_words`); each word is its codeword + its label's block."""
-        n, block = self.G.cols, self._tabled(self._block(), self.W.cols)
-        for word in self._words():
-            tails, amps = block(word[n:])
-            yield from zip(map(word[:n].__add__, tails), amps)
+        block = self._tabled(self._block(), self.W.cols)
+        for heads, labels in self._words():
+            for head, (tails, amps) in zip(heads, map(block, labels)):
+                yield from zip(map(head.__add__, tails), amps)
 
     def materialize(self) -> SparseState:
         # a root of unity times a nonzero seed amplitude is never zero
@@ -262,11 +265,10 @@ class FibredState:
         # led by "", so that joining with the codeword's text starts each line
         lines = self._tabled(lambda label: ["", *_lines(self.seed.n, *block(label), texts)],
                              self.W.cols)
-        n, sep = self.G.cols, " " if self.seed.n else ""  # a code state's lines have no seed key
-        prefix = " ".join(["%d"] * n) + sep
-        return itertools.chain(
-            [f"STATE {self.n} {self.q}\n"],
-            ((prefix % word[:n]).join(lines(word[n:])) for word in words))
+        sep = " " if self.seed.n else ""  # a code state's lines have no seed key
+        prefix = " ".join(["%d"] * self.G.cols) + sep
+        return itertools.chain([f"STATE {self.n} {self.q}\n"], itertools.chain.from_iterable(
+            map(str.join, map(prefix.__mod__, heads), map(lines, labels)) for heads, labels in words))
 
 
 def _lines(width: int, keys, amps, texts: dict):

@@ -115,8 +115,9 @@ class KeyTable:
         sorted linear code).  Every column off T's pivots, less T's multiples
         of the pivot columns, must be constant: then every key lies in
         x0 + T, and N = q^dim T distinct keys are all of it."""
-        q, size = self.q, self.size
-        r = round(math.log(size, q)) if size > 1 else 0
+        q, size, r = self.q, self.size, 0
+        while q ** r < size:  # dim T, exactly: the least r with q^r >= N
+            r += 1
         if self.norm is None or q > 256 or q ** r != size or len(set(self.codes)) != size:
             return None
         spec = gf(q)

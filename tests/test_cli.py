@@ -305,6 +305,14 @@ def test_table1_exits_refuted_on_a_refuted_row(monkeypatch, capsys):
     assert code == EXIT_REFUTED
 
 
+def test_table1_refuses_an_empty_selection(capsys):
+    # no row has k = 9, and no n lies in [13, 11]: an empty table is no verdict
+    for argv, words in ((("--k", "9"), "k = 9 and 5 <= n <= 10"),
+                        (("--n-min", "13", "--n-max", "11", "--verify"), "any k and 13 <= n <= 11")):
+        code, out, err = run(capsys, "table1", *argv)
+        assert code == EXIT_USAGE and out == "" and words in err
+
+
 def test_table1_json_reproducible(capsys):
     args = ("table1", "--n-max", "6", "--json")
     _, first, _ = run(capsys, *args)

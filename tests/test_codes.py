@@ -89,16 +89,22 @@ def test_enumerate_codewords_counts_and_order():
     assert cws[0] == (0, 0, 0)
     # lexicographic in the message, so the second word is 1 * (second row)
     assert cws[1] == (0, 1, 2)
-    # the incremental enumeration against encoding every message on its own:
-    # k = 1, where the first level is the last, and prime and extension fields
+    # the block enumeration against encoding every message on its own: k = 1,
+    # prime and extension fields, [I | 1] over GF(3) with k = 10 (3^10 words,
+    # blocks of 3^8 shifted by the words of its first two rows) and q = 257,
+    # whose columns are lists
+    g3 = gf(3)
     for code in (LinearCode(FFMatrix(gf(5), [[1, 2, 3]])), LinearCode(FFMatrix(gf(8), [[3, 0, 7]])),
                  mds_from_singleton(5, 3, gf(4)), mds_from_singleton(6, 3, gf(5)),
                  mds_from_singleton(7, 3, gf(7)), mds_from_singleton(6, 3, gf(8)),
-                 mds_from_singleton(6, 3, gf(9))):
+                 mds_from_singleton(6, 3, gf(9)),
+                 LinearCode(FFMatrix.identity(g3, 10).hstack(FFMatrix(g3, [[1]] * 10))),
+                 mds_from_singleton(4, 2, gf(257))):
         messages = itertools.product(range(code.q), repeat=code.k)
         assert list(enumerate_codewords(code)) == [code.G.row_vector_mul(v) for v in messages]
-    # k = 0: the zero word alone
+    # k = 0: the zero word alone; the [0, 0] code's one word is empty
     assert list(enumerate_codewords(LinearCode(FFMatrix(gf(3), [], 4)))) == [(0, 0, 0, 0)]
+    assert list(enumerate_codewords(LinearCode(FFMatrix(gf(3), [], 0)))) == [()]
     # streaming: [I | 1] has 5^11 = 48,828,125 words, just under the cap, and
     # its first words come at once, without the rest being built
     sp = gf(5)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import kuni.codes
 from kuni.codes import LinearCode, dual_code, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic
 from kuni.decomposition import (
@@ -632,8 +633,12 @@ def _fibred_cases():
 
 @pytest.mark.parametrize("G, W, seed, types",
                          [pytest.param(*case[1:], id=case[0]) for case in _fibred_cases()])
-def test_fibred_state_matches_per_message_oracle_on_every_table(G, W, seed, types):
-    _assert_same_state(FibredState(G, W, seed, types), _reference_fibred(G, W, seed, types))
+def test_fibred_state_matches_per_message_oracle_on_every_table(G, W, seed, types, monkeypatch):
+    reference = _reference_fibred(G, W, seed, types)
+    _assert_same_state(FibredState(G, W, seed, types), reference)
+    # again in blocks of q words, so that every case with k >= 2 crosses blocks
+    monkeypatch.setattr(kuni.codes, "BLOCK_WORDS", G.spec.q)
+    _assert_same_state(FibredState(G, W, seed, types), reference)
 
 
 def test_chunks_checks_the_cap_before_any_text(monkeypatch):

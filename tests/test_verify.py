@@ -346,8 +346,10 @@ def test_only_a_coset_support_of_one_norm_takes_the_rank_path():
     # a seed whose Fourier transform |k>(1 + w^k) has norms 4, 1 and 1
     fourier_seed = local_fourier(SparseState(2, sp, {(0, 0): one, (1, 0): one}), [0])
     clq = cl_plus_q(mds_from_singleton(4, 2, sp), fourier_seed)
+    # dim T is found by an exact power search: 8 keys are no power of 3, one key is 3^0
+    assert verify.KeyTable.of(SparseState(4, sp, {keys[1]: one})).coset == []
     for table in (table_of(moved), table_of(repeated), table_of(twice), table_of(keys, two_norms),
-                  verify.KeyTable.of(clq)):
+                  table_of(keys[1:]), verify.KeyTable.of(clq)):
         assert table.coset is None
         assert not any(verify._by_rank(table, S) for S in itertools.combinations(range(table.n), 2))
     # Bell with l = 2: the coset {(r, r + 2)}, which misses the zero key

@@ -74,13 +74,17 @@ def _read(args, path: str) -> str:
 # device is written through; a regular file, or a symlink's target, is
 # written to a .tmp file beside it, and the .tmp files replace their files
 # only once every write has finished, so a failed run leaves each old file
-# as it was and a pair is never half replaced
+# as it was and a pair is never half replaced.  Two outputs that resolve to
+# one file are refused before any is opened: the last would replace the rest
 def _write(*outputs) -> None:
+    plan = [(out, chunks, os.path.exists(out) and not os.path.isfile(out), os.path.realpath(out))
+            for out, chunks in outputs]
+    dests = [dest for _, _, through, dest in plan if not through]
+    if len(set(dests)) < len(dests):
+        raise KuniError(f"two outputs are one file, {max(dests, key=dests.count)}")
     staged = {}  # .tmp -> the file it replaces
     try:
-        for out, chunks in outputs:
-            through = os.path.exists(out) and not os.path.isfile(out)
-            dest = os.path.realpath(out)
+        for out, chunks, through, dest in plan:
             tmp = out if through else dest + ".tmp"
             try:
                 with open(tmp, "w") as fh:

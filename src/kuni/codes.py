@@ -106,36 +106,27 @@ def codeword_blocks(code: LinearCode):
 
     The columns of the words of G's last L rows are built once.  Each word p
     of the first k - L rows, in message order (enumerated the same way),
-    gives one block: those columns, each shifted by p's symbol at its site.
-    Over q <= 256 a column is a `bytes`, shifted by `translate` through an
-    add table, and over a larger field a tuple, shifted by `add_each`; either
-    way no Python code runs per word.  Memory holds one block per level,
-    never the q^k words."""
+    gives one block: those columns, each shifted by p's symbol at its site
+    (`FieldSpec.shift`), so no Python code runs per word of a block.  Memory
+    holds one block per level, never the q^k words."""
     if code.q ** code.k > MAX_ENUM_CODEWORDS:
         raise TooLarge(f"q^k = {code.q}^{code.k} exceeds enumeration cap")
     spec, q = code.spec, code.q
-    if q <= 256:  # shifts(col, ss): the column with s added to each symbol, for each s in ss
-        tables = [bytes(spec.add(s, x) for x in range(q)).ljust(256, b"\0") for s in range(q)]
-        shifts = lambda col, ss: [col.translate(tables[s]) for s in ss]
-        join, zero = b"".join, b"\0"
-    else:
-        shifts = lambda col, ss: spec.add_each(col, map(itertools.repeat, ss))
-        join, zero = (lambda parts: tuple(itertools.chain.from_iterable(parts))), (0,)
 
     def blocks(rows):
         L = min(len(rows), 1)
         while L < len(rows) and q ** (L + 1) <= BLOCK_WORDS:
             L += 1
-        cols = [zero] * code.n
+        cols = [spec.column([0])] * code.n
         for row in reversed(rows[len(rows) - L:]):  # the first of them varies slowest
-            cols = [join(shifts(col, [spec.mul(a, g) for a in range(q)]))
+            cols = [spec.join([spec.shift(col, spec.mul(a, g)) for a in range(q)])
                     for col, g in zip(cols, row)]
         if L == len(rows):
             yield cols
             return
         for heads in blocks(rows[:len(rows) - L]):
             for head in block_words(heads):
-                yield [shifts(col, (s,))[0] for col, s in zip(cols, head)]
+                yield list(map(spec.shift, cols, head))
 
     yield from blocks(code.G.data)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
-from operator import add, getitem, index, mod
+from functools import cached_property, lru_cache
+from operator import getitem, index
 
 from .errors import (
     DivisionByZero,
@@ -165,17 +165,6 @@ class FieldSpec:
             pw *= p
         return r
 
-    def add_each(self, xs, ys_list) -> list:
-        """[xs + ys for ys in ys_list] as tuples; the field's kind is tested
-        and each entry of xs looked up once for the whole list."""
-        if self.m == 1:
-            p = itertools.repeat(self.p)
-            return [tuple(map(mod, map(add, xs, ys), p)) for ys in ys_list]
-        if self._add_table is not None:
-            rows = list(map(self._add_table.__getitem__, xs))
-            return [tuple(map(getitem, rows, ys)) for ys in ys_list]
-        return [tuple(map(self.add, xs, ys)) for ys in ys_list]
-
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
@@ -211,6 +200,13 @@ class FieldSpec:
             return [add[x][fy[y]] for x, y in zip(xs, ys)]
         return [self.add(x, self.mul(f, y)) if y else x for x, y in zip(xs, ys)]
 
+    def log(self, N: int):
+        """r with q^r = N, by an exact power search; None when N is no power of q."""
+        r = 0
+        while self.q ** r < N:
+            r += 1
+        return r if self.q ** r == N else None
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
@@ -232,6 +228,39 @@ class FieldSpec:
             base = self.mul(base, base)
             e >>= 1
         return r
+
+    # -- columns --------------------------------------------------------------
+    # A column is a run of symbols: one `bytes` when q <= 256, so that adding
+    # a constant to every symbol is one `translate`, and a tuple above.  These
+    # methods are the only code that knows which.
+
+    def column(self, symbols):
+        """The column of an iterable of symbols in [0, q)."""
+        return bytes(symbols) if self.q <= 256 else tuple(symbols)
+
+    def join(self, columns):
+        """The columns one after another, as one column."""
+        return b"".join(columns) if self.q <= 256 else tuple(itertools.chain.from_iterable(columns))
+
+    def shift(self, col, s: int):
+        """col with s added to each symbol."""
+        if self.q <= 256:
+            return col.translate(self._add_rows[s])
+        return tuple(map(self.add, col, itertools.repeat(s)))
+
+    def column_axpy(self, f: int, xs, ys):
+        """The column xs + f*ys, symbol by symbol."""
+        if self.q > 256:
+            return tuple(self.axpy(f, xs, ys))
+        times = bytes(self.mul(f, y) for y in range(self.q)).ljust(256, b"\0")
+        return bytes(map(getitem, map(self._add_rows.__getitem__, xs), ys.translate(times)))
+
+    @cached_property
+    def _add_rows(self) -> list:
+        """Row s of the add table, as the 256-byte `translate` table of x -> s + x:
+        built once per field, by `add`, the first time a column needs it."""
+        q = self.q
+        return [bytes(self.add(s, x) for x in range(q)).ljust(256, b"\0") for s in range(q)]
 
     # -- elements -------------------------------------------------------------
 

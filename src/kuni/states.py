@@ -357,10 +357,8 @@ def cl_plus_q_fibred(code: LinearCode, quantum_seed: SparseState,
 
 
 def _z_block_size(seed: SparseState) -> int:
-    k = 0
-    while seed.q ** k < seed.support:
-        k += 1
-    if seed.q ** k != seed.support:
+    k = seed.spec.log(seed.support)
+    if k is None:
         raise SizeMismatch(f"seed support {seed.support} is not a power of q = {seed.q}; "
                            "need a minimal-support seed")
     return k
@@ -508,11 +506,11 @@ def read_state(text: str):
     spec = gf(q)
     lines.reverse()  # popped from the end, in file order
     lines.pop()
-    return n, spec, _term_lines(lines, n, q)
+    return n, spec, _term_lines(lines, n, spec)
 
 
-def _term_lines(lines: list, n: int, q: int):
-    ident = bytes if q <= 256 else tuple  # a cheap exact stand-in for a key
+def _term_lines(lines: list, n: int, spec: FieldSpec):
+    q = spec.q
     seen = set()  # every key so far, zero lines included
     amps = {}  # coefficient text -> its one amplitude, or None when it is zero
     while lines:
@@ -534,7 +532,7 @@ def _term_lines(lines: list, n: int, q: int):
                 raise FormatError(f"term has {len(coeffs)} coefficients, expected {q}")
             amp = Cyclotomic(q, coeffs)
             amps[right] = None if amp.is_zero() else amp
-        stand_in = ident(key)
+        stand_in = spec.column(key)  # a cheap exact stand-in for the key
         if stand_in in seen:
             raise FormatError(f"duplicate term {key}")
         seen.add(stand_in)

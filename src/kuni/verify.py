@@ -11,12 +11,12 @@ import itertools
 import math
 import random as _random
 from functools import cached_property
-from operator import and_, getitem, lshift, rshift
+from operator import and_, lshift, rshift
 
 from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
 from .errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
-from .field import FFMatrix, gf, matrix_rref, rank_of_rows
+from .field import FFMatrix, _rref_data, gf, rank_of_rows
 from .states import SparseState, WeylWord, apply_weyl, inner_product
 
 MAX_RHO_DIM = 4096
@@ -109,50 +109,36 @@ class KeyTable:
         are exactly x0 + T, for x0 the first key and T a subspace of GF(q)^n
         over gf(q) (the field read_state gives a file); else None.
 
-        The keys are read as site columns, one `bytes` of N symbols each, so
-        no object is built per key.  T is spanned by key - x0 over the first
-        keys that raise its rank (those at q^j first: the unit vectors of a
-        sorted linear code).  Every column off T's pivots, less T's multiples
-        of the pivot columns, must be constant: then every key lies in
-        x0 + T, and N = q^dim T distinct keys are all of it."""
-        q, size, r = self.q, self.size, 0
-        while q ** r < size:  # dim T, exactly: the least r with q^r >= N
-            r += 1
-        if self.norm is None or q > 256 or q ** r != size or len(set(self.codes)) != size:
+        The keys are read as site columns (`FieldSpec.column`), so no object
+        is built per key.  T is spanned by key - x0 over the first keys that
+        raise its rank (those at q^j first: the unit vectors of a sorted
+        linear code).  Every column off T's pivots, less T's multiples of the
+        pivot columns, must be constant: then every key lies in x0 + T, and
+        N = q^dim T distinct keys are all of it."""
+        spec, size = gf(self.q), self.size
+        r = spec.log(size)  # dim T
+        if self.norm is None or r is None or len(set(self.codes)) != size:
             return None
-        spec = gf(q)
-        cols = [bytes(map(and_, map(rshift, self.codes, itertools.repeat(s)),
-                          itertools.repeat(self.digit))) for s in self.shifts]
+        cols = [spec.column(map(and_, map(rshift, self.codes, itertools.repeat(s)),
+                                itertools.repeat(self.digit))) for s in self.shifts]
         x0 = [col[0] for col in cols]
-        spanned = []  # (pivot, row): a leading 1, and 0 at every earlier pivot
-        for i in itertools.chain((q ** j for j in range(r)), range(size)):
-            if len(spanned) == r:
+        T, pivots = [], []
+        for i in itertools.chain((self.q ** j for j in range(r)), range(size)):
+            if len(T) == r:
                 break
-            d = [spec.sub(col[i], x) for col, x in zip(cols, x0)]
-            for p, row in spanned:
-                if d[p]:
-                    d = spec.axpy(spec.neg(d[p]), d, row)
-            p = next((j for j, x in enumerate(d) if x), None)
-            if p is not None:
-                spanned.append((p, [spec.div(x, d[p]) for x in d]))
-        T, _, pivots = matrix_rref(FFMatrix(spec, [row for _, row in spanned], self.n))
-        sums = [bytes(spec.add(x, y) for y in range(q)) for x in range(q)]
-
-        def add(a, b):  # two columns, symbol by symbol
-            return bytes(map(getitem, map(sums.__getitem__, a), b))
-
+            T.append([spec.sub(col[i], x) for col, x in zip(cols, x0)])
+            pivots = _rref_data(spec, T)[0]
+            del T[len(pivots):]  # a key that did not raise the rank leaves a zero row
         for j in range(self.n):
             if j in pivots:
                 continue
             rest = cols[j]
-            for row, p in zip(T.data, pivots):
-                if row[j]:  # minus row[j] times the pivot column, symbol by symbol
-                    f = spec.neg(row[j])
-                    times = bytes(spec.mul(f, x) for x in range(q)).ljust(256, b"\0")
-                    rest = add(rest, cols[p].translate(times))
+            for row, p in zip(T, pivots):
+                if row[j]:  # minus row[j] times the pivot column
+                    rest = spec.column_axpy(spec.neg(row[j]), rest, cols[p])
             if rest.count(rest[0]) != size:
                 return None
-        return [tuple(row) for row in T.data]
+        return list(map(tuple, T))
 
 
 def reduced_density(state, subset) -> ReducedDensity:

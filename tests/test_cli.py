@@ -709,6 +709,33 @@ def test_a_failed_pair_write_keeps_the_old_pair(monkeypatch, tmp_path, capsys, a
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old  # and no .tmp
 
 
+def test_two_outputs_to_one_path_keep_the_old_file(monkeypatch, tmp_path, capsys):
+    # the Q would silently replace the G: the run is refused before either is written
+    monkeypatch.chdir(tmp_path)
+    Path("same.txt").write_text("an earlier run\n")
+    code, out, err = run(capsys, "decompose", "--q", "5", "--emit-g", "same.txt",
+                         "--emit-q", "same.txt")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: two outputs are one file, {tmp_path.resolve() / 'same.txt'}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["same.txt"]
+    assert Path("same.txt").read_text() == "an earlier run\n"
+    # a device is written through, so it may take both
+    assert run(capsys, "decompose", "--q", "5", "--emit-g", os.devnull,
+               "--emit-q", os.devnull)[0] == EXIT_OK
+
+
+def test_two_outputs_through_a_symlink_keep_the_old_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("same.txt").write_text("an earlier run\n")
+    Path("link.txt").symlink_to("same.txt")
+    code, out, err = run(capsys, "construct", "builtin", "--name", "ame_19_17_matrices",
+                         "--emit-g", "same.txt", "--emit-q", "link.txt")
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: two outputs are one file, {tmp_path.resolve() / 'same.txt'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "same.txt"]
+    assert Path("same.txt").read_text() == "an earlier run\n"
+
+
 def _ame53(tmp_path, capsys) -> bytes:
     path = tmp_path / "ame.state"
     assert run(capsys, "construct", "builtin", "--name", "ame_5_q", "--q", "3",

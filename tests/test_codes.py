@@ -34,7 +34,7 @@ from kuni.errors import (
     RankDrop,
     TooLarge,
 )
-from kuni.field import FFMatrix, gf, matrix_rank, rank_of_rows
+from kuni.field import FFMatrix, FieldSpec, gf, make_field, matrix_rank, rank_of_rows
 from kuni.states import ame_19_17_matrices, ame_21_19_matrices
 
 
@@ -91,15 +91,15 @@ def test_enumerate_codewords_counts_and_order():
     assert cws[1] == (0, 1, 2)
     # the block enumeration against encoding every message on its own: k = 1,
     # prime and extension fields, [I | 1] over GF(3) with k = 10 (3^10 words,
-    # blocks of 3^8 shifted by the words of its first two rows) and q = 257,
-    # whose columns are lists
+    # blocks of 3^8 shifted by the words of its first two rows), q = 257 and
+    # GF(2^9), whose columns are tuples
     g3 = gf(3)
     for code in (LinearCode(FFMatrix(gf(5), [[1, 2, 3]])), LinearCode(FFMatrix(gf(8), [[3, 0, 7]])),
                  mds_from_singleton(5, 3, gf(4)), mds_from_singleton(6, 3, gf(5)),
                  mds_from_singleton(7, 3, gf(7)), mds_from_singleton(6, 3, gf(8)),
                  mds_from_singleton(6, 3, gf(9)),
                  LinearCode(FFMatrix.identity(g3, 10).hstack(FFMatrix(g3, [[1]] * 10))),
-                 mds_from_singleton(4, 2, gf(257))):
+                 mds_from_singleton(4, 2, gf(257)), LinearCode(FFMatrix(gf(512), [[1, 5, 300]]))):
         messages = itertools.product(range(code.q), repeat=code.k)
         assert list(enumerate_codewords(code)) == [code.G.row_vector_mul(v) for v in messages]
     # k = 0: the zero word alone; the [0, 0] code's one word is empty
@@ -112,6 +112,20 @@ def test_enumerate_codewords_counts_and_order():
     assert code.q ** code.k < MAX_ENUM_CODEWORDS
     words = list(itertools.islice(enumerate_codewords(code), 3))
     assert words == [(0,) * 12, (0,) * 10 + (1, 1), (0,) * 10 + (2, 2)]
+
+
+def test_column_add_rows_are_built_once_per_field(monkeypatch):
+    # a fresh GF(2^8): its first enumeration builds the q^2 = 65,536 sums of
+    # its add rows, and a second reads them without one add
+    spec = make_field(2, 8)
+    code = LinearCode(FFMatrix(spec, [[1, 2, 3]]))
+    calls = []
+    add = FieldSpec.add
+    monkeypatch.setattr(FieldSpec, "add", lambda self, a, b: calls.append(1) or add(self, a, b))
+    words = list(enumerate_codewords(code))
+    assert len(calls) == 256 ** 2
+    assert list(enumerate_codewords(code)) == words and len(calls) == 256 ** 2
+    assert words == [code.G.row_vector_mul([a]) for a in range(256)]
 
 
 def test_singleton_array_gf17_values():

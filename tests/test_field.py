@@ -97,18 +97,34 @@ def test_extension_add_neg_tables_match_digit_loop(q):
             assert spec.mul(a, b) == _reference_mul_poly(spec, a, b)
 
 
-@pytest.mark.parametrize("q", [2, 3, 65521, 8, 9, 81])
+@pytest.mark.parametrize("q", [2, 3, 65521, 8, 9, 81, 512])
 def test_add_each_matches_add(q):
-    # prime fields, tabled extension fields and GF(81) above the table cap
+    # the column methods add to each symbol as add and mul do one at a time:
+    # bytes columns over prime fields, tabled extension fields and GF(81),
+    # tuple columns over GF(65521) and GF(2^9), whose add is digit by digit
     spec = gf(q)
+    kind = bytes if q <= 256 else tuple
     rng = random.Random(q)
     for length in (0, 1, 7):
-        xs = tuple(rng.randrange(q) for _ in range(length))
-        ys_list = [tuple(rng.randrange(q) for _ in range(length)) for _ in range(20)]
-        ys_list.append((q - 1,) * length)  # the largest sum of each entry
-        sums = spec.add_each(xs, ys_list)
-        assert all(type(word) is tuple for word in sums)
-        assert sums == [tuple(spec.add(x, y) for x, y in zip(xs, ys)) for ys in ys_list]
+        xs = [rng.randrange(q) for _ in range(length - 1)] + [q - 1] * (length > 0)
+        ys = [rng.randrange(q) for _ in range(length)]
+        a, b = spec.column(xs), spec.column(ys)
+        assert type(a) is kind and list(a) == xs
+        for s in (0, 1, q - 1, rng.randrange(q)):
+            shifted = spec.shift(a, s)
+            assert type(shifted) is kind and list(shifted) == [spec.add(x, s) for x in xs]
+        joined = spec.join([a, b, spec.column([]), a])
+        assert type(joined) is kind and list(joined) == xs + ys + xs
+        for f in (0, 1, q - 1, rng.randrange(q)):
+            axpy = spec.column_axpy(f, a, b)
+            assert type(axpy) is kind
+            assert list(axpy) == [spec.add(x, spec.mul(f, y)) for x, y in zip(xs, ys)]
+
+
+def test_power_search_is_exact():
+    # q^r = N exactly, or None; 3^40 is past a float's exact integers
+    assert [gf(3).log(N) for N in (0, 1, 2, 3, 8, 9, 27, 28)] == [None, 0, None, 1, None, 2, 3, None]
+    assert gf(3).log(3 ** 40) == 40 and gf(3).log(3 ** 40 + 1) is None
 
 
 def _reference_mul_poly(spec, a, b):

@@ -262,11 +262,14 @@ def test_rank_path_agrees_with_the_reduction_oracle():
     rng = random.Random(11)
     cases = [(name, verify.KeyTable.of(s), subsets) for name, s, subsets in _oracle_states()]
     # beside the prime and GF(2^m) supports above: GF(9), odd characteristic with m = 2,
-    # and GF(131), whose site columns hold symbols past 127
+    # GF(131), whose site columns hold symbols past 127, and GF(257), whose
+    # columns are tuples (the matrix cap stops its sweeps at |S| = 1)
     for name, make in (("ame_7_5", lambda: cl_plus_q_repetition(*construct_G_Q(gf(5)))),
                        ("ame_9_7", lambda: cl_plus_q_repetition(*construct_G_Q(gf(7)))),
                        ("ame_5_9", lambda: ame_5_q(gf(9))),
-                       ("bell_131", lambda: bell(gf(131), 1, 0))):
+                       ("bell_131", lambda: bell(gf(131), 1, 0)),
+                       ("ghz_257", lambda: ghz(2, gf(257))),
+                       ("bell_257", lambda: bell(gf(257), 5, 3))):
         table = verify.KeyTable.of(make())
         cases.append((name, table, [S for size in range(1, table.n // 2 + 1)
                                     for S in itertools.combinations(range(table.n), size)]))
@@ -287,8 +290,8 @@ def test_rank_path_agrees_with_the_reduction_oracle():
             assert by_rank == ok, (name, S)
             (passed if by_rank else failed)[name] += 1
     linear = {"ame_5_2", "ame_5_7", "ghz", "bell", "cl_plus_q", "ame_7_4", "cl_plus_q_10",
-              "ame_9_7_dense", "ame_7_5", "ame_9_7", "ame_5_9", "bell_131", "row_5", "row_8",
-              "row_10", "row_11", "row_12"}
+              "ame_9_7_dense", "ame_7_5", "ame_9_7", "ame_5_9", "bell_131", "ghz_257", "bell_257",
+              "row_5", "row_8", "row_10", "row_11", "row_12"}
     assert linear <= set(passed), linear - set(passed)
     # the rank path hands on what it cannot pass: GHZ pairs, the k + 1 subsets of the rows
     assert {"ghz", "ame_7_5", "row_5", "row_6", "row_10"} <= set(failed)
@@ -357,6 +360,15 @@ def test_only_a_coset_support_of_one_norm_takes_the_rank_path():
     assert (0, 0) not in b.terms and verify.KeyTable.of(b).coset == [(1, 1)]
     assert verify._by_rank(verify.KeyTable.of(b), (0,)) and not verify._by_rank(
         verify.KeyTable.of(b), (0, 1))
+    # over GF(257) the columns are tuples: GHZ and Bell pass |S| = 1 by rank,
+    # as rho_S says, and the matrix cap stops |S| = 2
+    for state in (ghz(2, gf(257)), bell(gf(257), 5, 3)):
+        table = verify.KeyTable.of(state)
+        assert table.coset is not None
+        for S in ((0,), (1,)):
+            assert verify._by_rank(table, S) and is_maximally_mixed(reduced_density(table, S))[0]
+        with pytest.raises(TooLarge, match=r"257\^2 exceeds the matrix cap"):
+            next(verify._decisions(table, [(0, 1)]))
 
 
 def test_matrix_cap_comes_before_the_rank_path():

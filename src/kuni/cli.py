@@ -9,7 +9,6 @@ manifests reproduce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -170,13 +169,11 @@ def _load_code(args) -> LinearCode:
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    # the sweep reads only the key table: the text, its lines and the
-    # checker's state are gone once it is built
-    n, spec, terms = read_state(_read(args, args.state))
-    first = next(terms, None)  # before the table, which is sized by n
-    if first is None:
+    # the sweep reads only the key table, built on the reader's site columns:
+    # the text, the reader's state and the amplitudes are gone once it is built
+    table = KeyTable.from_columns(*read_state(_read(args, args.state))[1:])
+    if not table.size:
         raise FormatError(f"{args.state} has no nonzero term: the zero vector is not a state")
-    table = KeyTable(n, spec.q, itertools.chain([first], terms))
     report = uniformity(table, k_max=args.k_max, sample=args.sample, seed=args.seed)
     result = {
         "n": report.n,
@@ -382,7 +379,7 @@ def _table1_verify(n_cl, k_cl, seed_kind, q, k_target, seed):
     code = mds_from_singleton(n_cl, k_cl, spec)
     quantum = state_from_code(mds_from_singleton(*_SEED_CODE[seed_kind], spec))
     state = cl_plus_q_fibred(code, quantum, variant="direct")
-    table = KeyTable(state.n, q, state.terms())
+    table = KeyTable.from_columns(spec, *state.columns())
     work = sum(math.comb(table.n, s) for s in range(1, k_target + 1)) * table.size
     rep = uniformity(table, k_max=k_target, sample=None if work <= _EXHAUSTIVE_WORK_CAP else 10,
                      seed=0 if seed is None else seed)

@@ -104,11 +104,11 @@ def codeword_blocks(code: LinearCode):
     """The codewords in `enumerate_codewords`' order, in blocks of q^L words,
     each block its n site columns: q^L <= BLOCK_WORDS, but L >= 1 when k >= 1.
 
-    The columns of the words of G's last L rows are built once.  Each word p
-    of the first k - L rows, in message order (enumerated the same way),
-    gives one block: those columns, each shifted by p's symbol at its site
-    (`FieldSpec.shift`), so no Python code runs per word of a block.  Memory
-    holds one block per level, never the q^k words."""
+    The columns of the words of G's last L rows are built once, one
+    `FieldSpec.shifts` call a site and row.  Each word p of the first k - L
+    rows, in message order (enumerated the same way), gives one block: those
+    columns, each shifted by p's symbol at its site (`FieldSpec.shift`), so no
+    Python code runs per word of a block.  Memory holds one block per level."""
     if code.q ** code.k > MAX_ENUM_CODEWORDS:
         raise TooLarge(f"q^k = {code.q}^{code.k} exceeds enumeration cap")
     spec, q = code.spec, code.q
@@ -119,7 +119,7 @@ def codeword_blocks(code: LinearCode):
             L += 1
         cols = [spec.column([0])] * code.n
         for row in reversed(rows[len(rows) - L:]):  # the first of them varies slowest
-            cols = [spec.join([spec.shift(col, spec.mul(a, g)) for a in range(q)])
+            cols = [spec.shifts(col, [spec.mul(a, g) for a in range(q)])
                     for col, g in zip(cols, row)]
         if L == len(rows):
             yield cols

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import cached_property, lru_cache
-from operator import getitem, index
+from operator import add, getitem, index, lshift, mod, or_
 
 from .errors import (
     DivisionByZero,
@@ -244,16 +245,64 @@ class FieldSpec:
 
     def shift(self, col, s: int):
         """col with s added to each symbol."""
+        return self.shifts(col, (s,))
+
+    def shifts(self, col, values):
+        """col shifted by each of `values` in turn (`shift`), joined."""
         if self.q <= 256:
-            return col.translate(self._add_rows[s])
-        return tuple(map(self.add, col, itertools.repeat(s)))
+            return b"".join([col.translate(self._add_rows[s]) for s in values])
+        values = tuple(values)
+        xs, ss = col * len(values), self.stretch(values, len(col))
+        if self.m == 1:
+            return tuple(map(mod, map(add, xs, ss), itertools.repeat(self.p)))
+        return tuple(map(self.add, xs, ss))
+
+    def stretch(self, col, s: int):
+        """col with each symbol repeated s times where it stands."""
+        if self.q > 256:
+            runs = map(itertools.repeat, col, itertools.repeat(s))
+            return tuple(itertools.chain.from_iterable(runs))
+        out = bytearray(len(col) * s)
+        for i in range(s):
+            out[i::s] = col
+        return bytes(out)
 
     def column_axpy(self, f: int, xs, ys):
-        """The column xs + f*ys, symbol by symbol."""
+        """The column xs + f*ys.  Bytes columns add as whole integers where no
+        byte carries: XOR over GF(2^m); over GF(p), p <= 127, one sum (each
+        byte below 2p) reduced mod p by `translate`; else by add rows."""
         if self.q > 256:
             return tuple(self.axpy(f, xs, ys))
         times = bytes(self.mul(f, y) for y in range(self.q)).ljust(256, b"\0")
-        return bytes(map(getitem, map(self._add_rows.__getitem__, xs), ys.translate(times)))
+        fy = ys.translate(times)
+        if self.p == 2:
+            return (int.from_bytes(xs, "big") ^ int.from_bytes(fy, "big")).to_bytes(len(xs), "big")
+        if self.m == 1 and self.p <= 127:
+            total = int.from_bytes(xs, "big") + int.from_bytes(fy, "big")
+            reduce = (bytes(range(self.p)) * (256 // self.p + 1))[:256]  # x -> x mod p
+            return total.to_bytes(len(xs), "big").translate(reduce)
+        return bytes(map(getitem, map(self._add_rows.__getitem__, xs), fy))
+
+    def pack(self, columns) -> list:
+        """One integer per row of the columns (at least one): its symbols,
+        bit_length(q - 1) bits each, the first column's highest.  Bytes rows of
+        at most 64 bits are summed, shifted, in the 64-bit lanes of one integer
+        per 2^14 rows, with no carry between lanes."""
+        b = (self.q - 1).bit_length()
+        size = len(columns[0])
+        if self.q > 256 or b * len(columns) > 64:
+            codes = [0] * size
+            for col in columns:
+                codes = list(map(or_, map(lshift, codes, itertools.repeat(b)), col))
+            return codes
+        codes = []
+        for lo in range(0, size, 1 << 14):  # 2^14 rows at a time bound the lanes
+            lanes, total = bytearray(8 * min(size - lo, 1 << 14)), 0
+            for i, col in enumerate(reversed(columns)):
+                lanes[::8] = col[lo:lo + (1 << 14)]
+                total |= int.from_bytes(lanes, "little") << b * i
+            codes += memoryview(total.to_bytes(len(lanes), sys.byteorder)).cast("Q").tolist()
+        return codes
 
     @cached_property
     def _add_rows(self) -> list:

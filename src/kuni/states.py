@@ -16,6 +16,7 @@ import io
 import itertools
 import os
 from functools import lru_cache
+from operator import itemgetter
 
 from .codes import LinearCode, block_words, codeword_blocks, dual_code
 from .cyclotomic import Cyclotomic
@@ -189,19 +190,22 @@ class FibredState:
     def support(self) -> int:
         return self.q ** self.G.rows * self.seed.support
 
-    def _words(self):
-        """Per block of the words of [G | W] in codeword order (`codeword_blocks`),
-        its codewords and its labels, word by word, once the term cap is
-        checked: R's rows are unit vectors at its pivots, all in G's columns,
-        so R's message order is codeword order.  A key is a codeword + a
-        shifted seed key, so each word's seed terms in `_order` give sorted
-        key order, the file's."""
+    def _blocks(self):
+        """The blocks of the words of [G | W] in codeword order
+        (`codeword_blocks`), once the term cap is checked: R's rows are unit
+        vectors at its pivots, all in G's columns, so R's message order is
+        codeword order.  A key is a codeword + a shifted seed key, so each
+        word's seed terms in `_order` give sorted key order, the file's."""
         if self.support > max_terms():
             raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
                            f"{self.seed.support} exceeds the term cap")
+        return codeword_blocks(self._code)
+
+    def _words(self):
+        """Per block of `_blocks`, its codewords and its labels, word by word."""
         n = self.G.cols
         return ((block_words(cols, slice(n)), block_words(cols, slice(n, None)))
-                for cols in codeword_blocks(self._code))
+                for cols in self._blocks())
 
     # A word's label, its symbols after G's columns, acts on the seed through
     # its exponents at the X sites (ex) and at the Z sites (ez).
@@ -249,6 +253,23 @@ class FibredState:
         for heads, labels in self._words():
             for head, (tails, amps) in zip(heads, map(block, labels)):
                 yield from zip(map(head.__add__, tails), amps)
+
+    def columns(self):
+        """(site columns, amplitudes) of `terms()`, a block of words at a time:
+        each codeword symbol once per seed term (`FieldSpec.stretch`), and
+        each seed site's column read from the labels' tails (`_block`)."""
+        spec, n, s = self.seed.spec, self.G.cols, self.seed.support
+        block = self._tabled(self._block(), self.W.cols)
+        columns, amps = [[] for _ in range(self.n)], []
+        for cols in self._blocks():
+            parts = list(map(block, block_words(cols, slice(n, None))))
+            for site, col in zip(columns, cols[:n]):
+                site.append(spec.stretch(col, s))
+            for j, site in enumerate(columns[n:]):
+                seed_keys = itertools.chain.from_iterable(tails for tails, _ in parts)
+                site.append(spec.column(map(itemgetter(j), seed_keys)))
+            amps += itertools.chain.from_iterable(part_amps for _, part_amps in parts)
+        return list(map(spec.join, columns)), amps
 
     def materialize(self) -> SparseState:
         # a root of unity times a nonzero seed amplitude is never zero
@@ -488,12 +509,20 @@ def format_state(state: SparseState) -> str:
     return out.getvalue()
 
 
+# The term lines are read in blocks, each cut at the first line end at least
+# this many characters on, so that one block's lines and tokens are held at a time.
+_BLOCK_CHARS = 1 << 12
+
+
 def read_state(text: str):
-    """(n, spec, terms) of a state file: `terms` checks the lines in file
-    order, yields each one's (key, amplitude) and lets it go, and raises
-    FormatError at the first bad one.  A zero line is checked, then dropped;
-    a key that repeats any earlier line's, zero or not, is rejected."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    """(n, spec, columns, amps) of a state file: its nonzero terms in file
+    order, one `FieldSpec.column` per site (none when the file has no term
+    line) and one amplitude per term, one object per coefficient text.  The
+    lines are checked a block at a time (`_term_block`); a zero line is
+    checked, then dropped, and a key that repeats any earlier line's, zero or
+    not, is rejected."""
+    blocks = _line_blocks(text)
+    lines = next(blocks, [])
     parts = lines[0].split() if lines else []
     if parts[:1] != ["STATE"]:
         raise FormatError("missing STATE header")
@@ -504,43 +533,105 @@ def read_state(text: str):
     if len(parts) != 3 or n < 1:
         raise FormatError(f"bad STATE header: {lines[0]!r}")
     spec = gf(q)
-    lines.reverse()  # popped from the end, in file order
-    lines.pop()
-    return n, spec, _term_lines(lines, n, spec)
+    del lines[0]
+    symbols = _Symbols(q)  # each token -> its symbol
+    amps = {}  # each coefficient text met -> its one amplitude, or None when it is zero
+    seen = set()  # the code (`FieldSpec.pack`) of every key so far, zero lines included
+    block_columns, kept = [], []  # each block's columns, and the amplitudes
+    for lines in itertools.chain([lines], blocks):
+        lines = list(filter(str.strip, lines))
+        if lines:
+            cols, block_amps = _term_block(lines, n, spec, symbols, amps, seen)
+            block_columns.append(cols)
+            kept += block_amps
+    # nothing is sized by n before a line has n symbols
+    return n, spec, list(map(spec.join, zip(*block_columns))), kept
 
 
-def _term_lines(lines: list, n: int, spec: FieldSpec):
+def _line_blocks(text: str):
+    """The lines of text.strip() (`str.splitlines`), in blocks cut after a
+    newline, without a copy of the whole stripped text."""
+    head, tail = text[:4096], text[-4096:]  # longer whitespace is stripped by a copy
+    start = len(head) - len(head.lstrip()) if head.strip() else len(text) - len(text.lstrip())
+    end = len(text) - len(tail) + len(tail.rstrip()) if tail.strip() else len(text.rstrip())
+    while start < end:
+        cut = text.find("\n", start + _BLOCK_CHARS, end) + 1 or end
+        yield text[start:cut].splitlines()
+        start = cut
+
+
+class _Symbols(dict):
+    """token -> int(token) in [0, q); any other token raises ValueError."""
+
+    def __init__(self, q: int):
+        super().__init__((str(x), x) for x in range(q))
+        self.q = q
+
+    def __missing__(self, token):
+        if 0 <= int(token) < self.q:
+            return int(token)
+        raise ValueError(f"symbol {token} out of range")
+
+
+def _term_block(lines: list, n: int, spec: FieldSpec, symbols, amps: dict, seen: set):
+    """(site columns, amplitudes) of the nonzero terms of nonblank term lines,
+    each check made on the whole block: one ':' a line, n symbols before it,
+    q coefficients in each new coefficient text, and no repeated key.  A
+    block that fails one is checked again by `_first_bad_line`."""
+    count, q = len(lines), spec.q
+    lefts, colons, rights = zip(*map(str.partition, lines, itertools.repeat(":")))
+    tokens = " : ".join(lefts).split()  # a left holds no ':', so the ':' tokens part the lines
+    try:
+        if "" in colons or len(tokens) != count * (n + 1) - 1 \
+                or tokens[n::n + 1].count(":") != count - 1:
+            raise ValueError("a line without one ':' after n symbols")
+        cols = [spec.column(map(symbols.__getitem__, tokens[j::n + 1])) for j in range(n)]
+        texts = set(rights)
+        for right in texts.difference(amps):
+            coeffs = tuple(map(int, right.split()))
+            if len(coeffs) != q:
+                raise ValueError(f"{len(coeffs)} coefficients")
+            amp = Cyclotomic(q, coeffs)
+            amps[right] = None if amp.is_zero() else amp
+        codes = set(spec.pack(cols))
+        if len(codes) != count or not seen.isdisjoint(codes):
+            raise ValueError("a repeated key")
+    except ValueError:
+        _first_bad_line(lines, n, spec, seen)
+    seen |= codes
+    block_amps = list(map(amps.__getitem__, rights))
+    if any(amps[right] is None for right in texts):  # zero lines are checked, then dropped
+        keep = [i for i, amp in enumerate(block_amps) if amp is not None]
+        cols = [spec.column(map(col.__getitem__, keep)) for col in cols]
+        block_amps = list(map(block_amps.__getitem__, keep))
+    return cols, block_amps
+
+
+def _first_bad_line(lines: list, n: int, spec: FieldSpec, seen: set):
+    """Raise the FormatError of the first bad line of a block, checking one
+    line at a time."""
     q = spec.q
-    seen = set()  # every key so far, zero lines included
-    amps = {}  # coefficient text -> its one amplitude, or None when it is zero
-    while lines:
-        ln = lines.pop()
+    for ln in lines:
         left, colon, right = ln.partition(":")
         if not colon:
             raise FormatError(f"bad term line: {ln!r}")
         try:
-            key = tuple(map(int, left.split()))
-            coeffs = None if right in amps else tuple(map(int, right.split()))
+            key, coeffs = tuple(map(int, left.split())), tuple(map(int, right.split()))
         except ValueError as exc:
             raise FormatError(f"bad term line: {ln!r}") from exc
         if len(key) != n:
             raise FormatError(f"term has {len(key)} symbols, header says {n}")
         if min(key) < 0 or max(key) >= q:
             raise FormatError(f"symbol out of range [0, {q}) in {ln!r}")
-        if coeffs is not None:
-            if len(coeffs) != q:
-                raise FormatError(f"term has {len(coeffs)} coefficients, expected {q}")
-            amp = Cyclotomic(q, coeffs)
-            amps[right] = None if amp.is_zero() else amp
-        stand_in = spec.column(key)  # a cheap exact stand-in for the key
-        if stand_in in seen:
+        if len(coeffs) != q:
+            raise FormatError(f"term has {len(coeffs)} coefficients, expected {q}")
+        code = spec.pack([spec.column([s]) for s in key])[0]
+        if code in seen:
             raise FormatError(f"duplicate term {key}")
-        seen.add(stand_in)
-        amp = amps[right]
-        if amp is not None:
-            yield key, amp
+        seen.add(code)
+    raise AssertionError("a term block failed its checks, but none of its lines did")
 
 
 def parse_state(text: str) -> SparseState:
-    n, spec, terms = read_state(text)
-    return SparseState._of_nonzero(n, spec, dict(terms))
+    n, spec, columns, amps = read_state(text)
+    return SparseState._of_nonzero(n, spec, dict(zip(zip(*columns), amps)))

@@ -11,7 +11,7 @@ import itertools
 import math
 import random as _random
 from functools import cached_property
-from operator import and_, lshift, rshift
+from operator import and_
 
 from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
@@ -46,40 +46,53 @@ class ReducedDensity:
 
 
 class KeyTable:
-    """What the reductions of one state share, in term order: each key as
-    one integer code, b = bit_length(q - 1) bits per site, so that its row
-    code for S is the code masked to the bits of S and its complement code
-    the rest; the one |amp|^2 of all amplitudes (None when they differ); and
-    each amplitude's nonzero (exponent t, coefficient c) pairs.
+    """What the reductions of one state share, in term order: its site
+    columns, until `coset` has read them; each key as one integer code
+    (`FieldSpec.pack`), so that its row code for S is the code masked to the
+    bits of S and its complement code the rest; the one |amp|^2 of all
+    amplitudes (None when they differ); and each amplitude's nonzero
+    (exponent t, coefficient c) pairs.
 
-    Built from distinct (key, amplitude) pairs in term order: a SparseState's
-    items, `read_state`'s checked lines or `FibredState.terms()`.  `coset`
-    works out, once, whether the keys are a coset of a GF(q) subspace, for
-    the sweep's rank path (`_by_rank`)."""
+    Built from distinct keys' columns and amplitudes (`from_columns`: those
+    of `read_state` or `FibredState.columns()`), or from (key, amplitude)
+    pairs, transposed by `zip`.  `coset` works out, once, whether the keys
+    are a coset of a GF(q) subspace, for the sweep's rank path (`_by_rank`)."""
 
     def __init__(self, n: int, q: int, terms):
-        self.n, self.q = n, q
-        self.bits = (q - 1).bit_length()
+        spec = gf(q)
+        keys, amps = tuple(zip(*terms)) or ((), ())
+        self._fill(n, spec, [spec.column(col) for col in list(zip(*keys)) or [()] * n], amps)
+
+    @classmethod
+    def from_columns(cls, spec, columns: list, amps) -> "KeyTable":
+        """The table of the terms with these site columns and amplitudes."""
+        table = cls.__new__(cls)
+        table._fill(len(columns), spec, columns, amps)
+        return table
+
+    def _fill(self, n: int, spec, columns: list, amps):
+        self.n, self.q, self.columns = n, spec.q, columns
+        self.bits = (spec.q - 1).bit_length()
         self.digit = (1 << self.bits) - 1  # the mask of one site's bits
         self.span = 1 << (self.bits * n)  # above every code
-        self.shifts = shifts = [self.bits * (n - 1 - i) for i in range(n)]
-        self.codes, self.pairs = codes, pairs = [], []
-        pairs_of, norms = {}, set()  # per distinct coefficient vector
+        self.shifts = [self.bits * (n - 1 - i) for i in range(n)]
+        self.size = len(amps)
+        # the pairs and |amp|^2 of each distinct coefficient vector, looked up
+        # through each amplitude object (readers share one per vector)
+        objects = dict(zip(map(id, amps), amps))
+        distinct = {amp.coeffs: amp for amp in objects.values()}
+        pairs_of = {coeffs: [(t, x) for t, x in enumerate(coeffs) if x] for coeffs in distinct}
+        norms = {(amp * amp.conj()).coeffs for amp in distinct.values()}
+        self.norm = next(iter(norms)) if len(norms) == 1 else None
+        pairs_by_id = {i: pairs_of[amp.coeffs] for i, amp in objects.items()}
         try:
-            for key, amp in terms:
-                codes.append(sum(map(lshift, key, shifts)))
-                p = pairs_of.get(amp.coeffs)
-                if p is None:
-                    p = pairs_of[amp.coeffs] = [(t, x) for t, x in enumerate(amp.coeffs) if x]
-                    norms.add((amp * amp.conj()).coeffs)
-                pairs.append(p)
+            self.codes = spec.pack(columns) if columns else [0] * self.size
+            self.pairs = list(map(pairs_by_id.__getitem__, map(id, amps)))
         except MemoryError:
             # the traceback keeps this frame, and so the table, alive: free
             # the table, or the error cannot even be handled
-            del codes[:], pairs[:]
+            self.__dict__.clear()
             raise
-        self.size = len(codes)
-        self.norm = next(iter(norms)) if len(norms) == 1 else None
 
     @classmethod
     def of(cls, source) -> "KeyTable":
@@ -107,38 +120,43 @@ class KeyTable:
     def coset(self):
         """The RREF rows of T when all amplitudes have one |amp|^2 and the keys
         are exactly x0 + T, for x0 the first key and T a subspace of GF(q)^n
-        over gf(q) (the field read_state gives a file); else None.
-
-        The keys are read as site columns (`FieldSpec.column`), so no object
-        is built per key.  T is spanned by key - x0 over the first keys that
-        raise its rank (those at q^j first: the unit vectors of a sorted
-        linear code).  Every column off T's pivots, less T's multiples of the
-        pivot columns, must be constant: then every key lies in x0 + T, and
-        N = q^dim T distinct keys are all of it."""
+        over gf(q) (the field read_state gives a file); else None: every key
+        lies in x0 + T (`_affine_rows`), and N = q^dim T distinct keys are
+        all of it."""
+        # the columns' one reader lets them go: a sweep's reductions, which
+        # follow, need only the codes
+        cols = self.__dict__.pop("columns")
         spec, size = gf(self.q), self.size
         r = spec.log(size)  # dim T
-        if self.norm is None or r is None or len(set(self.codes)) != size:
+        T = None if self.norm is None or r is None else _affine_rows(spec, cols, r, size)
+        del cols  # before the set of the codes, the peak of a large table
+        return T if T is not None and len(set(self.codes)) == size else None
+
+
+def _affine_rows(spec, cols: list, r: int, size: int):
+    """The RREF rows of T when every key, a row of the site columns cols,
+    lies in x0 + T; else None.  The columns are read whole, so no object is
+    built per key.  T is spanned by key - x0 over the first keys that raise
+    its rank to r (those at q^j first: the unit vectors of a sorted linear
+    code).  Every column off T's pivots, less T's multiples of the pivot
+    columns (`FieldSpec.column_axpy`), must be constant."""
+    x0 = [col[0] for col in cols]
+    T, pivots = [], []
+    for i in itertools.chain((spec.q ** j for j in range(r)), range(size)):
+        if len(T) == r:
+            break
+        T.append([spec.sub(col[i], x) for col, x in zip(cols, x0)])
+        pivots = _rref_data(spec, T)[0]
+        del T[len(pivots):]  # a key that did not raise the rank leaves a zero row
+    for j, rest in enumerate(cols):
+        if j in pivots:
+            continue
+        for row, p in zip(T, pivots):
+            if row[j]:  # minus row[j] times the pivot column
+                rest = spec.column_axpy(spec.neg(row[j]), rest, cols[p])
+        if rest.count(rest[0]) != size:
             return None
-        cols = [spec.column(map(and_, map(rshift, self.codes, itertools.repeat(s)),
-                                itertools.repeat(self.digit))) for s in self.shifts]
-        x0 = [col[0] for col in cols]
-        T, pivots = [], []
-        for i in itertools.chain((self.q ** j for j in range(r)), range(size)):
-            if len(T) == r:
-                break
-            T.append([spec.sub(col[i], x) for col, x in zip(cols, x0)])
-            pivots = _rref_data(spec, T)[0]
-            del T[len(pivots):]  # a key that did not raise the rank leaves a zero row
-        for j in range(self.n):
-            if j in pivots:
-                continue
-            rest = cols[j]
-            for row, p in zip(T, pivots):
-                if row[j]:  # minus row[j] times the pivot column
-                    rest = spec.column_axpy(spec.neg(row[j]), rest, cols[p])
-            if rest.count(rest[0]) != size:
-                return None
-        return list(map(tuple, T))
+    return list(map(tuple, T))
 
 
 def reduced_density(state, subset) -> ReducedDensity:

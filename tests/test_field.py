@@ -97,28 +97,51 @@ def test_extension_add_neg_tables_match_digit_loop(q):
             assert spec.mul(a, b) == _reference_mul_poly(spec, a, b)
 
 
-@pytest.mark.parametrize("q", [2, 3, 65521, 8, 9, 81, 512])
+@pytest.mark.parametrize("q", [2, 3, 65521, 8, 9, 81, 512, 127, 131, 256])
 def test_add_each_matches_add(q):
     # the column methods add to each symbol as add and mul do one at a time:
     # bytes columns over prime fields, tabled extension fields and GF(81),
-    # tuple columns over GF(65521) and GF(2^9), whose add is digit by digit
+    # tuple columns over GF(65521) and GF(2^9), whose add is digit by digit.
+    # column_axpy adds whole integers over GF(2), GF(8), GF(256) (XOR) and
+    # GF(3), GF(127) (a sum below 256 a byte, then mod p), and through the
+    # add rows over GF(9), GF(81) and GF(131), whose byte sums would carry
     spec = gf(q)
     kind = bytes if q <= 256 else tuple
     rng = random.Random(q)
-    for length in (0, 1, 7):
+    for length in (0, 1, 7, 300):
         xs = [rng.randrange(q) for _ in range(length - 1)] + [q - 1] * (length > 0)
-        ys = [rng.randrange(q) for _ in range(length)]
+        ys = [rng.randrange(q) for _ in range(length - 1)] + [q - 1] * (length > 0)
         a, b = spec.column(xs), spec.column(ys)
         assert type(a) is kind and list(a) == xs
         for s in (0, 1, q - 1, rng.randrange(q)):
             shifted = spec.shift(a, s)
             assert type(shifted) is kind and list(shifted) == [spec.add(x, s) for x in xs]
+        values = [0, q - 1, rng.randrange(q)]
+        shifts = spec.shifts(a, values)
+        assert type(shifts) is kind
+        assert list(shifts) == [spec.add(x, s) for s in values for x in xs]
         joined = spec.join([a, b, spec.column([]), a])
         assert type(joined) is kind and list(joined) == xs + ys + xs
         for f in (0, 1, q - 1, rng.randrange(q)):
             axpy = spec.column_axpy(f, a, b)
             assert type(axpy) is kind
             assert list(axpy) == [spec.add(x, spec.mul(f, y)) for x, y in zip(xs, ys)]
+
+
+@pytest.mark.parametrize("q", [2, 7, 16, 256, 257])
+def test_pack_matches_per_row_codes(q):
+    # b bits a symbol, the first column highest: in 64-bit lanes up to 64
+    # bits a row (9 sites of GF(7), 8 of GF(256)), 2^14 rows a slice, and one
+    # column at a time above
+    spec, b = gf(q), (q - 1).bit_length()
+    rng = random.Random(q)
+    for n in (1, 2, 8, 9, 64 // b, 64 // b + 1):
+        for length in (0, 1, 300) + ((1 << 14) + 3,) * (n <= 2):
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(length)]
+            rows[-1:] = [[q - 1] * n] * min(length, 1)
+            columns = [spec.column(col) for col in zip(*rows)] or [spec.column([])] * n
+            assert spec.pack(columns) == [sum(x << b * (n - 1 - i) for i, x in enumerate(row))
+                                          for row in rows]
 
 
 def test_power_search_is_exact():

@@ -465,10 +465,15 @@ def _assert_same_state(fib, reference):
     assert streamed.splitlines() == text.splitlines() and streamed == text
     terms = list(fib.terms())
     assert all(a[0] < b[0] for a, b in zip(terms, terms[1:]))
-    n, spec, read = read_state(streamed)
-    in_memory, from_file = KeyTable(fib.n, fib.q, terms), KeyTable(n, spec.q, read)
-    assert in_memory.codes == from_file.codes and in_memory.pairs == from_file.pairs
-    assert in_memory.norm == from_file.norm
+    n, spec, columns, amps = read_state(streamed)
+    assert n == fib.n
+    in_memory = KeyTable(fib.n, fib.q, terms)
+    # the file's columns, and the columns built from the codeword blocks
+    for table in (KeyTable.from_columns(spec, columns, amps),
+                  KeyTable.from_columns(fib.seed.spec, *fib.columns())):
+        assert table.codes == in_memory.codes
+        assert table.pairs == in_memory.pairs and table.norm == in_memory.norm
+        assert table.coset == in_memory.coset
 
 
 def _random_monomial_seed(rng, spec, n, r):
@@ -538,9 +543,9 @@ def test_clq_witness_is_the_same_in_memory_and_from_the_file():
     code, seed = mds_from_singleton(4, 1, sp), ghz(3, sp)
     fib = cl_plus_q_fibred(code, seed, variant="dual")
     _assert_same_state(fib, _reference_cl_plus_q(code, seed, variant="dual"))
-    n, spec, terms = read_state("".join(fib.chunks()))
+    _, spec, columns, amps = read_state("".join(fib.chunks()))
     in_memory = uniformity(KeyTable(fib.n, fib.q, fib.terms())).first_failure
-    assert in_memory == uniformity(KeyTable(n, spec.q, terms)).first_failure
+    assert in_memory == uniformity(KeyTable.from_columns(spec, columns, amps)).first_failure
     assert in_memory[0] == (0, 1, 4)
 
 
@@ -647,7 +652,7 @@ def test_chunks_checks_the_cap_before_any_text(monkeypatch):
     with pytest.raises(TooLarge, match="exceeds the term cap"):
         fib.chunks()
     # the term stream owns the cap: each of its readers meets it at the first term
-    for read in (lambda: next(fib.terms()), fib.materialize,
+    for read in (lambda: next(fib.terms()), fib.materialize, fib.columns,
                  lambda: KeyTable(fib.n, fib.q, fib.terms())):
         with pytest.raises(TooLarge, match="exceeds the term cap"):
             read()

@@ -171,7 +171,7 @@ def _load_code(args) -> LinearCode:
 def cmd_verify(args) -> int:
     # the sweep reads only the key table, built on the reader's site columns:
     # the text, the reader's state and the amplitudes are gone once it is built
-    table = KeyTable.from_columns(*read_state(_read(args, args.state))[1:])
+    table = KeyTable(*read_state(_read(args, args.state))[1:])
     if not table.size:
         raise FormatError(f"{args.state} has no nonzero term: the zero vector is not a state")
     report = uniformity(table, k_max=args.k_max, sample=args.sample, seed=args.seed)
@@ -379,11 +379,11 @@ def _table1_verify(n_cl, k_cl, seed_kind, q, k_target, seed):
     code = mds_from_singleton(n_cl, k_cl, spec)
     quantum = state_from_code(mds_from_singleton(*_SEED_CODE[seed_kind], spec))
     state = cl_plus_q_fibred(code, quantum, variant="direct")
-    table = KeyTable.from_columns(spec, *state.columns())
-    work = sum(math.comb(table.n, s) for s in range(1, k_target + 1)) * table.size
-    rep = uniformity(table, k_max=k_target, sample=None if work <= _EXHAUSTIVE_WORK_CAP else 10,
+    # the sweep builds the state's one key table from its columns
+    work = sum(math.comb(state.n, s) for s in range(1, k_target + 1)) * state.support
+    rep = uniformity(state, k_max=k_target, sample=None if work <= _EXHAUSTIVE_WORK_CAP else 10,
                      seed=0 if seed is None else seed)
-    return dict(verified_k=rep.max_verified_k, mode=rep.mode, support=table.size), _outcome(rep)
+    return dict(verified_k=rep.max_verified_k, mode=rep.mode, support=state.support), _outcome(rep)
 
 
 # --- parser -----------------------------------------------------------------

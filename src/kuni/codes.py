@@ -107,8 +107,8 @@ def codeword_blocks(code: LinearCode):
     The columns of the words of G's last L rows are built once, one
     `FieldSpec.shifts` call a site and row.  Each word p of the first k - L
     rows, in message order (enumerated the same way), gives one block: those
-    columns, each shifted by p's symbol at its site (`FieldSpec.shift`), so no
-    Python code runs per word of a block.  Memory holds one block per level."""
+    columns, each shifted by p's symbol at its site (one `shifts` value), so
+    no Python code runs per word of a block.  Memory holds one block per level."""
     if code.q ** code.k > MAX_ENUM_CODEWORDS:
         raise TooLarge(f"q^k = {code.q}^{code.k} exceeds enumeration cap")
     spec, q = code.spec, code.q
@@ -126,7 +126,7 @@ def codeword_blocks(code: LinearCode):
             return
         for heads in blocks(rows[:len(rows) - L]):
             for head in block_words(heads):
-                yield list(map(spec.shift, cols, head))
+                yield [spec.shifts(col, (s,)) for col, s in zip(cols, head)]
 
     yield from blocks(code.G.data)
 

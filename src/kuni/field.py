@@ -243,12 +243,8 @@ class FieldSpec:
         """The columns one after another, as one column."""
         return b"".join(columns) if self.q <= 256 else tuple(itertools.chain.from_iterable(columns))
 
-    def shift(self, col, s: int):
-        """col with s added to each symbol."""
-        return self.shifts(col, (s,))
-
     def shifts(self, col, values):
-        """col shifted by each of `values` in turn (`shift`), joined."""
+        """col with each of `values` in turn added to every symbol, joined."""
         if self.q <= 256:
             return b"".join([col.translate(self._add_rows[s]) for s in values])
         values = tuple(values)

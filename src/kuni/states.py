@@ -86,6 +86,11 @@ class SparseState:
     def support(self) -> int:
         return len(self.terms)
 
+    def columns(self):
+        """(site columns, amplitudes) in term order: the keys transposed."""
+        sites = list(zip(*self.terms)) or [()] * self.n
+        return list(map(self.spec.column, sites)), list(self.terms.values())
+
     def chunks(self):
         """The text of format_state(self), one line at a time in sorted key order."""
         # both checks are made here, when called, before a line is asked for
@@ -174,7 +179,7 @@ class FibredState:
         if rank != G.rows or any(c >= G.cols for c in pivots):
             raise RankDeficient(f"generator {G.rows}x{G.cols} is not full row rank")
         self.G, self.W, self.seed, self.types = G, W, seed, types
-        self._code = LinearCode(R)  # R's words, walked by every _words()
+        self._code = LinearCode(R)  # R's words, walked by every _blocks()
         self.x_sites = [j for j, t in enumerate(types) if t == "X"]
         self.z_sites = [j for j, t in enumerate(types) if t == "Z"]
 
@@ -200,12 +205,6 @@ class FibredState:
             raise TooLarge(f"q^k * seed support = {self.q}^{self.G.rows} * "
                            f"{self.seed.support} exceeds the term cap")
         return codeword_blocks(self._code)
-
-    def _words(self):
-        """Per block of `_blocks`, its codewords and its labels, word by word."""
-        n = self.G.cols
-        return ((block_words(cols, slice(n)), block_words(cols, slice(n, None)))
-                for cols in self._blocks())
 
     # A word's label, its symbols after G's columns, acts on the seed through
     # its exponents at the X sites (ex) and at the Z sites (ez).
@@ -246,18 +245,10 @@ class FibredState:
 
         return block
 
-    def terms(self):
-        """(key, amplitude) pairs in sorted key order, the cap checked first (see
-        `_words`); each word is its codeword + its label's block."""
-        block = self._tabled(self._block(), self.W.cols)
-        for heads, labels in self._words():
-            for head, (tails, amps) in zip(heads, map(block, labels)):
-                yield from zip(map(head.__add__, tails), amps)
-
     def columns(self):
-        """(site columns, amplitudes) of `terms()`, a block of words at a time:
-        each codeword symbol once per seed term (`FieldSpec.stretch`), and
-        each seed site's column read from the labels' tails (`_block`)."""
+        """(site columns, amplitudes) in sorted key order, the cap checked first
+        (`_blocks`): each codeword symbol once per seed term (`FieldSpec.stretch`)
+        and each seed site's column from the labels' tails (`_block`)."""
         spec, n, s = self.seed.spec, self.G.cols, self.seed.support
         block = self._tabled(self._block(), self.W.cols)
         columns, amps = [[] for _ in range(self.n)], []
@@ -272,24 +263,27 @@ class FibredState:
         return list(map(spec.join, columns)), amps
 
     def materialize(self) -> SparseState:
-        # a root of unity times a nonzero seed amplitude is never zero
-        return SparseState._of_nonzero(self.n, self.seed.spec, dict(self.terms()))
+        columns, amps = self.columns()
+        # a root of unity times a nonzero seed amplitude is never zero; the
+        # keys are the columns' words, () for each of a 0-party state's terms
+        return SparseState._of_nonzero(self.n, self.seed.spec, dict(zip(block_words(columns), amps)))
 
     def chunks(self):
-        """The text of format_state(self.materialize()), one piece per word in
-        `terms()`'s order, without building the state; the term cap is checked
-        here, before the first piece is asked for.  A word costs one lookup of
-        its label's lines (tabled per label), joined by its codeword's text; no
-        word is kept, so memory grows with neither the q^k words nor the
-        q^k * s terms."""
-        words, block, texts = self._words(), self._block(), {}
+        """The text of format_state(self.materialize()), one piece per word of
+        `_blocks()`, in `columns()`'s order, without building the state; the
+        term cap is checked here, before the first piece is asked for.  A word
+        costs one lookup of its label's lines (tabled per label), joined by its
+        codeword's text; no word is kept, so memory grows with neither the q^k
+        words nor the q^k * s terms."""
+        n, block, texts = self.G.cols, self._block(), {}
         # led by "", so that joining with the codeword's text starts each line
         lines = self._tabled(lambda label: ["", *_lines(self.seed.n, *block(label), texts)],
                              self.W.cols)
         sep = " " if self.seed.n else ""  # a code state's lines have no seed key
-        prefix = " ".join(["%d"] * self.G.cols) + sep
+        prefix = " ".join(["%d"] * n) + sep
         return itertools.chain([f"STATE {self.n} {self.q}\n"], itertools.chain.from_iterable(
-            map(str.join, map(prefix.__mod__, heads), map(lines, labels)) for heads, labels in words))
+            map(str.join, map(prefix.__mod__, block_words(cols, slice(n))),
+                map(lines, block_words(cols, slice(n, None)))) for cols in self._blocks()))
 
 
 def _lines(width: int, keys, amps, texts: dict):

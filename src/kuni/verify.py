@@ -15,7 +15,8 @@ from operator import and_
 
 from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
-from .errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
+from .errors import (KuniError, NonPrimeQ, ShapeMismatch, SpecMismatch, SupportBelowRankBound,
+                     TooLarge)
 from .field import FFMatrix, _rref_data, gf, rank_of_rows
 from .states import SparseState, WeylWord, apply_weyl, inner_product
 
@@ -53,24 +54,12 @@ class KeyTable:
     amplitudes (None when they differ); and each amplitude's nonzero
     (exponent t, coefficient c) pairs.
 
-    Built from distinct keys' columns and amplitudes (`from_columns`: those
-    of `read_state` or `FibredState.columns()`), or from (key, amplitude)
-    pairs, transposed by `zip`.  `coset` works out, once, whether the keys
+    Built from distinct keys' site columns and amplitudes (`read_state`'s, or
+    a state's `columns()`: `of`).  `coset` works out, once, whether the keys
     are a coset of a GF(q) subspace, for the sweep's rank path (`_by_rank`)."""
 
-    def __init__(self, n: int, q: int, terms):
-        spec = gf(q)
-        keys, amps = tuple(zip(*terms)) or ((), ())
-        self._fill(n, spec, [spec.column(col) for col in list(zip(*keys)) or [()] * n], amps)
-
-    @classmethod
-    def from_columns(cls, spec, columns: list, amps) -> "KeyTable":
-        """The table of the terms with these site columns and amplitudes."""
-        table = cls.__new__(cls)
-        table._fill(len(columns), spec, columns, amps)
-        return table
-
-    def _fill(self, n: int, spec, columns: list, amps):
+    def __init__(self, spec, columns: list, amps):
+        n = len(columns)
         self.n, self.q, self.columns = n, spec.q, columns
         self.bits = (spec.q - 1).bit_length()
         self.digit = (1 << self.bits) - 1  # the mask of one site's bits
@@ -96,8 +85,8 @@ class KeyTable:
 
     @classmethod
     def of(cls, source) -> "KeyTable":
-        """The table of a SparseState; a KeyTable is its own."""
-        return source if isinstance(source, cls) else cls(source.n, source.q, source.terms.items())
+        """The table of a state's `columns()`; a KeyTable is its own."""
+        return source if isinstance(source, cls) else cls(gf(source.q), *source.columns())
 
     @property
     def terms(self):
@@ -160,11 +149,11 @@ def _affine_rows(spec, cols: list, r: int, size: int):
 
 
 def reduced_density(state, subset) -> ReducedDensity:
-    """Trace out the complement of `subset` (sorted site indices) of
-    `state`, a SparseState or a KeyTable; only the table is read.
+    """Trace out the complement of `subset` (distinct sites in [0, n)) of
+    `state`, a SparseState, a FibredState or a KeyTable; only the table is read.
 
     A sweep builds the state's table once and passes it as `state` to every
-    call; a SparseState gets a table of its own.  Complement groups and
+    call; a state gets a table of its own.  Complement groups and
     (row, col) sums are keyed by the table's integer codes.  A product
     a * conj(b) adds c_a * c_b at phase (t_a - t_b) mod q of the entry's
     integer vector; a finished vector is zero-tested once, before any
@@ -172,6 +161,8 @@ def reduced_density(state, subset) -> ReducedDensity:
     decoded to symbols.
     """
     S = tuple(sorted(subset))
+    if len(set(S)) < len(S) or S and not 0 <= S[0] <= S[-1] < state.n:
+        raise ShapeMismatch(f"subset {S} is not a set of sites in [0, {state.n})")
     q = state.q
     _cap(q, S)
     table = KeyTable.of(state)
@@ -264,7 +255,7 @@ class UniformityReport:
 def uniformity(state, k_max: int | None = None, sample: int | None = None,
                seed: int | None = None) -> UniformityReport:
     """Sweep subset sizes 1..min(k_max, n//2), ascending, lexicographic, of
-    `state`, a SparseState or a KeyTable; only the table is read.
+    `state`, a SparseState, a FibredState or a KeyTable; only the table is read.
 
     `sample=None` checks every subset; `sample=N` checks, at each size with
     more than N subsets, N of them drawn with the caller-given `seed`.  The
@@ -337,7 +328,7 @@ def support_census(state: SparseState, k: int):
 
 def slocc_witness(state, k: int, classical_cut: int | None = None):
     """First size-(k+1) subset with a maximally mixed reduction, or None, of
-    `state`, a SparseState or a KeyTable; only the table is read.
+    `state`, a SparseState, a FibredState or a KeyTable; only the table is read.
 
     When `classical_cut` is given, subsets with one site in the quantum block
     [cut, n), and so k in the classical block, are searched first (the natural
@@ -370,6 +361,8 @@ def stabilizer_check(state: SparseState, adjacency: FFMatrix):
     """
     if state.spec.m != 1:
         raise NonPrimeQ(f"stabilizer check needs prime q, got {state.q}")
+    if adjacency.spec != state.spec:
+        raise SpecMismatch("adjacency and state live over different fields")
     n = state.n
     if adjacency.rows != n or adjacency.cols != n:
         raise ShapeMismatch(f"adjacency must be {n}x{n}")

@@ -114,7 +114,7 @@ def test_add_each_matches_add(q):
         a, b = spec.column(xs), spec.column(ys)
         assert type(a) is kind and list(a) == xs
         for s in (0, 1, q - 1, rng.randrange(q)):
-            shifted = spec.shift(a, s)
+            shifted = spec.shifts(a, (s,))
             assert type(shifted) is kind and list(shifted) == [spec.add(x, s) for x in xs]
         values = [0, q - 1, rng.randrange(q)]
         shifts = spec.shifts(a, values)

@@ -11,7 +11,7 @@ from kuni.decomposition import construct_G_Q, format_qmatrix, parse_qmatrix
 from kuni.cyclotomic import Cyclotomic
 from kuni.errors import FormatError, KuniError
 from kuni.field import FFMatrix, format_matrix, gf, parse_matrix
-from kuni.states import ame_5_q, bell, format_state, ghz, parse_state, read_state
+from kuni.states import SparseState, ame_5_q, bell, format_state, ghz, parse_state, read_state
 from kuni.verify import KeyTable
 
 CASES_PER_PARSER = 300
@@ -155,8 +155,8 @@ def _line_by_line_table(text: str) -> KeyTable:
         raise FormatError(f"bad STATE header: {lines[0]!r}") from exc
     if len(parts) != 3 or n < 1:
         raise FormatError(f"bad STATE header: {lines[0]!r}")
-    gf(q)
-    seen, terms = set(), []
+    spec = gf(q)
+    seen, terms = set(), {}
     for ln in lines[1:]:
         left, colon, right = ln.partition(":")
         if not colon:
@@ -175,8 +175,8 @@ def _line_by_line_table(text: str) -> KeyTable:
             raise FormatError(f"duplicate term {key}")
         seen.add(key)
         if not Cyclotomic(q, coeffs).is_zero():
-            terms.append((key, Cyclotomic(q, coeffs)))
-    return KeyTable(n, q, terms)
+            terms[key] = Cyclotomic(q, coeffs)
+    return KeyTable.of(SparseState(n, spec, terms))
 
 
 def _assert_readers_agree():
@@ -188,11 +188,11 @@ def _assert_readers_agree():
     outcomes = set()
     for text in texts + cases + STATE_EDGE_TEXTS:
 
-        def from_columns():
+        def read_table():
             _, spec, columns, amps = read_state(text)
-            return KeyTable.from_columns(spec, columns, amps)
+            return KeyTable(spec, columns, amps)
 
-        streamed = _table_or_error(from_columns)
+        streamed = _table_or_error(read_table)
         assert streamed == _table_or_error(lambda: KeyTable.of(parse_state(text))), text
         assert streamed == _table_or_error(lambda: _line_by_line_table(text)), text
         outcomes.add(isinstance(streamed[0], list))

@@ -57,7 +57,7 @@ from kuni.states import (
     tensor,
     weyl_basis,
 )
-from kuni.verify import KeyTable, gram_check, uniformity
+from kuni.verify import KeyTable, gram_check, reduced_density, uniformity
 
 
 def one(q):
@@ -453,8 +453,9 @@ def _reference_cl_plus_q_repetition(G, Q):
 def _assert_same_state(fib, reference):
     """The description materializes to the reference with the same term order
     (witnesses depend on it), and its streamed file is byte-identical to the
-    formatted one.  Its terms come in the file's order, strictly increasing
-    keys, so its key table is the one read back from its own file."""
+    formatted one.  Its columns come in the file's order, strictly increasing
+    keys, so every way into the sweep gives one key table: the fibred state's
+    columns, the materialized state's, and those read back from its own file."""
     state = fib.materialize()
     assert state.equals(reference) and reference.equals(state)
     assert list(state.terms) == sorted(reference.terms)
@@ -463,17 +464,16 @@ def _assert_same_state(fib, reference):
     # lines first: a failure names the first differing line instead of diffing the files
     streamed = "".join(fib.chunks())
     assert streamed.splitlines() == text.splitlines() and streamed == text
-    terms = list(fib.terms())
-    assert all(a[0] < b[0] for a, b in zip(terms, terms[1:]))
+    keys = list(state.terms)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     n, spec, columns, amps = read_state(streamed)
     assert n == fib.n
-    in_memory = KeyTable(fib.n, fib.q, terms)
-    # the file's columns, and the columns built from the codeword blocks
-    for table in (KeyTable.from_columns(spec, columns, amps),
-                  KeyTable.from_columns(fib.seed.spec, *fib.columns())):
-        assert table.codes == in_memory.codes
-        assert table.pairs == in_memory.pairs and table.norm == in_memory.norm
-        assert table.coset == in_memory.coset
+    fibred = KeyTable.of(fib)
+    assert fibred.size == fib.support and list(fibred.terms) == keys
+    for table in (KeyTable.of(state), KeyTable(spec, columns, amps)):
+        assert table.codes == fibred.codes
+        assert table.pairs == fibred.pairs and table.norm == fibred.norm
+        assert table.coset == fibred.coset
 
 
 def _random_monomial_seed(rng, spec, n, r):
@@ -544,9 +544,12 @@ def test_clq_witness_is_the_same_in_memory_and_from_the_file():
     fib = cl_plus_q_fibred(code, seed, variant="dual")
     _assert_same_state(fib, _reference_cl_plus_q(code, seed, variant="dual"))
     _, spec, columns, amps = read_state("".join(fib.chunks()))
-    in_memory = uniformity(KeyTable(fib.n, fib.q, fib.terms())).first_failure
-    assert in_memory == uniformity(KeyTable.from_columns(spec, columns, amps)).first_failure
+    in_memory = uniformity(fib).first_failure
+    assert in_memory == uniformity(KeyTable(spec, columns, amps)).first_failure
+    assert in_memory == uniformity(fib.materialize()).first_failure
     assert in_memory[0] == (0, 1, 4)
+    rho = reduced_density(fib, in_memory[0])  # a fibred state's own reduction, unmaterialized
+    assert rho.entries == reduced_density(fib.materialize(), in_memory[0]).entries
 
 
 def test_clq_rep_on_dense_pairs_matches_per_message_oracle():
@@ -651,9 +654,8 @@ def test_chunks_checks_the_cap_before_any_text(monkeypatch):
     fib = builtin_state("ame_5_q", q=3)
     with pytest.raises(TooLarge, match="exceeds the term cap"):
         fib.chunks()
-    # the term stream owns the cap: each of its readers meets it at the first term
-    for read in (lambda: next(fib.terms()), fib.materialize, fib.columns,
-                 lambda: KeyTable(fib.n, fib.q, fib.terms())):
+    # the block walk owns the cap: each of its readers meets it before the first block
+    for read in (fib.materialize, fib.columns, lambda: KeyTable.of(fib)):
         with pytest.raises(TooLarge, match="exceeds the term cap"):
             read()
 
@@ -696,7 +698,7 @@ def test_fibred_state_eliminates_once(monkeypatch):
 
     fib = repetition_fibred(*construct_G_Q(gf(5)))
     monkeypatch.setattr(kuni.field, "_rref_data", counted)
-    assert sum(1 for _ in fib.terms()) == fib.support
+    assert len(fib.columns()[1]) == fib.support
     assert "".join(fib.chunks()) == format_state(fib.materialize())
     assert calls == []
 

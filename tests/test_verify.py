@@ -14,7 +14,8 @@ from kuni.cli import _SEED_CODE, _TABLE1_ROWS, _min_q_clq
 from kuni.codes import LinearCode, is_mds, mds_from_singleton
 from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomial
 from kuni.decomposition import QMatrix, construct_G_Q
-from kuni.errors import KuniError, NonPrimeQ, ShapeMismatch, SupportBelowRankBound, TooLarge
+from kuni.errors import (KuniError, NonPrimeQ, ShapeMismatch, SpecMismatch, SupportBelowRankBound,
+                         TooLarge)
 from kuni.field import FFMatrix, FieldElement, gf
 from kuni.states import (
     FibredState,
@@ -240,13 +241,13 @@ def test_sweep_matches_product_by_product_oracle(monkeypatch):
 
 
 def _table1_table(n):
-    """The Table 1 row with n parties as a key table streamed from its fibred state."""
+    """The Table 1 row with n parties as the key table of its fibred state's columns."""
     (k, _), ((n_cl, k_cl), seed_kind) = next(
         (key, row) for key, row in _TABLE1_ROWS.items() if key[1] == n)
     spec = gf(_min_q_clq(n_cl, k_cl, seed_kind))
     quantum = state_from_code(mds_from_singleton(*_SEED_CODE[seed_kind], spec))
     fib = cl_plus_q_fibred(mds_from_singleton(n_cl, k_cl, spec), quantum)
-    return k, verify.KeyTable(fib.n, spec.q, fib.terms())
+    return k, verify.KeyTable.of(fib)
 
 
 def _complement_injective(table, S):
@@ -309,7 +310,7 @@ def test_sweeps_with_and_without_the_rank_path_agree(monkeypatch):
     cases = [(name, s) for name, s, _ in _oracle_states() if s.support <= 2401]
     cases.append(("row_10_non_mds", cl_plus_q(non_mds, ghz(3, sp))))
     fib = cl_plus_q_fibred(mds_from_singleton(7, 4, sp), ghz(4, sp))
-    row_11_ghz = verify.KeyTable(fib.n, sp.q, fib.terms())
+    row_11_ghz = verify.KeyTable.of(fib)
     triples = [(1, 7, 8), *random.Random(2).sample(list(itertools.combinations(range(11), 3)), 10)]
 
     def sweeps():
@@ -335,8 +336,8 @@ def test_only_a_coset_support_of_one_norm_takes_the_rank_path():
     one = Cyclotomic.integer(3, 1)
     assert verify.KeyTable.of(code_state).coset is not None
 
-    def table_of(keys, amps=None):
-        return verify.KeyTable(4, 3, zip(keys, amps or [one] * len(keys)))
+    def table_of(keys, amps=None):  # the keys' columns, so that a key may repeat
+        return verify.KeyTable(sp, list(map(sp.column, zip(*keys))), amps or [one] * len(keys))
 
     assert keys[1] == (0, 1, 1, 2) and (0, 1, 0, 0) not in keys
     # one key moved off the code, 9 keys kept
@@ -430,6 +431,21 @@ def test_reduced_density_size_cap():
     s = ghz(8, gf(9))
     with pytest.raises(TooLarge):
         reduced_density(s, (0, 1, 2, 3, 4))
+
+
+def test_reduced_density_rejects_a_malformed_subset():
+    # a repeated site or one outside [0, n) names no reduction: it is refused
+    # through a state and through its key table, and before the matrix cap,
+    # instead of a reduction of other sites, a refutation or an IndexError
+    s = ghz(3, gf(2))
+    for S in ((-1,), (0, 0), (3,), (0, 3), (1, 1, 2), (-1, 0, 1)):
+        for state in (s, verify.KeyTable.of(s)):
+            with pytest.raises(ShapeMismatch, match="not a set of sites"):
+                reduced_density(state, S)
+    with pytest.raises(ShapeMismatch):
+        reduced_density(ghz(8, gf(9)), (0, 0, 1, 2, 3, 4))  # 9^6 is over the cap too
+    rho = reduced_density(s, (2, 0))  # any order of distinct sites is one subset
+    assert rho.subset == (0, 2) and rho.entries == reduced_density(s, (0, 2)).entries
 
 
 def test_is_maximally_mixed_witnesses():
@@ -569,9 +585,10 @@ def test_slocc_witness_visits_the_preferred_shape_first(monkeypatch, n, k, cut):
 
 
 def test_slocc_witness_on_a_streamed_table(monkeypatch):
-    """The Table 1 rows as key tables streamed from their fibred states: a
-    witness of the preferred shape at the first subset, where n allows one,
-    and the materialized state's witness on the rows that are small enough."""
+    """The Table 1 rows as fibred states, whose key tables are built from
+    their columns: a witness of the preferred shape at the first subset,
+    where n allows one, and the materialized state's witness on the rows that
+    are small enough."""
     expected = {5: None, 6: (0, 1, 4), 7: (0, 1, 5), 8: (0, 1, 5), 10: (0, 1, 7),
                 11: (0, 1, 2, 7), 12: (0, 1, 2, 8)}
     rows = {n: (k, row) for (k, n), row in _TABLE1_ROWS.items() if n in expected}
@@ -599,7 +616,7 @@ def test_slocc_witness_on_a_streamed_table(monkeypatch):
             patch.setattr(FibredState, "materialize", refuse)
             patch.setattr(verify, "reduced_density", counted)
             patch.setattr(verify, "_by_rank", counted_if_passed)
-            S = slocc_witness(verify.KeyTable(fib.n, q, fib.terms()), k, classical_cut=n_cl)
+            S = slocc_witness(fib, k, classical_cut=n_cl)
         assert S == expected[n], n
         if S is not None:
             assert calls == [S], n  # the first subset of the order, by either decider
@@ -636,6 +653,16 @@ def test_stabilizer_check_guards():
         stabilizer_check(ghz(3, gf(4)), FFMatrix.zero(gf(4), 3, 3))
     with pytest.raises(ShapeMismatch):
         stabilizer_check(ghz(3, gf(3)), FFMatrix.zero(gf(3), 2, 2))
+
+
+def test_stabilizer_check_rejects_an_adjacency_over_another_field():
+    # the edge graph state over GF(3): a weight 4 over GF(5) or GF(7) is no
+    # GF(3) weight, though 4 mod 3 = 1 would make it pass
+    g = local_fourier(ghz(2, gf(3)), [1])
+    assert stabilizer_check(g, FFMatrix(gf(3), [[0, 1], [1, 0]])) == (True, None)
+    for q in (5, 7):
+        with pytest.raises(SpecMismatch):
+            stabilizer_check(g, FFMatrix(gf(q), [[0, 4], [4, 0]]))
 
 
 # --- exact characteristic polynomial: the oracle of the spectra test --------
@@ -717,8 +744,7 @@ def test_sampled_sweep_draws_indices_without_listing_subsets(monkeypatch):
     import tracemalloc
 
     n, sample, seed = 40, 3, 5
-    one = Cyclotomic.integer(2, 1)
-    table = verify.KeyTable(n, 2, [((0,) * n, one), ((1,) * n, one)])
+    table = verify.KeyTable.of(ghz(n, gf(2)))
     swept = []
 
     def recorded(table, S):
@@ -750,7 +776,7 @@ def test_sampled_sweep_draws_indices_without_listing_subsets(monkeypatch):
     # each drawn index is unranked straight to its subset: a 60-party sweep to
     # |S| = 6 does not walk the C(60, 6) ~ 5.0e7 combinations to reach them
     n = 60
-    table = verify.KeyTable(n, 2, [((0,) * n, one), ((1,) * n, one)])
+    table = verify.KeyTable.of(ghz(n, gf(2)))
     swept.clear()
     start = time.perf_counter()
     report = verify.uniformity(table, k_max=6, sample=sample, seed=seed)

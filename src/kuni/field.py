@@ -14,7 +14,7 @@ import itertools
 import math
 import sys
 from functools import cached_property, lru_cache
-from operator import add, getitem, index, lshift, mod, or_
+from operator import add, index, lshift, mod, or_
 
 from .errors import (
     DivisionByZero,
@@ -262,22 +262,6 @@ class FieldSpec:
         for i in range(s):
             out[i::s] = col
         return bytes(out)
-
-    def column_axpy(self, f: int, xs, ys):
-        """The column xs + f*ys.  Bytes columns add as whole integers where no
-        byte carries: XOR over GF(2^m); over GF(p), p <= 127, one sum (each
-        byte below 2p) reduced mod p by `translate`; else by add rows."""
-        if self.q > 256:
-            return tuple(self.axpy(f, xs, ys))
-        times = bytes(self.mul(f, y) for y in range(self.q)).ljust(256, b"\0")
-        fy = ys.translate(times)
-        if self.p == 2:
-            return (int.from_bytes(xs, "big") ^ int.from_bytes(fy, "big")).to_bytes(len(xs), "big")
-        if self.m == 1 and self.p <= 127:
-            total = int.from_bytes(xs, "big") + int.from_bytes(fy, "big")
-            reduce = (bytes(range(self.p)) * (256 // self.p + 1))[:256]  # x -> x mod p
-            return total.to_bytes(len(xs), "big").translate(reduce)
-        return bytes(map(getitem, map(self._add_rows.__getitem__, xs), fy))
 
     def pack(self, columns) -> list:
         """One integer per row of the columns (at least one): its symbols,

@@ -38,6 +38,10 @@ from .field import FFMatrix, FieldSpec, gf, matrix_rref
 
 HARD_MAX_TERMS = 5 * 10 ** 7
 DEFAULT_MAX_TERMS = 10 ** 7
+# a state file writes q coefficients a term; it may hold as many as
+# max_terms() terms over GF(16) do, so a small state over a large field is
+# refused like a large one
+FILE_COEFFICIENTS_PER_TERM = 16
 
 
 def max_terms() -> int:
@@ -52,6 +56,15 @@ def max_terms() -> int:
     if cap < 1:
         raise KuniError(f"KUNI_MAX_TERMS must be an integer >= 1, got {env!r}")
     return min(cap, HARD_MAX_TERMS)
+
+
+def _check_file_size(state):
+    """Refuse the text of a state whose support * q coefficients exceed the file cap."""
+    cap = FILE_COEFFICIENTS_PER_TERM * max_terms()
+    if state.support * state.q > cap:
+        raise TooLarge(f"{state.support} terms of {state.q} coefficients each exceed the "
+                       f"file cap of {cap} coefficients, {FILE_COEFFICIENTS_PER_TERM} a term "
+                       "of the term cap")
 
 
 class SparseState:
@@ -93,11 +106,12 @@ class SparseState:
 
     def chunks(self):
         """The text of format_state(self), one line at a time in sorted key order."""
-        # both checks are made here, when called, before a line is asked for
+        # the checks are made here, when called, before a line is asked for
         if self.n < 1:  # parse_state reads only states of at least one party
             raise ShapeMismatch(f"a state file needs at least one party, state has {self.n}")
         if self.support > max_terms():
             raise TooLarge(f"support {self.support} exceeds the term cap")
+        _check_file_size(self)
         keys = sorted(self.terms)
         return itertools.chain([f"STATE {self.n} {self.q}\n"],
                                _lines(self.n, keys, map(self.terms.__getitem__, keys), {}))
@@ -122,6 +136,7 @@ class WeylWord:
     """
 
     def __init__(self, n: int, z: tuple = (), x: tuple = ()):
+        _sites((site for site, _ in itertools.chain(z, x)), n, "a Weyl word")
         self.n, self.z, self.x = n, z, x
 
     def __eq__(self, other):
@@ -141,6 +156,15 @@ class WeylWord:
         z = tuple((i, e) for i, e in enumerate(v[:k]) if e)
         x = tuple((i + k, e) for i, e in enumerate(v[k:]) if e)
         return cls(n, z, x)
+
+
+def _sites(sites, n: int, owner: str) -> tuple:
+    """The sites, each checked to lie in [0, n)."""
+    sites = tuple(sites)
+    for site in sites:
+        if not 0 <= site < n:
+            raise ShapeMismatch(f"site {site} of {owner} is not in [0, {n})")
+    return sites
 
 
 def apply_weyl(state: SparseState, word: WeylWord) -> SparseState:
@@ -271,10 +295,12 @@ class FibredState:
     def chunks(self):
         """The text of format_state(self.materialize()), one piece per word of
         `_blocks()`, in `columns()`'s order, without building the state; the
-        term cap is checked here, before the first piece is asked for.  A word
-        costs one lookup of its label's lines (tabled per label), joined by its
-        codeword's text; no word is kept, so memory grows with neither the q^k
-        words nor the q^k * s terms."""
+        term cap and the file cap are checked here, before the first piece is
+        asked for.  A word costs one lookup of its label's lines (tabled per
+        label), joined by its codeword's text; no word is kept, so memory grows
+        with neither the q^k words nor the q^k * s terms."""
+        blocks = self._blocks()
+        _check_file_size(self)
         n, block, texts = self.G.cols, self._block(), {}
         # led by "", so that joining with the codeword's text starts each line
         lines = self._tabled(lambda label: ["", *_lines(self.seed.n, *block(label), texts)],
@@ -283,7 +309,7 @@ class FibredState:
         prefix = " ".join(["%d"] * n) + sep
         return itertools.chain([f"STATE {self.n} {self.q}\n"], itertools.chain.from_iterable(
             map(str.join, map(prefix.__mod__, block_words(cols, slice(n))),
-                map(lines, block_words(cols, slice(n, None)))) for cols in self._blocks()))
+                map(lines, block_words(cols, slice(n, None)))) for cols in blocks))
 
 
 def _lines(width: int, keys, amps, texts: dict):
@@ -420,7 +446,7 @@ def local_fourier(state: SparseState, sites) -> SparseState:
     sp = state.spec
     q = sp.q
     terms = dict(state.terms)
-    for site in sites:
+    for site in _sites(sites, state.n, "a Fourier transform"):
         if len(terms) * q > max_terms():
             raise TooLarge("Fourier expansion exceeds the term cap")
         new_terms = {}

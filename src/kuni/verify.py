@@ -13,6 +13,7 @@ import random as _random
 from functools import cached_property
 from operator import and_
 
+from .codes import LinearCode, codeword_blocks
 from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
 from .errors import (KuniError, NonPrimeQ, ShapeMismatch, SpecMismatch, SupportBelowRankBound,
@@ -47,12 +48,12 @@ class ReducedDensity:
 
 
 class KeyTable:
-    """What the reductions of one state share, in term order: its site
-    columns, until `coset` has read them; each key as one integer code
-    (`FieldSpec.pack`), so that its row code for S is the code masked to the
-    bits of S and its complement code the rest; the one |amp|^2 of all
-    amplitudes (None when they differ); and each amplitude's nonzero
-    (exponent t, coefficient c) pairs.
+    """What the reductions of one state share, in term order: each key as one
+    integer code (`FieldSpec.pack`), so that its row code for S is the code
+    masked to the bits of S and its complement code the rest; the one
+    |amp|^2 of all amplitudes (None when they differ); and each amplitude's
+    nonzero (exponent t, coefficient c) pairs.  The site columns it is built
+    from are not kept.
 
     Built from distinct keys' site columns and amplitudes (`read_state`'s, or
     a state's `columns()`: `of`).  `coset` works out, once, whether the keys
@@ -60,7 +61,7 @@ class KeyTable:
 
     def __init__(self, spec, columns: list, amps):
         n = len(columns)
-        self.n, self.q, self.columns = n, spec.q, columns
+        self.n, self.q, self.spec = n, spec.q, spec
         self.bits = (spec.q - 1).bit_length()
         self.digit = (1 << self.bits) - 1  # the mask of one site's bits
         self.span = 1 << (self.bits * n)  # above every code
@@ -88,11 +89,15 @@ class KeyTable:
         """The table of a state's `columns()`; a KeyTable is its own."""
         return source if isinstance(source, cls) else cls(gf(source.q), *source.columns())
 
+    def key(self, code: int) -> tuple:
+        """The symbols of one code, decoded."""
+        return tuple(code >> s & self.digit for s in self.shifts)
+
     @property
     def terms(self):
         """The keys in term order, decoded: what iterating a SparseState's
         terms gives, for readers of n and the keys such as perfbench's tracer."""
-        return (tuple(c >> s & self.digit for s in self.shifts) for c in self.codes)
+        return map(self.key, self.codes)
 
     def masks(self, S):
         """(row mask, complement mask) of the sites S."""
@@ -109,43 +114,27 @@ class KeyTable:
     def coset(self):
         """The RREF rows of T when all amplitudes have one |amp|^2 and the keys
         are exactly x0 + T, for x0 the first key and T a subspace of GF(q)^n
-        over gf(q) (the field read_state gives a file); else None: every key
-        lies in x0 + T (`_affine_rows`), and N = q^dim T distinct keys are
-        all of it."""
-        # the columns' one reader lets them go: a sweep's reductions, which
-        # follow, need only the codes
-        cols = self.__dict__.pop("columns")
-        spec, size = gf(self.q), self.size
+        over the table's field; else None.  T is spanned by key - x0 over the
+        first keys that raise its rank to r = log_q N (those at q^j first: the
+        unit vectors of a sorted linear code).  x0 + T has q^r = N words, so
+        N distinct keys are all of it exactly when each of its words is a
+        key: its words are enumerated a block at a time (`codeword_blocks`),
+        shifted by x0 and packed like the keys."""
+        spec, size = self.spec, self.size
         r = spec.log(size)  # dim T
-        T = None if self.norm is None or r is None else _affine_rows(spec, cols, r, size)
-        del cols  # before the set of the codes, the peak of a large table
-        return T if T is not None and len(set(self.codes)) == size else None
-
-
-def _affine_rows(spec, cols: list, r: int, size: int):
-    """The RREF rows of T when every key, a row of the site columns cols,
-    lies in x0 + T; else None.  The columns are read whole, so no object is
-    built per key.  T is spanned by key - x0 over the first keys that raise
-    its rank to r (those at q^j first: the unit vectors of a sorted linear
-    code).  Every column off T's pivots, less T's multiples of the pivot
-    columns (`FieldSpec.column_axpy`), must be constant."""
-    x0 = [col[0] for col in cols]
-    T, pivots = [], []
-    for i in itertools.chain((spec.q ** j for j in range(r)), range(size)):
-        if len(T) == r:
-            break
-        T.append([spec.sub(col[i], x) for col, x in zip(cols, x0)])
-        pivots = _rref_data(spec, T)[0]
-        del T[len(pivots):]  # a key that did not raise the rank leaves a zero row
-    for j, rest in enumerate(cols):
-        if j in pivots:
-            continue
-        for row, p in zip(T, pivots):
-            if row[j]:  # minus row[j] times the pivot column
-                rest = spec.column_axpy(spec.neg(row[j]), rest, cols[p])
-        if rest.count(rest[0]) != size:
+        if self.norm is None or r is None or len(keys := set(self.codes)) != size:
             return None
-    return list(map(tuple, T))
+        x0, T = self.key(self.codes[0]), []
+        for i in itertools.chain((spec.q ** j for j in range(r)), range(size)):
+            if len(T) == r:  # reached: N distinct keys span no less than q^r
+                break
+            T.append(list(map(spec.sub, self.key(self.codes[i]), x0)))
+            del T[len(_rref_data(spec, T)[0]):]  # a key that did not raise the rank: a zero row
+        # one key (r = 0) is its own coset, of any n: a 0-party block packs nothing
+        blocks = codeword_blocks(LinearCode(FFMatrix(spec, T))) if T else ()
+        words = (spec.pack([spec.shifts(col, (x,)) for col, x in zip(block, x0)])
+                 for block in blocks)
+        return list(map(tuple, T)) if all(map(keys.issuperset, words)) else None
 
 
 def reduced_density(state, subset) -> ReducedDensity:
@@ -214,7 +203,7 @@ def _by_rank(table: KeyTable, S) -> bool:
     T = table.coset
     if T is None:
         return False
-    spec, inside = gf(table.q), set(S)
+    spec, inside = table.spec, set(S)
     rest = [i for i in range(table.n) if i not in inside]
     return (rank_of_rows(spec, [[row[i] for i in rest] for row in T]) == len(T)
             and rank_of_rows(spec, [[row[i] for i in S] for row in T]) == len(S))
@@ -304,9 +293,10 @@ def _combination(n: int, size: int, index: int) -> tuple:
 
 def _decisions(table: KeyTable, subsets):
     """(S, ok, witness) for each subset in order: the one place a sweep asks
-    whether rho_S is maximally mixed.  Past the matrix cap, a subset that
-    passes by rank (`_by_rank`) needs no rho_S; every other one is decided by
-    reduced_density and is_maximally_mixed."""
+    whether rho_S is maximally mixed.  The matrix cap is checked first, on
+    every subset (`TooLarge`); then a subset that passes by rank (`_by_rank`)
+    needs no rho_S, and every other one is decided by reduced_density and
+    is_maximally_mixed."""
     for S in subsets:
         _cap(table.q, S)
         if _by_rank(table, S):

@@ -659,6 +659,26 @@ def test_term_cap_bounds_builtin_states(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_file_cap_bounds_a_small_state_over_a_large_field(monkeypatch, tmp_path, capsys):
+    # a term line holds q coefficients, and a file at most 16 a term of the
+    # term cap: under KUNI_MAX_TERMS=1000, GHZ and a code state of 256 terms
+    # over GF(256) (65,536 coefficients) are refused before the file or its
+    # .tmp is opened, though their supports are under the term cap
+    monkeypatch.setenv("KUNI_MAX_TERMS", "1000")
+    out = tmp_path / "g.state"
+    for argv in (["builtin", "--name", "ghz", "--n", "3", "--q", "256"],
+                 ["builtin", "--name", "ghz", "--n", "3", "--q", "127"],  # 16,129
+                 ["from-code", "--n", "3", "--k", "1", "--q", "256"]):
+        code, stdout, err = run(capsys, "construct", *argv, "-o", str(out))
+        assert code == EXIT_USAGE and stdout == "" and "file cap of 16000" in err, argv
+        assert list(tmp_path.iterdir()) == []
+    # 125 terms of 125 coefficients (15,625) are written
+    code, _, _ = run(capsys, "construct", "builtin", "--name", "ghz", "--n", "3", "--q", "125",
+                     "-o", str(out))
+    assert code == EXIT_OK and out.read_text().count("\n") == 126
+    assert list(tmp_path.iterdir()) == [out]
+
+
 # Runs the CLI with every file it writes capped at argv[1] bytes (RLIMIT_FSIZE),
 # set in the child only; Python ignores SIGXFSZ, so a write past the cap
 # raises OSError.

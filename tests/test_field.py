@@ -101,10 +101,7 @@ def test_extension_add_neg_tables_match_digit_loop(q):
 def test_add_each_matches_add(q):
     # the column methods add to each symbol as add and mul do one at a time:
     # bytes columns over prime fields, tabled extension fields and GF(81),
-    # tuple columns over GF(65521) and GF(2^9), whose add is digit by digit.
-    # column_axpy adds whole integers over GF(2), GF(8), GF(256) (XOR) and
-    # GF(3), GF(127) (a sum below 256 a byte, then mod p), and through the
-    # add rows over GF(9), GF(81) and GF(131), whose byte sums would carry
+    # tuple columns over GF(65521) and GF(2^9), whose add is digit by digit
     spec = gf(q)
     kind = bytes if q <= 256 else tuple
     rng = random.Random(q)
@@ -122,10 +119,6 @@ def test_add_each_matches_add(q):
         assert list(shifts) == [spec.add(x, s) for s in values for x in xs]
         joined = spec.join([a, b, spec.column([]), a])
         assert type(joined) is kind and list(joined) == xs + ys + xs
-        for f in (0, 1, q - 1, rng.randrange(q)):
-            axpy = spec.column_axpy(f, a, b)
-            assert type(axpy) is kind
-            assert list(axpy) == [spec.add(x, spec.mul(f, y)) for x, y in zip(xs, ys)]
 
 
 @pytest.mark.parametrize("q", [2, 7, 16, 256, 257])

@@ -130,6 +130,20 @@ def test_weyl_word_layout_checks():
         apply_weyl(bell_pair(gf(2)), WeylWord(3))
 
 
+def test_weyl_words_and_fourier_take_only_sites_of_the_state():
+    # a negative site would index from the end (X at -1 shifts site 1), and
+    # one past n would raise a bare IndexError: both name the site instead
+    s = ghz(2, gf(3))
+    for z, x in (((), ((-1, 1),)), ((), ((2, 1),)), (((5, 1),), ())):
+        with pytest.raises(ShapeMismatch, match=rf"site {(z or x)[0][0]} .*\[0, 2\)"):
+            apply_weyl(s, WeylWord(2, z=z, x=x))
+    for site in (2, -1):
+        with pytest.raises(ShapeMismatch, match=rf"site {site} .*\[0, 2\)"):
+            local_fourier(s, [site])
+    assert apply_weyl(s, WeylWord(2, z=((1, 1),), x=((0, 1),))).support == 3
+    assert local_fourier(s, [1]).equals(local_fourier(s, (1,)))
+
+
 def test_weyl_basis_is_orthogonal_with_equal_norms():
     seed = ghz(3, gf(2))
     basis = list(weyl_basis(seed, 1))

@@ -16,13 +16,14 @@ from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomia
 from kuni.decomposition import QMatrix, construct_G_Q
 from kuni.errors import (KuniError, NonPrimeQ, ShapeMismatch, SpecMismatch, SupportBelowRankBound,
                          TooLarge)
-from kuni.field import FFMatrix, FieldElement, gf
+from kuni.field import FFMatrix, FieldElement, gf, matrix_rref
 from kuni.states import (
     FibredState,
     SparseState,
     WeylWord,
     ame_5_q,
     ame_7_4,
+    apply_weyl,
     bell,
     bell_pair,
     cl_plus_q,
@@ -329,15 +330,39 @@ def test_sweeps_with_and_without_the_rank_path_agree(monkeypatch):
     assert sum(ok for _, ok, _ in with_rank[2]) == 10
 
 
+def _checked_coset(table):
+    """table.coset, checked against the definition word by word: not None
+    exactly when the keys are distinct, of one |amp|^2, and x0 + D for x0
+    the first key and D closed under + and scalar *; then its rows are in
+    RREF and span D."""
+    sp, keys = table.spec, list(table.terms)
+    x0 = keys[0] if keys else None
+    D = {tuple(map(sp.sub, key, x0)) for key in keys}
+    is_coset = (table.norm is not None and keys and len(D) == len(keys)
+                and all(tuple(map(sp.add, u, v)) in D for u in D for v in D)
+                and all(tuple(sp.mul(c, x) for x in u) in D for u in D for c in range(sp.q)))
+    T = table.coset
+    assert (T is not None) == bool(is_coset), (keys, T)
+    if T is not None:
+        assert FFMatrix(sp, T, table.n) == matrix_rref(FFMatrix(sp, T, table.n))[0]
+        span = {(0,) * table.n}
+        for row in T:
+            span = {tuple(sp.add(w, sp.mul(c, x)) for w, x in zip(word, row))
+                    for word in span for c in range(sp.q)}
+        assert span == D
+    return T
+
+
 def test_only_a_coset_support_of_one_norm_takes_the_rank_path():
     sp = gf(3)
     code_state = state_from_code(mds_from_singleton(4, 2, sp))  # [4,2]_3, pivots 0 and 1
     keys = sorted(code_state.terms)
     one = Cyclotomic.integer(3, 1)
-    assert verify.KeyTable.of(code_state).coset is not None
+    assert _checked_coset(verify.KeyTable.of(code_state)) is not None
 
-    def table_of(keys, amps=None):  # the keys' columns, so that a key may repeat
-        return verify.KeyTable(sp, list(map(sp.column, zip(*keys))), amps or [one] * len(keys))
+    def table_of(keys, amps=None, sp=sp):  # the keys' columns, so that a key may repeat
+        amps = amps or [Cyclotomic.integer(sp.q, 1)] * len(keys)
+        return verify.KeyTable(sp, list(map(sp.column, zip(*keys))), amps)
 
     assert keys[1] == (0, 1, 1, 2) and (0, 1, 0, 0) not in keys
     # one key moved off the code, 9 keys kept
@@ -350,22 +375,46 @@ def test_only_a_coset_support_of_one_norm_takes_the_rank_path():
     # a seed whose Fourier transform |k>(1 + w^k) has norms 4, 1 and 1
     fourier_seed = local_fourier(SparseState(2, sp, {(0, 0): one, (1, 0): one}), [0])
     clq = cl_plus_q(mds_from_singleton(4, 2, sp), fourier_seed)
+    # a 1-dimensional coset, each key three times: 9 keys that span only 3^1
+    thrice = [key for key in keys if key[0] == 0] * 3
     # dim T is found by an exact power search: 8 keys are no power of 3, one key is 3^0
-    assert verify.KeyTable.of(SparseState(4, sp, {keys[1]: one})).coset == []
-    for table in (table_of(moved), table_of(repeated), table_of(twice), table_of(keys, two_norms),
-                  table_of(keys[1:]), verify.KeyTable.of(clq)):
-        assert table.coset is None
+    assert _checked_coset(verify.KeyTable.of(SparseState(4, sp, {keys[1]: one}))) == []
+    for table in (table_of(moved), table_of(repeated), table_of(twice), table_of(thrice),
+                  table_of(keys, two_norms), table_of(keys[1:]), verify.KeyTable.of(clq)):
+        assert _checked_coset(table) is None
         assert not any(verify._by_rank(table, S) for S in itertools.combinations(range(table.n), 2))
+    # the keys in an order whose keys at 3^0 and 3^1 are x0 + v and x0 + 2v:
+    # T's second row comes from the in-order scan, and is the sorted table's
+    v = keys[1]
+    unsorted = [keys[0], v, keys[3], tuple(sp.mul(2, x) for x in v)]
+    unsorted += [key for key in keys if key not in unsorted]
+    assert sorted(unsorted) == keys
+    assert _checked_coset(table_of(unsorted)) == _checked_coset(table_of(keys))
+    # 0 parties: one term is the one word of GF(q)^0, and three (3^1) repeat it
+    assert _checked_coset(verify.KeyTable(sp, [], [one])) == []
+    assert _checked_coset(verify.KeyTable(sp, [], [one] * 3)) is None
+    # codes shifted off the origin (x0 = (1, 0, 2, ...), not a codeword):
+    # bytes columns over GF(8) and GF(9), tuple columns over GF(257)
+    for field, n, k in ((gf(8), 4, 2), (gf(9), 4, 2), (gf(257), 3, 1)):
+        word = WeylWord(n, x=((0, 1), (2, 2)))
+        shifted = apply_weyl(state_from_code(mds_from_singleton(n, k, field)), word)
+        table = verify.KeyTable.of(shifted)
+        assert any(table.key(table.codes[0])) and len(_checked_coset(table)) == k
+        # one key moved off the coset, onto a word of it shifted by x0 again
+        x0 = table.key(table.codes[0])
+        off = [tuple(map(field.add, key, x0)) if i == 1 else key
+               for i, key in enumerate(table.terms)]
+        assert _checked_coset(table_of(off, sp=field)) is None
     # Bell with l = 2: the coset {(r, r + 2)}, which misses the zero key
     b = bell(gf(5), 2, 3)
-    assert (0, 0) not in b.terms and verify.KeyTable.of(b).coset == [(1, 1)]
+    assert (0, 0) not in b.terms and _checked_coset(verify.KeyTable.of(b)) == [(1, 1)]
     assert verify._by_rank(verify.KeyTable.of(b), (0,)) and not verify._by_rank(
         verify.KeyTable.of(b), (0, 1))
     # over GF(257) the columns are tuples: GHZ and Bell pass |S| = 1 by rank,
     # as rho_S says, and the matrix cap stops |S| = 2
     for state in (ghz(2, gf(257)), bell(gf(257), 5, 3)):
         table = verify.KeyTable.of(state)
-        assert table.coset is not None
+        assert _checked_coset(table) is not None
         for S in ((0,), (1,)):
             assert verify._by_rank(table, S) and is_maximally_mixed(reduced_density(table, S))[0]
         with pytest.raises(TooLarge, match=r"257\^2 exceeds the matrix cap"):

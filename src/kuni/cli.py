@@ -72,8 +72,9 @@ def _read(args, path: str) -> str:
 # every (path, chunks) output of one command is written here: a FIFO or a
 # device is written through; a regular file, or a symlink's target, is
 # written to a .tmp file beside it, and the .tmp files replace their files
-# only once every write has finished, so a failed run leaves each old file
-# as it was and a pair is never half replaced.  Two outputs that resolve to
+# only once every write has finished, so a failed write leaves each old file
+# as it was.  A failed rename does not: the files renamed before it are
+# already replaced, and the rest are not.  Two outputs that resolve to
 # one file are refused before any is opened: the last would replace the rest
 def _write(*outputs) -> None:
     plan = [(out, chunks, os.path.exists(out) and not os.path.isfile(out), os.path.realpath(out))

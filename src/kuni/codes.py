@@ -153,7 +153,7 @@ def _min_distance_rank(code: LinearCode) -> int:
         return nk + 1
     dual = dual_code(code)
     for w in range(1, nk + 1):
-        if any(_dependent(dual, S) for S in itertools.combinations(range(code.n), w)):
+        if any(column_rank(dual, S) < w for S in itertools.combinations(range(code.n), w)):
             return w
     raise AssertionError("unreachable: some n-k+1 columns are always dependent")
 
@@ -213,18 +213,29 @@ def _first_failure(code: LinearCode, method: str):
         return 1, ("distance", min_distance(code))
     if method == "columns":
         for checks, S in enumerate(itertools.combinations(range(code.n), code.k), 1):
-            if _dependent(code, S):
+            if column_rank(code, S) < code.k:
                 return checks, ("columns", S)
     else:
-        A, perm = _free_block(code), code.pivots + _free_columns(code)
-        k, nk = code.k, code.n - code.k
+        free, k, nk = _free_columns(code), code.k, code.n - code.k
         squares = ((rset, cset) for t in range(1, min(k, nk) + 1)
                    for rset in itertools.combinations(range(k), t)
                    for cset in itertools.combinations(range(nk), t))
         for checks, (rset, cset) in enumerate(squares, 1):
-            if rank_of_rows(code.spec, [[A[r][c] for c in cset] for r in rset]) < len(rset):
-                return checks, ("submatrix", rset, cset, perm)
+            # the minor of A on (rset, cset) is the k columns S of `_free_block`
+            C = [p for r, p in enumerate(code.pivots) if r not in rset] + [free[c] for c in cset]
+            if column_rank(code, C) < k:
+                return checks, ("submatrix", rset, cset, code.pivots + free)
     raise AssertionError(f"the minor walk found a zero minor, the {method} scan none")
+
+
+def column_rank(code: LinearCode, C) -> int:
+    """The rank of G's columns C, read off the RREF: its pivot columns are
+    unit vectors, so it is the number of pivots in C plus the rank of the
+    rows whose pivot is not in C, on the non-pivot columns of C."""
+    C = set(C)
+    free = C.difference(code.pivots)
+    rows = [[row[c] for c in free] for row, p in zip(code.rref.data, code.pivots) if p not in C]
+    return len(C) - len(free) + rank_of_rows(code.spec, rows)
 
 
 def _free_columns(code: LinearCode) -> list:
@@ -236,23 +247,12 @@ def _free_block(code: LinearCode):
 
     G is [I | A] up to row operations and a column order, so k columns S are
     independent iff the minor of A on the rows whose pivot is not in S and
-    the columns of S that are not pivots is nonzero (`_dependent`).  This
+    the columns of S that are not pivots is nonzero (`column_rank`).  This
     maps the C(n, k) column sets one-to-one onto the square minors of A, the
     empty minor standing for S = the pivot columns.
     """
     free = _free_columns(code)
     return [[row[c] for c in free] for row in code.rref.data]
-
-
-def _dependent(code: LinearCode, S) -> bool:
-    """Whether the columns S of G are linearly dependent, read off the RREF:
-    its pivot columns are unit vectors, so S is dependent iff the rows whose
-    pivot is not in S, on the non-pivot columns of S, have rank below the
-    number of those columns."""
-    free = [c for c in S if c not in code.pivots]
-    rows = [[row[c] for c in free]
-            for row, pivot in zip(code.rref.data, code.pivots) if pivot not in S]
-    return rank_of_rows(code.spec, rows) < len(free)
 
 
 def walk_minors(code: LinearCode) -> int | None:

@@ -567,9 +567,9 @@ def null_space(M: FFMatrix, pivots=None) -> FFMatrix:
 
 
 def rank_of_rows(spec: FieldSpec, rows) -> int:
-    """Rank of a list of row tuples (int reprs) over the field: one rank per
-    column set or submatrix, for the witness scans of a code that is_mds
-    refutes and for the rank distance; no MDS verdict reads it."""
+    """Rank of a list of row tuples (int reprs) over the field, for
+    `codes.column_rank`, its one caller: the rank of a set of a code's
+    columns, read off the code's RREF; no MDS verdict reads it."""
     return len(_rref_data(spec, [list(r) for r in rows])[0])
 
 

@@ -136,7 +136,10 @@ class WeylWord:
     """
 
     def __init__(self, n: int, z: tuple = (), x: tuple = ()):
-        _sites((site for site, _ in itertools.chain(z, x)), n, "a Weyl word")
+        for name, part in (("Z", z), ("X", x)):  # a site may carry one Z and one X
+            sites = _sites((site for site, _ in part), n, "a Weyl word")
+            if len(set(sites)) < len(sites):
+                raise ShapeMismatch(f"site {max(sites, key=sites.count)} has two {name} exponents")
         self.n, self.z, self.x = n, z, x
 
     def __eq__(self, other):
@@ -202,7 +205,7 @@ class FibredState:
         R, rank, pivots = matrix_rref(G.hstack(W))
         if rank != G.rows or any(c >= G.cols for c in pivots):
             raise RankDeficient(f"generator {G.rows}x{G.cols} is not full row rank")
-        self.G, self.W, self.seed, self.types = G, W, seed, types
+        self.G, self.W, self.seed, self.types, self.spec = G, W, seed, types, seed.spec
         self._code = LinearCode(R)  # R's words, walked by every _blocks()
         self.x_sites = [j for j, t in enumerate(types) if t == "X"]
         self.z_sites = [j for j, t in enumerate(types) if t == "Z"]
@@ -236,7 +239,7 @@ class FibredState:
     def _order(self, ex):
         """(perm, tails): the seed keys with each X site moved by field addition
         of its exponent, sorted, and the seed term indices in that order."""
-        add, shift = self.seed.spec.add, dict(zip(self.x_sites, ex))
+        add, shift = self.spec.add, dict(zip(self.x_sites, ex))
         shifted = [tuple(add(s, shift[j]) if j in shift else s for j, s in enumerate(key))
                    for key in self.seed.terms]
         perm = sorted(range(len(shifted)), key=shifted.__getitem__)
@@ -273,7 +276,7 @@ class FibredState:
         """(site columns, amplitudes) in sorted key order, the cap checked first
         (`_blocks`): each codeword symbol once per seed term (`FieldSpec.stretch`)
         and each seed site's column from the labels' tails (`_block`)."""
-        spec, n, s = self.seed.spec, self.G.cols, self.seed.support
+        spec, n, s = self.spec, self.G.cols, self.seed.support
         block = self._tabled(self._block(), self.W.cols)
         columns, amps = [[] for _ in range(self.n)], []
         for cols in self._blocks():
@@ -290,7 +293,7 @@ class FibredState:
         columns, amps = self.columns()
         # a root of unity times a nonzero seed amplitude is never zero; the
         # keys are the columns' words, () for each of a 0-party state's terms
-        return SparseState._of_nonzero(self.n, self.seed.spec, dict(zip(block_words(columns), amps)))
+        return SparseState._of_nonzero(self.n, self.spec, dict(zip(block_words(columns), amps)))
 
     def chunks(self):
         """The text of format_state(self.materialize()), one piece per word of

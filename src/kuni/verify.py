@@ -13,12 +13,12 @@ import random as _random
 from functools import cached_property
 from operator import and_
 
-from .codes import LinearCode, codeword_blocks
+from .codes import LinearCode, codeword_blocks, column_rank
 from .cyclotomic import Cyclotomic, is_zero_vector
 from .decomposition import DecompositionReport, QMatrix, verify_decomposition
 from .errors import (KuniError, NonPrimeQ, ShapeMismatch, SpecMismatch, SupportBelowRankBound,
                      TooLarge)
-from .field import FFMatrix, _rref_data, gf, rank_of_rows
+from .field import FFMatrix, _rref_data
 from .states import SparseState, WeylWord, apply_weyl, inner_product
 
 MAX_RHO_DIM = 4096
@@ -86,8 +86,8 @@ class KeyTable:
 
     @classmethod
     def of(cls, source) -> "KeyTable":
-        """The table of a state's `columns()`; a KeyTable is its own."""
-        return source if isinstance(source, cls) else cls(gf(source.q), *source.columns())
+        """The table of a state's `columns()`, over its field; a KeyTable is its own."""
+        return source if isinstance(source, cls) else cls(source.spec, *source.columns())
 
     def key(self, code: int) -> tuple:
         """The symbols of one code, decoded."""
@@ -112,12 +112,12 @@ class KeyTable:
 
     @cached_property
     def coset(self):
-        """The RREF rows of T when all amplitudes have one |amp|^2 and the keys
-        are exactly x0 + T, for x0 the first key and T a subspace of GF(q)^n
-        over the table's field; else None.  T is spanned by key - x0 over the
-        first keys that raise its rank to r = log_q N (those at q^j first: the
-        unit vectors of a sorted linear code).  x0 + T has q^r = N words, so
-        N distinct keys are all of it exactly when each of its words is a
+        """The support code T, a LinearCode of length n over the table's
+        field, when all amplitudes have one |amp|^2 and the keys are exactly
+        x0 + T for x0 the first key; else None.  T is spanned by key - x0 over
+        the first keys that raise its rank to r = log_q N (those at q^j first:
+        the unit vectors of a sorted linear code).  x0 + T has q^r = N words,
+        so N distinct keys are all of it exactly when each of its words is a
         key: its words are enumerated a block at a time (`codeword_blocks`),
         shifted by x0 and packed like the keys."""
         spec, size = self.spec, self.size
@@ -130,11 +130,11 @@ class KeyTable:
                 break
             T.append(list(map(spec.sub, self.key(self.codes[i]), x0)))
             del T[len(_rref_data(spec, T)[0]):]  # a key that did not raise the rank: a zero row
-        # one key (r = 0) is its own coset, of any n: a 0-party block packs nothing
-        blocks = codeword_blocks(LinearCode(FFMatrix(spec, T))) if T else ()
+        T = LinearCode(FFMatrix(spec, T, self.n))
+        # a 0-party block packs nothing: its one word, (), is the one key
         words = (spec.pack([spec.shifts(col, (x,)) for col, x in zip(block, x0)])
-                 for block in blocks)
-        return list(map(tuple, T)) if all(map(keys.issuperset, words)) else None
+                 for block in (codeword_blocks(T) if self.n else ()))
+        return T if all(map(keys.issuperset, words)) else None
 
 
 def reduced_density(state, subset) -> ReducedDensity:
@@ -194,19 +194,14 @@ def _cap(q: int, S):
 
 
 def _by_rank(table: KeyTable, S) -> bool:
-    """Whether rho_S is maximally mixed by two ranks of the table's coset
-    support x0 + T (False when it has none): rank T_{S^c} = dim T makes the
-    complement injective on the keys, so rho_S is diagonal with |amp|^2 times
-    the q^(dim T - rank T_S) keys of each row of x0_S + T_S, and rank T_S =
-    |S| fills every row.  False sends S through rho_S, which gives the
-    witness of a failure."""
-    T = table.coset
-    if T is None:
-        return False
-    spec, inside = table.spec, set(S)
-    rest = [i for i in range(table.n) if i not in inside]
-    return (rank_of_rows(spec, [[row[i] for i in rest] for row in T]) == len(T)
-            and rank_of_rows(spec, [[row[i] for i in S] for row in T]) == len(S))
+    """Whether rho_S is maximally mixed by two column ranks (`column_rank`)
+    of the table's coset support x0 + T (False when it has none): rank
+    T_{S^c} = dim T makes the complement injective on the keys, so rho_S is
+    diagonal with |amp|^2 times the q^(dim T - rank T_S) keys of each row of
+    x0_S + T_S, and rank T_S = |S| fills every row.  False sends S through
+    rho_S, which gives the witness of a failure."""
+    T, rest = table.coset, set(range(table.n)).difference(S)
+    return T is not None and column_rank(T, rest) == T.k and column_rank(T, S) == len(S)
 
 
 def is_maximally_mixed(rho: ReducedDensity):

@@ -11,6 +11,7 @@ from kuni.codes import (
     LinearCode,
     _free_block,
     _nonzero_minors,
+    column_rank,
     dual_code,
     enumerate_codewords,
     format_code,
@@ -285,6 +286,72 @@ def test_columns_walk_matches_per_subset_scan(q):
                 "distance", min_distance(LinearCode(code.G), method="brute"))
             assert (cert.is_mds, cert.checks, cert.witness) == (expected[0], 1, witness), code.G
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_column_rank_is_the_rank_of_the_columns(q):
+    # every column set of random codes (k = 0 and k = n included, most of
+    # them not MDS) and of MDS codes, against the columns eliminated in full
+    rng = random.Random(100 + q)
+    spec = gf(q)
+    codes = [_random_code(rng, spec, n, k) for n in range(7) for k in range(n + 1)]
+    codes += list(random_mds_instances(6, seed=q, n_max=7, q_max=9))
+    assert any(not is_mds(LinearCode(code.G)).is_mds for code in codes)
+    for code in codes:
+        cols = [code.G.col(c) for c in range(code.n)]
+        for size in range(code.n + 1):
+            for C in itertools.combinations(range(code.n), size):
+                expected = rank_of_rows(code.spec, list(zip(*(cols[c] for c in C))))
+                assert column_rank(code, C) == expected, (code.G, C)
+                assert column_rank(code, reversed(C)) == expected
+
+
+def _zero_sets(code):
+    """The zero positions of every nonzero codeword: columns C of G are
+    dependent iff some nonzero word vanishes on all of C."""
+    words = enumerate_codewords(code)
+    next(words)  # the zero word, of message 0
+    return {frozenset(i for i, x in enumerate(word) if not x) for word in words}
+
+
+def test_refuted_witnesses_match_a_codeword_scan():
+    # seeded random codes that is_mds refutes: each method's (checks,
+    # witness) and the rank distance, against scans of the codewords alone
+    rng = random.Random(7)
+    refuted = 0
+    while refuted < 60:
+        q = rng.choice([2, 3, 4, 5, 7, 8, 9])
+        n = rng.randrange(2, 8)
+        k = rng.randrange(1, n)
+        if q ** k > 3000:
+            continue
+        code = _random_code(rng, gf(q), n, k)
+        if is_mds(LinearCode(code.G)).is_mds:
+            continue
+        refuted += 1
+        zeros = _zero_sets(code)
+
+        def dependent(C):
+            return any(z.issuperset(C) for z in zeros)
+
+        columns = list(itertools.combinations(range(n), k))
+        first = next(i for i, S in enumerate(columns) if dependent(S))
+        cert = is_mds(LinearCode(code.G), method="columns")
+        assert (cert.checks, cert.witness) == (first + 1, ("columns", columns[first])), code.G
+        pivots = code.pivots
+        free = [c for c in range(n) if c not in pivots]
+        squares = [(rset, cset) for t in range(1, min(k, n - k) + 1)
+                   for rset in itertools.combinations(range(k), t)
+                   for cset in itertools.combinations(range(n - k), t)]
+        first = next(i for i, (rset, cset) in enumerate(squares) if dependent(
+            [p for r, p in enumerate(pivots) if r not in rset] + [free[c] for c in cset]))
+        cert = is_mds(LinearCode(code.G), method="submatrix")
+        assert (cert.checks, cert.witness) == (
+            first + 1, ("submatrix", *squares[first], pivots + free)), code.G
+        d = n - max(map(len, zeros))  # the weight of a word with the most zeros
+        assert min_distance(LinearCode(code.G), method="rank") == d, code.G
+        cert = is_mds(LinearCode(code.G), method="distance")
+        assert (cert.checks, cert.witness) == (1, ("distance", d)), code.G
 
 
 def test_mds_codes_take_the_walk_only(monkeypatch):

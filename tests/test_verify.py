@@ -16,7 +16,7 @@ from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomia
 from kuni.decomposition import QMatrix, construct_G_Q
 from kuni.errors import (KuniError, NonPrimeQ, ShapeMismatch, SpecMismatch, SupportBelowRankBound,
                          TooLarge)
-from kuni.field import FFMatrix, FieldElement, gf, matrix_rref
+from kuni.field import FFMatrix, FieldElement, gf, make_field, matrix_rref, rank_of_rows
 from kuni.states import (
     FibredState,
     SparseState,
@@ -29,6 +29,7 @@ from kuni.states import (
     cl_plus_q,
     cl_plus_q_fibred,
     cl_plus_q_repetition,
+    code_fibred,
     ghz,
     local_fourier,
     state_from_code,
@@ -331,19 +332,22 @@ def test_sweeps_with_and_without_the_rank_path_agree(monkeypatch):
 
 
 def _checked_coset(table):
-    """table.coset, checked against the definition word by word: not None
-    exactly when the keys are distinct, of one |amp|^2, and x0 + D for x0
-    the first key and D closed under + and scalar *; then its rows are in
-    RREF and span D."""
+    """The RREF rows of table.coset (None where it is None), checked against
+    the definition word by word: not None exactly when the keys are distinct,
+    of one |amp|^2, and x0 + D for x0 the first key and D closed under + and
+    scalar *; then the code is over the table's field and of its length, its
+    rows are in RREF and span D."""
     sp, keys = table.spec, list(table.terms)
     x0 = keys[0] if keys else None
     D = {tuple(map(sp.sub, key, x0)) for key in keys}
     is_coset = (table.norm is not None and keys and len(D) == len(keys)
                 and all(tuple(map(sp.add, u, v)) in D for u in D for v in D)
                 and all(tuple(sp.mul(c, x) for x in u) in D for u in D for c in range(sp.q)))
-    T = table.coset
+    code = table.coset
+    T = None if code is None else list(map(tuple, code.rref.data))
     assert (T is not None) == bool(is_coset), (keys, T)
     if T is not None:
+        assert code.spec == sp and code.n == table.n
         assert FFMatrix(sp, T, table.n) == matrix_rref(FFMatrix(sp, T, table.n))[0]
         span = {(0,) * table.n}
         for row in T:
@@ -419,6 +423,50 @@ def test_only_a_coset_support_of_one_norm_takes_the_rank_path():
             assert verify._by_rank(table, S) and is_maximally_mixed(reduced_density(table, S))[0]
         with pytest.raises(TooLarge, match=r"257\^2 exceeds the matrix cap"):
             next(verify._decisions(table, [(0, 1)]))
+
+
+def _sliced_by_rank(table, S):
+    """The rank path's decision by its first formula: T's rows cut to the
+    columns of S^c and of S, each cut eliminated in full."""
+    if table.coset is None:
+        return False
+    T, spec = table.coset.rref.data, table.spec
+    rest = [i for i in range(table.n) if i not in S]
+    return (rank_of_rows(spec, [[row[i] for i in rest] for row in T]) == len(T)
+            and rank_of_rows(spec, [[row[i] for i in S] for row in T]) == len(S))
+
+
+def test_rank_path_reads_the_column_ranks_the_slices_give():
+    # every subset up to n // 2 of every oracle table, the sampled ones included
+    decided = Counter()
+    for name, state, _ in _oracle_states():
+        table = verify.KeyTable.of(state)
+        for S in itertools.chain.from_iterable(
+                itertools.combinations(range(table.n), size) for size in range(1, table.n // 2 + 1)):
+            by_rank = verify._by_rank(table, S)
+            assert by_rank == _sliced_by_rank(table, S), (name, S)
+            decided[name, by_rank] += 1
+    # both decisions are reached, and the non-coset tables decide nothing
+    assert ("ame_7_4", True) in decided and ("ghz", False) in decided and ("ghz", True) in decided
+    assert not {(name, True) for name in ("local_fourier", "random", "random_multi",
+                                          "ame_7_4_pool")} & set(decided)
+
+
+def test_key_table_is_over_the_field_of_its_state():
+    # GF(8) by x^3 + x^2 + 1, not gf(8)'s modulus: over gf(8) the code's words
+    # are no subspace, and every subset went through rho_S
+    sp = make_field(2, 3, (1, 0, 1, 1))
+    assert sp != gf(8)
+    code = mds_from_singleton(5, 3, sp)
+    for state in (state_from_code(code), code_fibred(code)):
+        table = verify.KeyTable.of(state)
+        assert table.spec == sp and _checked_coset(table) is not None
+        calls = []
+        original = verify.reduced_density
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "reduced_density", lambda *args: calls.append(args) or original(*args))
+            report = uniformity(state)
+        assert (report.max_verified_k, report.tallies, calls) == (2, {1: (5, 5), 2: (10, 10)}, [])
 
 
 def test_matrix_cap_comes_before_the_rank_path():

@@ -50,8 +50,8 @@ class ReducedDensity:
 class KeyTable:
     """What the reductions of one state share, in term order: each key as one
     integer code (`FieldSpec.pack`), so that its row code for S is the code
-    masked to the bits of S and its complement code the rest; the one
-    |amp|^2 of all amplitudes (None when they differ); and each amplitude's
+    masked to the bits of S and its complement code the rest; the one |amp|^2
+    of all amplitudes (None when they differ as values); and each amplitude's
     nonzero (exponent t, coefficient c) pairs.  The site columns it is built
     from are not kept.
 
@@ -72,7 +72,10 @@ class KeyTable:
         objects = dict(zip(map(id, amps), amps))
         distinct = {amp.coeffs: amp for amp in objects.values()}
         pairs_of = {coeffs: [(t, x) for t, x in enumerate(coeffs) if x] for coeffs in distinct}
-        norms = {(amp * amp.conj()).coeffs for amp in distinct.values()}
+        # one |amp|^2 per coefficient vector, then compared as values: a
+        # Cyclotomic hashes its reduction mod Phi_q, so the amplitudes 0 -1 -1
+        # and 1 0 0 over q = 3 have one |amp|^2
+        norms = set({(v := amp * amp.conj()).coeffs: v for amp in distinct.values()}.values())
         self.norm = next(iter(norms)) if len(norms) == 1 else None
         pairs_by_id = {i: pairs_of[amp.coeffs] for i, amp in objects.items()}
         try:
@@ -153,7 +156,8 @@ def reduced_density(state, subset) -> ReducedDensity:
     if len(set(S)) < len(S) or S and not 0 <= S[0] <= S[-1] < state.n:
         raise ShapeMismatch(f"subset {S} is not a set of sites in [0, {state.n})")
     q = state.q
-    _cap(q, S)
+    if q ** len(S) > MAX_RHO_DIM:
+        raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
     table = KeyTable.of(state)
     row_mask, group_mask = table.masks(S)
     codes = table.codes
@@ -186,11 +190,6 @@ def reduced_density(state, subset) -> ReducedDensity:
             r, c = divmod(rc, span)
             entries[(symbols[r], symbols[c])] = Cyclotomic(q, vec)
     return ReducedDensity(S, q, entries)
-
-
-def _cap(q: int, S):
-    if q ** len(S) > MAX_RHO_DIM:
-        raise TooLarge(f"q^|S| = {q}^{len(S)} exceeds the matrix cap {MAX_RHO_DIM}")
 
 
 def _by_rank(table: KeyTable, S) -> bool:
@@ -288,12 +287,11 @@ def _combination(n: int, size: int, index: int) -> tuple:
 
 def _decisions(table: KeyTable, subsets):
     """(S, ok, witness) for each subset in order: the one place a sweep asks
-    whether rho_S is maximally mixed.  The matrix cap is checked first, on
-    every subset (`TooLarge`); then a subset that passes by rank (`_by_rank`)
-    needs no rho_S, and every other one is decided by reduced_density and
+    whether rho_S is maximally mixed.  A subset that passes by rank
+    (`_by_rank`) needs no rho_S, and so meets no matrix cap; every other one
+    is decided by reduced_density, whose cap (`TooLarge`) guards rho_S, and
     is_maximally_mixed."""
     for S in subsets:
-        _cap(table.q, S)
         if _by_rank(table, S):
             yield S, True, None
         else:

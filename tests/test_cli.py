@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import stat
 import subprocess
@@ -12,10 +13,12 @@ from pathlib import Path
 import pytest
 
 import kuni
+from kuni import verify
 from kuni.cli import EXIT_OK, EXIT_REFUTED, EXIT_SAMPLED, EXIT_USAGE, _digest, main
-from kuni.states import FibredState, SparseState, bell, format_state, ghz, parse_state
+from kuni.states import (FibredState, SparseState, ame_19_17_matrices, bell, format_state, ghz,
+                         parse_state)
 from kuni.codes import LinearCode, format_code, singleton_array
-from kuni.field import FFMatrix, gf
+from kuni.field import FFMatrix, format_matrix, gf
 from test_golden import RANK1_Q7
 
 
@@ -108,6 +111,49 @@ def test_verify_refutes_ghz(tmp_path, capsys):
     assert code == EXIT_REFUTED and "first failure" in out
     # the label is the verdict, not the mode
     assert "uniformity k = 1 [refuted]" in out and "certified" not in out
+
+
+def _counted_reductions(monkeypatch) -> list:
+    """The subsets of this test's reduced_density calls, as they are made."""
+    calls, original = [], verify.reduced_density
+    monkeypatch.setattr(verify, "reduced_density",
+                        lambda state, S: calls.append(S) or original(state, S))
+    return calls
+
+
+@pytest.mark.parametrize("n, k, q", [(8, 4, 11), (6, 3, 17)])
+def test_verify_certifies_an_mds_code_state_past_the_matrix_cap(monkeypatch, tmp_path, capsys,
+                                                                  n, k, q):
+    # q^k = 14,641 and 4,913 rows would be over the matrix cap of rho_S, but
+    # two ranks decide every subset up to n // 2 = k, and no rho_S is built
+    monkeypatch.chdir(tmp_path)
+    argv = ["--n", str(n), "--k", str(k), "--q", str(q)]
+    assert run(capsys, "codes", "mds", *argv, "-o", "code.txt")[0] == EXIT_OK
+    assert run(capsys, "construct", "from-code", "--code", "code.txt", "-o", "code.state")[0] == 0
+    calls = _counted_reductions(monkeypatch)
+    code, out, err = run(capsys, "verify", "code.state", "--json")
+    assert (code, err, calls) == (EXIT_OK, "", [])
+    doc = json.loads(out)["uniformity"]
+    assert (doc["mode"], doc["max_verified_k"], doc["first_failure"], doc["support"]) == (
+        "exhaustive", k, None, q ** k)
+    assert doc["tallies"] == {str(s): [math.comb(n, s)] * 2 for s in range(1, k + 1)}
+
+
+def test_an_amplitude_written_another_way_keeps_the_rank_path(monkeypatch, tmp_path, capsys):
+    # 0 -1 -1 is -w - w^2 = 1 over q = 3: |amp|^2 is compared by value, so
+    # every subset of the AME(4,3) code state still passes by rank, and the
+    # document is the one of every subset through rho_S
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "construct", "from-code", "--n", "4", "--k", "2", "--q", "3", "-o", "a.state")
+    text = Path("a.state").read_text()
+    assert "\n1 1 2 0 : 1 0 0\n" in text
+    Path("a.state").write_text(text.replace("\n1 1 2 0 : 1 0 0\n", "\n1 1 2 0 : 0 -1 -1\n"))
+    calls = _counted_reductions(monkeypatch)
+    by_rank = run(capsys, "verify", "a.state", "--json")
+    assert calls == []
+    monkeypatch.setattr(verify, "_by_rank", lambda table, S: False)
+    assert run(capsys, "verify", "a.state", "--json") == by_rank and len(calls) == 10
+    assert by_rank[0] == EXIT_OK and json.loads(by_rank[1])["uniformity"]["max_verified_k"] == 2
 
 
 def test_construct_builtin_state(tmp_path, capsys):
@@ -630,7 +676,8 @@ def test_matrix_builtin_refuses_an_output_file(tmp_path):
     proc = _run_process("-m", "kuni.cli", "construct", "builtin", "--name", "ame_19_17_matrices",
                         "-o", "x.state", cwd=tmp_path)
     assert proc.returncode == EXIT_USAGE and proc.stdout == ""
-    assert proc.stderr.startswith("error:") and "-o" in proc.stderr
+    assert proc.stderr == ("error: ame_19_17_matrices writes matrices: -o does not apply, "
+                           "use --emit-g and --emit-q\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -727,6 +774,29 @@ def test_a_failed_pair_write_keeps_the_old_pair(monkeypatch, tmp_path, capsys, a
     assert code == EXIT_USAGE and err.startswith("error:")
     assert "nodir/q.txt" in err and ".tmp" not in err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old  # and no .tmp
+
+
+def test_a_failed_rename_keeps_the_files_renamed_before_it(monkeypatch, tmp_path, capsys):
+    # every write finished, then the second rename fails: the first file is
+    # already replaced, the second keeps its old text, and no .tmp is left
+    monkeypatch.chdir(tmp_path)
+    for name in ("g", "q"):
+        Path(name).write_text("an earlier run\n")
+    replace, renamed = os.replace, []
+
+    def fail_second(src, dst):
+        renamed.append(dst)
+        if len(renamed) == 2:
+            raise OSError(f"cannot rename {src}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_second)
+    code, out, err = run(capsys, "construct", "builtin", "--name", "ame_19_17_matrices",
+                         "--emit-g", "g", "--emit-q", "q")
+    assert (code, out) == (EXIT_USAGE, "") and err.startswith("error: cannot rename")
+    assert Path("g").read_text() == format_matrix(ame_19_17_matrices()[0])
+    assert Path("q").read_text() == "an earlier run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "q"]
 
 
 def test_two_outputs_to_one_path_keep_the_old_file(monkeypatch, tmp_path, capsys):

@@ -29,7 +29,7 @@ from kuni.errors import (
     UnknownName,
     UnsupportedSize,
 )
-from kuni.field import FFMatrix, gf, matrix_rank
+from kuni.field import FFMatrix, gf, make_field, matrix_rank
 from kuni.states import (
     FibredState,
     SparseState,
@@ -75,6 +75,14 @@ def test_equality_is_semantic():
     a = SparseState(1, sp, {(0,): Cyclotomic(3, [1, 1, 1])})  # amp reduces to 0
     b = SparseState(1, sp, {})
     assert a.equals(b) and b.equals(a)
+    # the same terms are another state over another modulus of GF(8), and
+    # a state of other n is no state of this one
+    fields = (gf(8), make_field(2, 3, (1, 0, 1, 1)))
+    a, b = (SparseState(2, sp, {(1, 2): one(8), (3, 4): one(8)}) for sp in fields)
+    assert fields[0] != fields[1] and a.terms.keys() == b.terms.keys()
+    assert not a.equals(b) and not b.equals(a) and a.equals(a)
+    wider = SparseState(3, gf(3), {(0, 0, 0): one(3)})
+    assert not SparseState(2, gf(3), {(0, 0): one(3)}).equals(wider)
 
 
 def test_bell_ghz_supports():

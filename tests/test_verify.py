@@ -16,7 +16,8 @@ from kuni.cyclotomic import Cyclotomic, _poly_divmod_exact, cyclotomic_polynomia
 from kuni.decomposition import QMatrix, construct_G_Q
 from kuni.errors import (KuniError, NonPrimeQ, ShapeMismatch, SpecMismatch, SupportBelowRankBound,
                          TooLarge)
-from kuni.field import FFMatrix, FieldElement, gf, make_field, matrix_rref, rank_of_rows
+from kuni.field import (FFMatrix, FieldElement, FieldSpec, gf, make_field, matrix_rref,
+                        rank_of_rows)
 from kuni.states import (
     FibredState,
     SparseState,
@@ -469,17 +470,46 @@ def test_key_table_is_over_the_field_of_its_state():
         assert (report.max_verified_k, report.tallies, calls) == (2, {1: (5, 5), 2: (10, 10)}, [])
 
 
-def test_matrix_cap_comes_before_the_rank_path():
-    # a code state of support 17^3 = 4,913: every 3-subset passes by rank, but
-    # q^|S| = 4,913 is over the cap, so the sweep still raises at |S| = 3
+def test_key_table_frees_itself_when_packing_runs_out_of_memory(monkeypatch):
+    # the traceback keeps the half-built table alive: it must hold nothing
+    def no_memory(self, columns):
+        raise MemoryError("no room for the codes")
+
+    monkeypatch.setattr(FieldSpec, "pack", no_memory)
+    state = state_from_code(mds_from_singleton(4, 2, gf(3)))
+    table = verify.KeyTable.__new__(verify.KeyTable)
+    with pytest.raises(MemoryError, match="no room for the codes"):
+        table.__init__(state.spec, *state.columns())
+    assert table.__dict__ == {}
+
+
+def test_rank_path_comes_before_the_matrix_cap(monkeypatch):
+    # a code state of support 17^3 = 4,913: every 3-subset passes by rank, so
+    # q^|S| = 4,913 over the cap stops no sweep; the cap guards rho_S alone
     state = state_from_code(mds_from_singleton(6, 3, gf(17)))
     table = verify.KeyTable.of(state)
     assert table.coset is not None and verify._by_rank(table, (0, 1, 2))
-    assert uniformity(table, k_max=2).tallies == {1: (6, 6), 2: (15, 15)}
-    with pytest.raises(TooLarge, match=r"17\^3 exceeds the matrix cap 4096"):
-        uniformity(table)
-    with pytest.raises(TooLarge):
-        slocc_witness(table, 2)
+    calls = []
+    original = verify.reduced_density
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "reduced_density", lambda *args: calls.append(args) or original(*args))
+        report = uniformity(table)
+        assert slocc_witness(table, 2) == (0, 1, 2)
+    assert (report.mode, report.max_verified_k, report.first_failure) == ("exhaustive", 3, None)
+    assert report.tallies == {1: (6, 6), 2: (15, 15), 3: (20, 20)} and calls == []
+    # a 4-subset's complement is not injective on the support: only rho_S
+    # decides it, and its 17^4 rows are over the cap
+    assert not verify._by_rank(table, (0, 1, 2, 3))
+    with pytest.raises(TooLarge, match=r"17\^4 exceeds the matrix cap 4096"):
+        next(verify._decisions(table, [(0, 1, 2, 3)]))
+    with pytest.raises(TooLarge, match=r"17\^4 exceeds the matrix cap 4096"):
+        slocc_witness(table, 3)
+    for S in ((0, 1, 2), (3, 4, 5)):  # reduced_density itself keeps its cap
+        with pytest.raises(TooLarge, match=r"17\^3 exceeds the matrix cap 4096"):
+            reduced_density(table, S)
+    # Bell over GF(257) at |S| = 2: no complement is left to be injective
+    with pytest.raises(TooLarge, match=r"257\^2 exceeds the matrix cap 4096"):
+        slocc_witness(bell(gf(257), 5, 3), 1)
 
 
 def test_phase_flip_refutes_dense_ame_where_groups_interfere():

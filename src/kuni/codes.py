@@ -285,7 +285,7 @@ def _nonzero_minors(spec: FieldSpec, A) -> int | None:
         for i, prow in enumerate(M[:-1]):
             below = M[i + 1:]
             for j in range(len(prow) - 1):
-                neg_inv, tail = spec.neg(spec.inv(prow[j])), prow[j + 1:]
+                neg_inv, tail = spec.neg_inverses[prow[j]], prow[j + 1:]
                 S = [spec.axpy(spec.mul(row[j], neg_inv), row[j + 1:], tail) for row in below]
                 if any(0 in row for row in S):
                     return None
@@ -304,7 +304,7 @@ def _packed_minors(spec: FieldSpec, A) -> int | None:
     Lanes stay below V = p^3; W leaves no carry between lanes and makes the
     quotient floor(x mu / 2^s) exactly floor(x / p) for every x < V.
     """
-    p, inv, w = spec.p, spec.inv, len(A[0])
+    p, neg_inv, w = spec.p, spec.neg_inverses, len(A[0])
     V = p ** 3
     s = (V * p).bit_length()
     mu = (1 << s) // p + 1
@@ -326,10 +326,10 @@ def _packed_minors(spec: FieldSpec, A) -> int | None:
         M, rows, cols = stack.pop()
         for R in range(rows - 1, 0, -1):
             at = M >> stride * (rows - 1 - R)
+            below = at >> stride
             for C in range(cols - 1, 0, -1):
                 col, row, block, quotient, fill, top = masks[R, C]
-                below = at >> stride
-                S = (below >> W & block) + (below & col) * (p - inv(at & lane)) * (at >> W & row)
+                S = (below >> W & block) + (below & col) * neg_inv[at & lane] * (at >> W & row)
                 S -= (S * mu >> s & quotient) * p
                 if (S + fill) & top != top:
                     return None
@@ -337,6 +337,7 @@ def _packed_minors(spec: FieldSpec, A) -> int | None:
                 if R > 1 and C > 1:
                     stack.append((S, R, C))
                 at >>= W
+                below >>= W
     return visited
 
 
@@ -364,11 +365,7 @@ class SingletonArray:
 
 def singleton_array(spec: FieldSpec) -> SingletonArray:
     gamma = primitive_element(spec)
-    a = [0] * max(spec.q - 1, 1)
-    g = 1
-    for i in range(1, spec.q - 1):
-        g = spec.mul(g, gamma.repr)
-        a[i] = spec.inv(spec.sub(1, g))
+    a = [0] + [spec.inv(spec.sub(1, spec.pow(gamma.repr, i))) for i in range(1, spec.q - 1)]
     return SingletonArray(spec, gamma, tuple(a))
 
 

@@ -14,7 +14,7 @@ import itertools
 import math
 import sys
 from functools import cached_property, lru_cache
-from operator import add, index, lshift, mod, or_
+from operator import add, index, lshift, mod, mul, or_
 
 from .errors import (
     DivisionByZero,
@@ -38,11 +38,6 @@ _DEFAULT_MODULI = {
     (2, 4): (1, 1, 0, 0, 1),    # x^4 + x + 1
     (3, 2): (1, 0, 1),          # x^2 + 1
 }
-
-# Cache full addition, negation and multiplication tables only for small
-# extension fields.
-_MUL_TABLE_MAX_Q = 64
-
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
@@ -113,71 +108,63 @@ class FieldSpec:
         if not _is_irreducible(modulus, p):
             raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.p, self.m, self.q, self.modulus = p, m, q, modulus
-        self._add_table = self._neg_table = self._mul_table = self._inv_table = None
-        if m > 1 and q <= _MUL_TABLE_MAX_Q:
-            self._build_tables()
-        elif m == 1:
-            self._inv_table = [0] + [pow(a, q - 2, q) for a in range(1, q)]
 
-    # -- encoding ------------------------------------------------------------
+    @cached_property
+    def _tables(self) -> tuple:
+        """(exp, log, zech) of the least-repr generator g, built once per field
+        the first time an operation reads them: exp[i] = g^i for i < 2(q - 1),
+        so that a sum of two logs indexes it unreduced; log[exp[i]] = i, None
+        at 0; over an odd-p extension field zech[i] = log(1 + g^i), else None.
+        g is the least r whose powers (r x mod p over GF(p), else the digit
+        product mod the modulus) reach q - 1 values before 1."""
+        p, q = self.p, self.q
+        weights = [p ** i for i in range(self.m)]  # of the base-p digits of a repr
+        for g in range(1, q):
+            powers, x = [1], g
+            xp = gp = [g // w % p for w in weights]
+            while x != 1:
+                powers.append(x)
+                if self.m == 1:
+                    x = x * g % p
+                else:
+                    xp = _poly_mulmod(gp, xp, self.modulus, p)
+                    x = sum(map(mul, xp, weights))
+            if len(powers) == q - 1:
+                break
+        log = [None] * q
+        for i, x in enumerate(powers):
+            log[x] = i
+        # 1 + x changes only the lowest digit of x, and log[0] is None
+        zech = [log[x - x % p + (x + 1) % p] for x in powers] if self.m > 1 and p > 2 else None
+        return powers * 2, log, zech
 
-    def _to_poly(self, r: int) -> list:
-        """Base-p digits of r, low first, without the zero digits above the top."""
-        p = self.p
-        out = []
-        while r:
-            out.append(r % p)
-            r //= p
-        return out
-
-    def _from_poly(self, coeffs) -> int:
-        """Int repr of a coefficient list with entries in [0, p)."""
-        r, p = 0, self.p
-        for c in reversed(coeffs):
-            r = r * p + c
-        return r
-
-    def _build_tables(self):
-        """Cache add, neg and mul of a small extension field: the tables are
-        filled by the digit-level methods, called while they are still unset."""
-        q = self.q
-        add = [[self.add(a, b) for b in range(q)] for a in range(q)]
-        neg = [self.neg(a) for a in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                mul[a][b] = mul[b][a] = self.mul(a, b)
-        self._add_table, self._neg_table, self._mul_table = add, neg, mul
-        self._inv_table = [0] + [row.index(1) for row in mul[1:]]
+    @cached_property
+    def neg_inverses(self) -> list:
+        """-1/a at each repr a (0 at 0), built once per field: a pivot's factor."""
+        return [0] + [self.neg(self.inv(a)) for a in range(1, self.q)]
 
     # -- int-repr arithmetic --------------------------------------------------
+    # A prime field adds, negates and multiplies mod p; everything else reads
+    # the tables: GF(2^m) adds by XOR, an odd-p extension field by Zech logs.
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        p = self.p
-        r, pw = 0, 1
-        while a or b:
-            r += ((a + b) % p) * pw
-            a //= p
-            b //= p
-            pw *= p
-        return r
+        if self.p == 2:
+            return a ^ b
+        if not a or not b:
+            return a or b
+        exp, log, zech = self._tables
+        z = zech[(log[b] - log[a]) % (self.q - 1)]  # a + b = a (1 + b/a)
+        return 0 if z is None else exp[log[a] + z]
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        p = self.p
-        r, pw = 0, 1
-        while a:
-            r += ((-a) % p) * pw
-            a //= p
-            pw *= p
-        return r
+        if self.p == 2 or not a:
+            return a
+        exp, log, _ = self._tables
+        return exp[log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -185,21 +172,30 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._from_poly(
-            _poly_mulmod(self._to_poly(a), self._to_poly(b), self.modulus, self.p)
-        )
+        if not a or not b:
+            return 0
+        exp, log, _ = self._tables
+        return exp[log[a] + log[b]]
 
     def axpy(self, f: int, xs, ys) -> list:
         """[x + f*y for x, y in zip(xs, ys)]: one row update of an elimination."""
         if self.m == 1:
             p = self.p
             return [(x + f * y) % p for x, y in zip(xs, ys)]
-        if self._mul_table is not None:
-            add, fy = self._add_table, self._mul_table[f]
-            return [add[x][fy[y]] for x, y in zip(xs, ys)]
-        return [self.add(x, self.mul(f, y)) if y else x for x, y in zip(xs, ys)]
+        if not f:
+            return list(xs)
+        exp, log, zech = self._tables
+        lf, o, out = log[f], self.q - 1, []
+        if self.p == 2:
+            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(xs, ys)]
+        for x, y in zip(xs, ys):
+            if x and y:
+                z = zech[(lf + log[y] - log[x]) % o]
+                x = 0 if z is None else exp[log[x] + z]
+            elif y:
+                x = exp[lf + log[y]]
+            out.append(x)
+        return out
 
     def log(self, N: int):
         """r with q^r = N, by an exact power search; None when N is no power of q."""
@@ -211,9 +207,6 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        # a^(q-2) by square-and-multiply
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -222,13 +215,10 @@ class FieldSpec:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        if not a or not e:
+            return 0 if e else 1  # 0^0 = 1
+        exp, log, _ = self._tables
+        return exp[log[a] * e % (self.q - 1)]
 
     # -- columns --------------------------------------------------------------
     # A column is a run of symbols: one `bytes` when q <= 256, so that adding
@@ -400,20 +390,13 @@ class FieldElement:
 
 def primitive_element(spec: FieldSpec) -> FieldElement:
     """Least-repr generator of the multiplicative group of the field."""
-    for r in range(1, spec.q):
-        if multiplicative_order(spec, r) == spec.q - 1:
-            return FieldElement(spec, r)
-    raise AssertionError("no primitive element found (unreachable for a field)")
+    return FieldElement(spec, spec._tables[0][1])
 
 
 def multiplicative_order(spec: FieldSpec, r: int) -> int:
     if r == 0:
         raise DivisionByZero("0 has no multiplicative order")
-    x, order = r, 1
-    while x != 1:
-        x = spec.mul(x, r)
-        order += 1
-    return order
+    return (spec.q - 1) // math.gcd(spec._tables[1][r], spec.q - 1)
 
 
 class FFMatrix:

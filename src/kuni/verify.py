@@ -192,15 +192,20 @@ def reduced_density(state, subset) -> ReducedDensity:
     return ReducedDensity(S, q, entries)
 
 
-def _by_rank(table: KeyTable, S) -> bool:
-    """Whether rho_S is maximally mixed by two column ranks (`column_rank`)
-    of the table's coset support x0 + T (False when it has none): rank
-    T_{S^c} = dim T makes the complement injective on the keys, so rho_S is
-    diagonal with |amp|^2 times the q^(dim T - rank T_S) keys of each row of
-    x0_S + T_S, and rank T_S = |S| fills every row.  False sends S through
-    rho_S, which gives the witness of a failure."""
+def _by_rank(table: KeyTable, S):
+    """is_maximally_mixed's (ok, witness) for rho_S by two column ranks
+    (`column_rank`) of the table's coset support x0 + T; None when T is None
+    or rank T_{S^c} < dim T.  Otherwise the complement is injective on the
+    keys, so rho_S is diagonal with |amp|^2 times the q^(dim T - rank T_S) keys
+    of each row of x0_S + T_S: rank T_S = |S| fills every row, and rank T_S <
+    |S| leaves some empty, the first key's row at S being the first nonzero."""
     T, rest = table.coset, set(range(table.n)).difference(S)
-    return T is not None and column_rank(T, rest) == T.k and column_rank(T, S) == len(S)
+    if T is None or column_rank(T, rest) < T.k:
+        return None
+    if column_rank(T, S) == len(S):
+        return True, None
+    first = table.key(table.codes[0])
+    return False, ("diag_zero", tuple(first[i] for i in sorted(S)))
 
 
 def is_maximally_mixed(rho: ReducedDensity):
@@ -287,15 +292,12 @@ def _combination(n: int, size: int, index: int) -> tuple:
 
 def _decisions(table: KeyTable, subsets):
     """(S, ok, witness) for each subset in order: the one place a sweep asks
-    whether rho_S is maximally mixed.  A subset that passes by rank
-    (`_by_rank`) needs no rho_S, and so meets no matrix cap; every other one
-    is decided by reduced_density, whose cap (`TooLarge`) guards rho_S, and
+    whether rho_S is maximally mixed.  A subset that ranks decide (`_by_rank`)
+    needs no rho_S, and so meets no matrix cap; every other one is decided by
+    reduced_density, whose cap (`TooLarge`) guards rho_S, and
     is_maximally_mixed."""
     for S in subsets:
-        if _by_rank(table, S):
-            yield S, True, None
-        else:
-            yield (S, *is_maximally_mixed(reduced_density(table, S)))
+        yield (S, *(_by_rank(table, S) or is_maximally_mixed(reduced_density(table, S))))
 
 
 def support_census(state: SparseState, k: int):

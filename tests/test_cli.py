@@ -139,6 +139,23 @@ def test_verify_certifies_an_mds_code_state_past_the_matrix_cap(monkeypatch, tmp
     assert doc["tallies"] == {str(s): [math.comb(n, s)] * 2 for s in range(1, k + 1)}
 
 
+def test_verify_refutes_an_mds_code_state_past_the_matrix_cap(monkeypatch, tmp_path, capsys):
+    # [8,3]_11 at |S| = 4: rank T_{S^c} = 3 makes rho_S diagonal and rank
+    # T_S = 3 < 4 leaves rows of it zero, so two ranks refute each 4-subset
+    # with the first key's row as witness, where 11^4 rows are over the cap
+    monkeypatch.chdir(tmp_path)
+    argv = ["--n", "8", "--k", "3", "--q", "11"]
+    assert run(capsys, "codes", "mds", *argv, "-o", "code.txt")[0] == EXIT_OK
+    assert run(capsys, "construct", "from-code", "--code", "code.txt", "-o", "code.state")[0] == 0
+    calls = _counted_reductions(monkeypatch)
+    code, out, err = run(capsys, "verify", "code.state", "--json")
+    assert (code, err, calls) == (EXIT_REFUTED, "", [])
+    doc = json.loads(out)["uniformity"]
+    assert (doc["mode"], doc["max_verified_k"], doc["first_failure"]) == (
+        "exhaustive", 3, [[0, 1, 2, 3], ["diag_zero", [0, 0, 0, 0]]])
+    assert doc["tallies"] == {"1": [8, 8], "2": [28, 28], "3": [56, 56], "4": [70, 0]}
+
+
 def test_an_amplitude_written_another_way_keeps_the_rank_path(monkeypatch, tmp_path, capsys):
     # 0 -1 -1 is -w - w^2 = 1 over q = 3: |amp|^2 is compared by value, so
     # every subset of the AME(4,3) code state still passes by rank, and the

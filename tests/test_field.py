@@ -83,25 +83,11 @@ def _reference_neg_digits(p, a):
     return r
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
-def test_extension_add_neg_tables_match_digit_loop(q):
-    # every tabled field, up to the cap q = 64: the tables must hold the
-    # digit-level add and neg and the reduced polynomial product
-    spec = gf(q)
-    assert spec._add_table is not None and spec._neg_table is not None
-    assert spec._mul_table is not None
-    for a in range(q):
-        assert spec.neg(a) == _reference_neg_digits(spec.p, a)
-        for b in range(q):
-            assert spec.add(a, b) == _reference_add_digits(spec.p, a, b)
-            assert spec.mul(a, b) == _reference_mul_poly(spec, a, b)
-
-
 @pytest.mark.parametrize("q", [2, 3, 65521, 8, 9, 81, 512, 127, 131, 256])
 def test_add_each_matches_add(q):
     # the column methods add to each symbol as add and mul do one at a time:
-    # bytes columns over prime fields, tabled extension fields and GF(81),
-    # tuple columns over GF(65521) and GF(2^9), whose add is digit by digit
+    # bytes columns over prime and extension fields up to q = 256, tuple
+    # columns over GF(65521), added mod p, and GF(2^9), added by add
     spec = gf(q)
     kind = bytes if q <= 256 else tuple
     rng = random.Random(q)
@@ -160,26 +146,44 @@ def _reference_mul_poly(spec, a, b):
     return sum(c % p * p ** i for i, c in enumerate(prod[:m]))
 
 
-@pytest.mark.parametrize("q", [81, 125, 128, 243])
-def test_extension_arithmetic_above_the_table_cap(q):
-    # q > 64 with m > 1 keeps no tables: add and neg run the digit loop, mul
-    # the polynomial product and inv the power a^(q-2)
-    spec = gf(q)
-    assert spec.m > 1 and spec._add_table is None and spec._mul_table is None
-    for a in range(q):
+def _reference_order(spec, r):
+    """The least t >= 1 with r^t = 1, by repeated mul."""
+    x, t = r, 1
+    while x != 1:
+        x, t = spec.mul(x, r), t + 1
+    return t
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 17, 25, 27, 32, 49, 64,
+                               81, 125, 128, 243, 257, 65521])
+def test_table_arithmetic_matches_the_references(q):
+    # the log tables behind every inverse and power and all extension-field
+    # arithmetic: add, neg and mul against the digit references (mul for
+    # every pair up to q = 64, add up to q = 243, a sample above); inverses;
+    # pow against repeated mul; orders against a loop; g the least generator
+    spec, rng = gf(q), random.Random(q)
+    elements = range(q) if q <= 256 else [0, 1, q - 1] + rng.sample(range(2, q - 1), 200)
+    pairs = list(itertools.product(elements, repeat=2))
+    sample = pairs if q <= 64 else rng.sample(pairs, 2000)
+    for a in elements:
         assert spec.neg(a) == _reference_neg_digits(spec.p, a)
-        for b in range(q):
-            assert spec.add(a, b) == _reference_add_digits(spec.p, a, b)
-    rng = random.Random(q)
-    for _ in range(300):
-        a, b, c = (rng.randrange(q) for _ in range(3))
-        assert spec.mul(a, b) == _reference_mul_poly(spec, a, b) == spec.mul(b, a)
-        assert spec.mul(a, 1) == a and spec.mul(a, 0) == 0
-        assert spec.mul(spec.mul(a, b), c) == spec.mul(a, spec.mul(b, c))
-        assert spec.mul(a, spec.add(b, c)) == spec.add(spec.mul(a, b), spec.mul(a, c))
-        assert spec.add(spec.add(a, b), c) == spec.add(a, spec.add(b, c))
+    for a, b in pairs if q <= 243 else sample:
+        assert spec.add(a, b) == _reference_add_digits(spec.p, a, b)
+    for a, b in sample:
+        assert spec.mul(a, b) == _reference_mul_poly(spec, a, b)
+    for a in elements:
+        x = 1
+        for e in range(6):
+            assert spec.pow(a, e) == x
+            x = spec.mul(x, a)
         if a:
             assert spec.mul(a, spec.inv(a)) == 1 and spec.pow(a, q - 1) == 1
+    assert spec.pow(0, 0) == 1 and spec.pow(0, q) == 0
+    g = int(primitive_element(spec))
+    assert _reference_order(spec, g) == q - 1
+    assert all(_reference_order(spec, r) < q - 1 for r in range(1, g))
+    for r in list(elements)[1:40] + [g, q - 1]:
+        assert multiplicative_order(spec, r) == _reference_order(spec, r)
 
 
 def _mobius(n):
@@ -460,7 +464,7 @@ def _reference_row_vector_mul(M, v):
 
 @pytest.mark.parametrize("q", [7, 16, 81])
 def test_row_vector_mul_matches_per_entry_reference(q):
-    # a prime field, a tabled extension field and one above the table cap;
+    # a prime field, GF(2^4) and GF(3^4);
     # zero entries in v and in M, and matrices with no rows or no columns
     sp = gf(q)
     rng = random.Random(q)

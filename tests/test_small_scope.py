@@ -26,13 +26,16 @@ def test_the_enumerator_gives_each_affine_support_once():
 
 
 def test_every_rank_pass_is_maximally_mixed_on_every_small_support():
-    # q = 2 with n <= 4, q = 3 with n <= 3, q = 4 with n <= 2; five
-    # amplitude patterns a support, every nonempty subset of sites
-    checks = decided = 0
+    # and every refutation by rank is rho_S's, witness included, and ranks
+    # decide exactly the subsets whose complement is injective: q = 2 with
+    # n <= 4, q = 3 with n <= 3, q = 4 with n <= 2; five amplitude patterns
+    # a support, every nonempty subset of sites
+    checks = passes = refutations = 0
     for q, n_max in ((2, 4), (3, 3), (4, 2)):
         for n in range(1, n_max + 1):
-            c, d, disagreement = small_scope.check(q, n)
+            c, p, r, disagreement = small_scope.check(q, n)
             assert disagreement is None
-            checks, decided = checks + c, decided + d
-    # 3,426 pass by rank when |amp|^2 is compared by coefficient vector
-    assert (checks, decided) == (32360, 4568)
+            checks, passes, refutations = checks + c, passes + p, refutations + r
+    # 3,426 pass by rank when |amp|^2 is compared by coefficient vector; the
+    # refutations went through rho_S while the rank path returned a bool
+    assert (checks, passes, refutations) == (32360, 4568, 10441)

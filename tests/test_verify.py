@@ -200,9 +200,10 @@ def _injective(state, S):
 
 def test_sweep_matches_product_by_product_oracle(monkeypatch):
     """uniformity builds one KeyTable and passes it to both deciders of the
-    sweep; each subset it checks, exhaustive or sampled, is decided once:
-    passed by rank where the oracle's rho_S is injective and maximally mixed,
-    else with the oracle's entries, order and coefficients."""
+    sweep; each subset it checks, exhaustive or sampled, is decided once: by
+    rank, with the oracle's verdict and witness, only where the complement is
+    injective on the support, else with the oracle's entries, order and
+    coefficients."""
     reduced, by_rank = verify.reduced_density, verify._by_rank
     tables = []  # per decided subset, the table its decider read
 
@@ -216,11 +217,11 @@ def test_sweep_matches_product_by_product_oracle(monkeypatch):
         return rho
 
     def checked_rank(table, S):
-        passed = by_rank(table, S)
-        if passed:
-            assert _injective(s, S) and is_maximally_mixed(_oracle_rho(s, S)) == (True, None), S
+        decided = by_rank(table, S)
+        if decided:
+            assert _injective(s, S) and is_maximally_mixed(_oracle_rho(s, S)) == decided, S
             tables.append(table)
-        return passed
+        return decided
 
     monkeypatch.setattr(verify, "reduced_density", checked_rho)
     monkeypatch.setattr(verify, "_by_rank", checked_rank)
@@ -259,8 +260,8 @@ def _complement_injective(table, S):
 
 
 def test_rank_path_agrees_with_the_reduction_oracle():
-    """A subset passes by rank exactly when its complement is injective on the
-    support and reduced_density's rho_S is maximally mixed, on every coset
+    """Ranks decide a subset exactly when its complement is injective on the
+    support, with reduced_density's verdict and witness, on every coset
     support the tests build: every subset of the small ones, a seeded sample
     of the large ones, where rho_S costs a pass over 10^4 to 10^5 terms."""
     rng = random.Random(11)
@@ -281,25 +282,30 @@ def test_rank_path_agrees_with_the_reduction_oracle():
         k, table = _table1_table(n)
         cases.append((f"row_{n}", table, [S for size in range(1, k + 2)
                                           for S in itertools.combinations(range(n), size)]))
-    passed, failed = Counter(), Counter()
+    decided = {True: Counter(), False: Counter(), None: Counter()}  # passed, refuted, handed on
     for name, table, subsets in cases:
         if table.size > 2401:
             subsets = rng.sample(subsets, min(6, len(subsets)))
         for S in subsets:
             by_rank = verify._by_rank(table, S)
             if table.coset is None:
-                assert not by_rank, (name, S)
+                assert by_rank is None, (name, S)
                 continue
-            ok = _complement_injective(table, S) and is_maximally_mixed(reduced_density(table, S))[0]
-            assert by_rank == ok, (name, S)
-            (passed if by_rank else failed)[name] += 1
+            if _complement_injective(table, S):
+                assert by_rank == is_maximally_mixed(reduced_density(table, S)), (name, S)
+            else:
+                assert by_rank is None, (name, S)
+            decided[by_rank and by_rank[0]][name] += 1
     linear = {"ame_5_2", "ame_5_7", "ghz", "bell", "cl_plus_q", "ame_7_4", "cl_plus_q_10",
               "ame_9_7_dense", "ame_7_5", "ame_9_7", "ame_5_9", "bell_131", "ghz_257", "bell_257",
               "row_5", "row_8", "row_10", "row_11", "row_12"}
-    assert linear <= set(passed), linear - set(passed)
-    # the rank path hands on what it cannot pass: GHZ pairs, the k + 1 subsets of the rows
-    assert {"ghz", "ame_7_5", "row_5", "row_6", "row_10"} <= set(failed)
-    assert not {"local_fourier", "random", "random_multi", "ame_7_4_pool"} & (set(passed) | set(failed))
+    assert linear <= set(decided[True]), linear - set(decided[True])
+    # two ranks refute GHZ pairs and k + 1 subsets of some rows; the rank path
+    # hands on the subsets whose complement is not injective
+    assert {"ghz", "cl_plus_q", "row_6", "row_10"} <= set(decided[False])
+    assert {"ame_7_5", "row_5", "row_10"} <= set(decided[None])
+    assert not {"local_fourier", "random", "random_multi", "ame_7_4_pool"} & set().union(
+        *decided.values())
 
 
 def test_sweeps_with_and_without_the_rank_path_agree(monkeypatch):
@@ -428,13 +434,17 @@ def test_only_a_coset_support_of_one_norm_takes_the_rank_path():
 
 def _sliced_by_rank(table, S):
     """The rank path's decision by its first formula: T's rows cut to the
-    columns of S^c and of S, each cut eliminated in full."""
+    columns of S^c and of S, each cut eliminated in full; a refutation's
+    witness is the first key's symbols at S."""
     if table.coset is None:
-        return False
+        return None
     T, spec = table.coset.rref.data, table.spec
     rest = [i for i in range(table.n) if i not in S]
-    return (rank_of_rows(spec, [[row[i] for i in rest] for row in T]) == len(T)
-            and rank_of_rows(spec, [[row[i] for i in S] for row in T]) == len(S))
+    if rank_of_rows(spec, [[row[i] for i in rest] for row in T]) < len(T):
+        return None
+    if rank_of_rows(spec, [[row[i] for i in S] for row in T]) == len(S):
+        return True, None
+    return False, ("diag_zero", tuple(next(iter(table.terms))[i] for i in S))
 
 
 def test_rank_path_reads_the_column_ranks_the_slices_give():
@@ -446,11 +456,12 @@ def test_rank_path_reads_the_column_ranks_the_slices_give():
                 itertools.combinations(range(table.n), size) for size in range(1, table.n // 2 + 1)):
             by_rank = verify._by_rank(table, S)
             assert by_rank == _sliced_by_rank(table, S), (name, S)
-            decided[name, by_rank] += 1
-    # both decisions are reached, and the non-coset tables decide nothing
-    assert ("ame_7_4", True) in decided and ("ghz", False) in decided and ("ghz", True) in decided
-    assert not {(name, True) for name in ("local_fourier", "random", "random_multi",
-                                          "ame_7_4_pool")} & set(decided)
+            decided[name, by_rank and by_rank[0]] += 1
+    # a pass, a refutation and a subset handed on are each reached, and the
+    # non-coset tables decide nothing
+    assert {("ame_7_4", True), ("ghz", True), ("ghz", False), ("cl_plus_q", None)} <= set(decided)
+    assert not {(name, ok) for name in ("local_fourier", "random", "random_multi", "ame_7_4_pool")
+                for ok in (True, False)} & set(decided)
 
 
 def test_key_table_is_over_the_field_of_its_state():
@@ -725,11 +736,11 @@ def test_slocc_witness_on_a_streamed_table(monkeypatch):
         calls.append(S)
         return reduced(table, S)
 
-    def counted_if_passed(table, S):
-        passed = by_rank(table, S)
-        if passed:
+    def counted_if_decided(table, S):
+        decided = by_rank(table, S)
+        if decided:
             calls.append(S)
-        return passed
+        return decided
 
     def refuse(self):
         raise AssertionError("the witness materialized a fibred state")
@@ -742,7 +753,7 @@ def test_slocc_witness_on_a_streamed_table(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(FibredState, "materialize", refuse)
             patch.setattr(verify, "reduced_density", counted)
-            patch.setattr(verify, "_by_rank", counted_if_passed)
+            patch.setattr(verify, "_by_rank", counted_if_decided)
             S = slocc_witness(fib, k, classical_cut=n_cl)
         assert S == expected[n], n
         if S is not None:
@@ -874,18 +885,11 @@ def test_sampled_sweep_draws_indices_without_listing_subsets(monkeypatch):
     table = verify.KeyTable.of(ghz(n, gf(2)))
     swept = []
 
-    def recorded(table, S):
+    def recorded(table, S):  # each subset is handed on to a rho_S that passes
         swept.append(S)
 
-    def recorded_if_passed(table, S):  # the singletons pass by rank, the rest take rho_S
-        passed = by_rank(table, S)
-        if passed:
-            swept.append(S)
-        return passed
-
-    by_rank = verify._by_rank
-    monkeypatch.setattr(verify, "reduced_density", recorded)
-    monkeypatch.setattr(verify, "_by_rank", recorded_if_passed)
+    monkeypatch.setattr(verify, "_by_rank", recorded)
+    monkeypatch.setattr(verify, "reduced_density", lambda table, S: None)
     monkeypatch.setattr(verify, "is_maximally_mixed", lambda rho: (True, None))
     tracemalloc.start()
     try:

@@ -9,8 +9,10 @@ every subspace T by its RREF, shifted by each x0 that is 0 at T's pivots,
 one x0 per coset.  Each support carries five amplitude patterns: all ones;
 a quadratic and a cubic phase w^e(c) of the coordinates c of x - x0; two
 values of |amp|^2; and 1 written as e_0 + Phi_q on one term.
-On every nonempty subset S of sites, a pass by rank must be a maximally
-mixed rho_S (`is_maximally_mixed(reduced_density(...))`).
+On every nonempty subset S of sites, the rank path must decide S exactly
+when the table has a coset support and S's complement is injective on its
+keys, and each decision, pass or refutation, must be the verdict and
+witness of `is_maximally_mixed(reduced_density(...))`.
 
 Prints one line per q.  On the first disagreement it prints it and exits
 1; otherwise it exits 0.  Stdlib only; run from anywhere in a checkout.
@@ -76,38 +78,45 @@ def amplitude_patterns(q: int, pivots, keys):
 
 
 def check(q: int, n: int):
-    """(checks, passes by rank, first disagreement or None) over every
-    affine support of GF(q)^n, pattern and nonempty subset of sites."""
+    """(checks, passes by rank, refutations by rank, first disagreement or
+    None) over every affine support of GF(q)^n, pattern and nonempty subset
+    of sites.  A disagreement is (q, n, pattern, keys, S, the rank path's
+    decision, rho_S's)."""
     spec = gf(q)
     subsets = [S for size in range(1, n + 1) for S in itertools.combinations(range(n), size)]
-    checks = decided = 0
+    checks, decided = 0, {True: 0, False: 0}
     for pivots, keys in affine_supports(spec, n):
         columns = [spec.column(col) for col in zip(*keys)]
         for name, amps in amplitude_patterns(q, pivots, keys):
             table = verify.KeyTable(spec, columns, amps)
             for S in subsets:
                 checks += 1
-                if verify._by_rank(table, S):
-                    decided += 1
-                    ok, witness = verify.is_maximally_mixed(verify.reduced_density(table, S))
-                    if not ok:
-                        return checks, decided, (q, n, name, keys, S, witness)
-    return checks, decided, None
+                by_rank = verify._by_rank(table, S)
+                injective = len({tuple(key[i] for i in range(n) if i not in S)
+                                 for key in keys}) == len(keys)
+                decides = table.coset is not None and injective
+                if decides or by_rank is not None:
+                    rho = verify.is_maximally_mixed(verify.reduced_density(table, S))
+                    if not decides or by_rank != rho:
+                        return checks, decided[True], decided[False], (
+                            q, n, name, keys, S, by_rank, rho)
+                    decided[rho[0]] += 1
+    return checks, decided[True], decided[False], None
 
 
 def main() -> int:
     for q, n_max in FULL_SCOPE:
-        start, checks, decided = time.perf_counter(), 0, 0
+        start, checks, passes, refutations = time.perf_counter(), 0, 0, 0
         for n in range(1, n_max + 1):
-            c, d, disagreement = check(q, n)
-            checks, decided = checks + c, decided + d
+            c, p, r, disagreement = check(q, n)
+            checks, passes, refutations = checks + c, passes + p, refutations + r
             if disagreement:
-                q, n, name, keys, S, witness = disagreement
-                print(f"DISAGREE q={q} n={n} pattern={name} S={S}: passes by rank, "
-                      f"but rho_S is not maximally mixed ({witness}); keys {keys}")
+                q, n, name, keys, S, by_rank, rho = disagreement
+                print(f"DISAGREE q={q} n={n} pattern={name} S={S}: the rank path gives "
+                      f"{by_rank}, rho_S gives {rho}; keys {keys}")
                 return 1
-        print(f"q={q} n<={n_max}: {checks} checks, {decided} passed by rank, all maximally mixed "
-              f"({time.perf_counter() - start:.1f} s)")
+        print(f"q={q} n<={n_max}: {checks} checks, {passes} passed and {refutations} refuted "
+              f"by rank, each as rho_S decides ({time.perf_counter() - start:.1f} s)")
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
+import struct
 from functools import cached_property, lru_cache
 from operator import add, index, lshift, mod, mul, or_
 
@@ -115,25 +115,23 @@ class FieldSpec:
         the first time an operation reads them: exp[i] = g^i for i < 2(q - 1),
         so that a sum of two logs indexes it unreduced; log[exp[i]] = i, None
         at 0; over an odd-p extension field zech[i] = log(1 + g^i), else None.
-        g is the least r whose powers (r x mod p over GF(p), else the digit
-        product mod the modulus) reach q - 1 values before 1."""
+        A candidate r's walk (digit products mod the modulus, x over GF(p))
+        writes log[r^i] = i; g's, the first to reach q - 1 values before 1,
+        writes every entry, and no value a rejected walk reached is walked."""
         p, q = self.p, self.q
         weights = [p ** i for i in range(self.m)]  # of the base-p digits of a repr
-        for g in range(1, q):
+        log = [None] * q
+        for g in (r for r in range(1, q) if log[r] is None):
             powers, x = [1], g
             xp = gp = [g // w % p for w in weights]
             while x != 1:
+                log[x] = len(powers)
                 powers.append(x)
-                if self.m == 1:
-                    x = x * g % p
-                else:
-                    xp = _poly_mulmod(gp, xp, self.modulus, p)
-                    x = sum(map(mul, xp, weights))
+                xp = _poly_mulmod(gp, xp, self.modulus, p)
+                x = sum(map(mul, xp, weights))
             if len(powers) == q - 1:
                 break
-        log = [None] * q
-        for i, x in enumerate(powers):
-            log[x] = i
+        log[1] = 0
         # 1 + x changes only the lowest digit of x, and log[0] is None
         zech = [log[x - x % p + (x + 1) % p] for x in powers] if self.m > 1 and p > 2 else None
         return powers * 2, log, zech
@@ -257,7 +255,7 @@ class FieldSpec:
         """One integer per row of the columns (at least one): its symbols,
         bit_length(q - 1) bits each, the first column's highest.  Bytes rows of
         at most 64 bits are summed, shifted, in the 64-bit lanes of one integer
-        per 2^14 rows, with no carry between lanes."""
+        per 2^14 rows, no carry between lanes, read as little-endian words."""
         b = (self.q - 1).bit_length()
         size = len(columns[0])
         if self.q > 256 or b * len(columns) > 64:
@@ -271,7 +269,7 @@ class FieldSpec:
             for i, col in enumerate(reversed(columns)):
                 lanes[::8] = col[lo:lo + (1 << 14)]
                 total |= int.from_bytes(lanes, "little") << b * i
-            codes += memoryview(total.to_bytes(len(lanes), sys.byteorder)).cast("Q").tolist()
+            codes += struct.unpack(f"<{len(lanes) // 8}Q", total.to_bytes(len(lanes), "little"))
         return codes
 
     @cached_property

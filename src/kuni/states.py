@@ -59,7 +59,9 @@ def max_terms() -> int:
 
 
 def _check_file_size(state):
-    """Refuse the text of a state whose support * q coefficients exceed the file cap."""
+    """Refuse the text of a 0-party state, or of one over the file cap in support * q."""
+    if state.n < 1:
+        raise ShapeMismatch(f"a state file needs at least one party, state has {state.n}")
     cap = FILE_COEFFICIENTS_PER_TERM * max_terms()
     if state.support * state.q > cap:
         raise TooLarge(f"{state.support} terms of {state.q} coefficients each exceed the "
@@ -107,8 +109,6 @@ class SparseState:
     def chunks(self):
         """The text of format_state(self), one line at a time in sorted key order."""
         # the checks are made here, when called, before a line is asked for
-        if self.n < 1:  # parse_state reads only states of at least one party
-            raise ShapeMismatch(f"a state file needs at least one party, state has {self.n}")
         if self.support > max_terms():
             raise TooLarge(f"support {self.support} exceeds the term cap")
         _check_file_size(self)
@@ -298,10 +298,10 @@ class FibredState:
     def chunks(self):
         """The text of format_state(self.materialize()), one piece per word of
         `_blocks()`, in `columns()`'s order, without building the state; the
-        term cap and the file cap are checked here, before the first piece is
-        asked for.  A word costs one lookup of its label's lines (tabled per
-        label), joined by its codeword's text; no word is kept, so memory grows
-        with neither the q^k words nor the q^k * s terms."""
+        term cap, the party count and the file cap are checked here, before the
+        first piece is asked for.  A word costs one lookup of its label's lines
+        (tabled per label), joined by its codeword's text; no word is kept, so
+        memory grows with neither the q^k words nor the q^k * s terms."""
         blocks = self._blocks()
         _check_file_size(self)
         n, block, texts = self.G.cols, self._block(), {}

@@ -723,6 +723,17 @@ def test_term_cap_bounds_builtin_states(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_construct_refuses_the_state_of_a_code_of_no_party(monkeypatch, tmp_path, capsys):
+    # a [0, 0] code's state has no party, and verify reads no 0-party file:
+    # construct refuses it before the file or its .tmp is opened
+    monkeypatch.chdir(tmp_path)
+    Path("code.txt").write_text("CODE 0 0\n0 0 2 1\n")
+    code, out, err = run(capsys, "construct", "from-code", "--code", "code.txt", "-o", "z.state")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: a state file needs at least one party, state has 0\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["code.txt"]
+
+
 def test_file_cap_bounds_a_small_state_over_a_large_field(monkeypatch, tmp_path, capsys):
     # a term line holds q coefficients, and a file at most 16 a term of the
     # term cap: under KUNI_MAX_TERMS=1000, GHZ and a code state of 256 terms

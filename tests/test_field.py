@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -123,6 +124,23 @@ def test_pack_matches_per_row_codes(q):
                                           for row in rows]
 
 
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+def test_pack_reads_its_lanes_as_little_endian_words(monkeypatch, byteorder):
+    # the lanes are written little-endian, so they are read back the same
+    # way whatever the host's byte order: rows stay in row order, each code
+    # the shift-and-or fold of its row
+    monkeypatch.setattr(sys, "byteorder", byteorder)
+    rng = random.Random(5)
+    for q, n in ((7, 9), (16, 15)):
+        spec, b = gf(q), (q - 1).bit_length()
+        for length in (1, 300, (1 << 14) + 3):
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(length)]
+            codes = [0] * length
+            for col in zip(*rows):
+                codes = [code << b | x for code, x in zip(codes, col)]
+            assert spec.pack([spec.column(col) for col in zip(*rows)]) == codes
+
+
 def test_power_search_is_exact():
     # q^r = N exactly, or None; 3^40 is past a float's exact integers
     assert [gf(3).log(N) for N in (0, 1, 2, 3, 8, 9, 27, 28)] == [None, 0, None, 1, None, 2, 3, None]
@@ -184,6 +202,59 @@ def test_table_arithmetic_matches_the_references(q):
     assert all(_reference_order(spec, r) < q - 1 for r in range(1, g))
     for r in list(elements)[1:40] + [g, q - 1]:
         assert multiplicative_order(spec, r) == _reference_order(spec, r)
+
+
+def _reference_walk(spec):
+    """(exp, log, zech, walked) with every candidate r = 1, 2, ... walked in
+    full by `_reference_mul_poly` until one reaches q - 1 powers; `walked` are
+    the candidates up to g that no earlier candidate's powers reached."""
+    p, q = spec.p, spec.q
+    cycles = []
+    for r in range(1, q):
+        powers, x = [1], r
+        while x != 1:
+            powers.append(x)
+            x = _reference_mul_poly(spec, x, r)
+        cycles.append(powers)
+        if len(powers) == q - 1:
+            break
+    log = [None] * q
+    for i, x in enumerate(powers):
+        log[x] = i
+    zech = [log[_reference_add_digits(p, 1, x)] for x in powers] if spec.m > 1 and p > 2 else None
+    reached, walked = set(), []
+    for r, cycle in enumerate(cycles, 1):
+        if r not in reached:
+            walked.append(r)
+        reached.update(cycle[1:])
+    return powers * 2, log, zech, walked
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (7, 2), (5, 3),
+                                  (7, 5), (139, 2)])
+def test_one_walk_matches_the_every_candidate_reference(monkeypatch, p, m):
+    # the tables of the one walk equal those of a walk of every candidate;
+    # a candidate that an earlier walk reached is not walked, so only the
+    # candidates the reference lists multiply (1, whose walk has no product,
+    # is always the first): over GF(139^2), g = 143 and 7 of its 143 candidates
+    import kuni.field
+
+    spec, products = FieldSpec(p, m), []
+    original = kuni.field._poly_mulmod
+
+    def counted(a, *rest):
+        products.append(sum(c * p ** i for i, c in enumerate(a)))
+        return original(a, *rest)
+
+    monkeypatch.setattr(kuni.field, "_poly_mulmod", counted)
+    exp, log, zech = spec._tables
+    ref_exp, ref_log, ref_zech, walked = _reference_walk(spec)
+    assert (exp, log, zech) == (ref_exp, ref_log, ref_zech)
+    assert [1] + list(dict.fromkeys(products)) == walked
+    orders = [_reference_order(spec, r) for r in walked]
+    assert len(products) == sum(orders) - len(orders)
+    if (p, m) == (139, 2):
+        assert (exp[1], walked) == (143, [1, 2, 139, 140, 141, 142, 143])
 
 
 def _mobius(n):

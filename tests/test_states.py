@@ -811,6 +811,36 @@ def test_format_state_matches_per_symbol_formatter(state):
     assert back.equals(state) and format_state(back) == text
 
 
+def _writer_cases():
+    """(id, state) for each shape of state a writer is given: a SparseState, or
+    a FibredState that `construct` streams without materializing it."""
+    g5, g257 = gf(5), gf(257)
+    yield "code_0_0", code_fibred(LinearCode(FFMatrix(gf(2), [], 0)))
+    yield "code_4_0", code_fibred(LinearCode(FFMatrix(gf(3), [], 4)))
+    yield "code_mds", code_fibred(mds_from_singleton(5, 2, gf(8)))
+    yield "clq_direct", cl_plus_q_fibred(mds_from_singleton(4, 2, g5), bell(g5, 1, 2), "direct")
+    yield "clq_dual", cl_plus_q_fibred(mds_from_singleton(5, 2, g5), ghz(3, g5), "dual")
+    yield "repetition", repetition_fibred(*construct_G_Q(gf(4)))
+    yield "ghz_1", ghz(1, g5)
+    yield "bell", bell(g5, 2, 3)
+    seed257 = SparseState(1, g257, {(0,): one(257), (200,): Cyclotomic.root(257, 3, -2),
+                                    (256,): Cyclotomic.root(257, 250, 3)})
+    yield "gf257_seed", FibredState(FFMatrix(g257, [[1, 3]]), FFMatrix(g257, [[5]]), seed257, "X")
+
+
+@pytest.mark.parametrize("state", [pytest.param(s, id=name) for name, s in _writer_cases()])
+def test_every_writer_output_reads_back(state):
+    # parse_state reads no 0-party file, so both writers refuse a 0-party
+    # state when chunks() is called, before any text; every other state's
+    # text reads back as the state
+    if state.n < 1:
+        with pytest.raises(KuniError, match="at least one party, state has 0"):
+            state.chunks()
+        return
+    back = parse_state("".join(state.chunks()))
+    assert back.equals(state.materialize() if isinstance(state, FibredState) else state)
+
+
 def test_format_state_rejects_zero_parties():
     # the parser rejects `STATE 0 q`, so the writer must not produce it
     state = SparseState(0, gf(5), {(): Cyclotomic(5, [1, -2, 0, 3, 0])})

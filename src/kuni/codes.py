@@ -145,24 +145,21 @@ def _min_weight_brute(code: LinearCode) -> int:
 
 
 def _min_distance_rank(code: LinearCode) -> int:
-    """Minimum distance as the smallest number of dependent parity-check columns."""
-    nk = code.n - code.k
-    # a code is MDS iff its dual is, and then Singleton pins d = n-k+1 (the
-    # only feasible route for the big prime-field instances)
+    """Minimum distance: the least w with n - w columns of G of rank below k."""
+    n, k = code.n, code.k
+    # an MDS code has d = n-k+1 by Singleton (the only feasible route for the
+    # big prime-field instances); any other has k dependent columns, so w <= n-k
     if walk_minors(code) is not None:
-        return nk + 1
-    dual = dual_code(code)
-    for w in range(1, nk + 1):
-        if any(column_rank(dual, S) < w for S in itertools.combinations(range(code.n), w)):
-            return w
-    raise AssertionError("unreachable: some n-k+1 columns are always dependent")
+        return n - k + 1
+    return next(w for w in range(1, n - k + 1)
+                if any(column_rank(code, Z) < k for Z in itertools.combinations(range(n), n - w)))
 
 
 def min_distance(code: LinearCode, method: str = "auto") -> int:
     """Exact minimum nonzero codeword weight; result is cached on the code.
 
-    method: "brute" (weight scan over all codewords), "rank" (w columns of
-    the parity-check matrix independent iff d >= w+1), or "auto".
+    method: "brute" (weight scan over all codewords), "rank" (some n - w
+    columns of G of rank below k iff d <= w), or "auto".
     """
     if method not in ("auto", "brute", "rank"):  # before the cache, which any method reads
         raise ValueError(f"unknown method {method!r}")
@@ -383,23 +380,28 @@ def mds_from_singleton(n: int, k: int, spec: FieldSpec) -> LinearCode:
     return code
 
 
+def _other_columns(code: LinearCode, coord: int) -> list:
+    """Every column of G but `coord`, which must be one of G's n columns."""
+    if not 0 <= coord < code.n:
+        raise OutOfRange(f"coordinate {coord} is not in [0, {code.n}) for {code!r}")
+    return [c for c in range(code.n) if c != coord]
+
+
 def puncture(code: LinearCode, coord: int) -> LinearCode:
     """Delete one coordinate, keeping k; raises RankDrop if rank would fall."""
-    cols = [c for c in range(code.n) if c != coord]
-    try:
-        return LinearCode(code.G.select_columns(cols))
-    except RankDeficient:
-        raise RankDrop(f"puncturing coordinate {coord} drops the rank below {code.k}") from None
+    rest = _other_columns(code, coord)
+    if column_rank(code, rest) < code.k:
+        raise RankDrop(f"puncturing coordinate {coord} drops the rank below {code.k}")
+    return LinearCode(code.G.select_columns(rest))
 
 
 def shorten(code: LinearCode, coord: int) -> LinearCode:
     """Subcode of codewords vanishing at `coord`, with that coordinate deleted."""
-    sp = code.spec
-    messages = null_space(FFMatrix(sp, [code.G.col(coord)]))
-    if messages.rows == code.k:
+    rest = _other_columns(code, coord)
+    if column_rank(code, [coord]) == 0:
         raise DegenerateCoordinate(f"every codeword is already 0 at coordinate {coord}")
-    cols = [c for c in range(code.n) if c != coord]
-    return LinearCode(messages.matmul(code.G).select_columns(cols))
+    messages = null_space(FFMatrix(code.spec, [code.G.col(coord)]))
+    return LinearCode(messages.matmul(code.G).select_columns(rest))
 
 
 def mds_exists(n: int, k: int, q: int) -> bool:

@@ -314,9 +314,17 @@ def _zero_sets(code):
     return {frozenset(i for i, x in enumerate(word) if not x) for word in words}
 
 
-def test_refuted_witnesses_match_a_codeword_scan():
+def test_refuted_witnesses_match_a_codeword_scan(monkeypatch):
     # seeded random codes that is_mds refutes: each method's (checks,
-    # witness) and the rank distance, against scans of the codewords alone
+    # witness) and the rank distance, against scans of the codewords alone;
+    # the rank distance asks column_rank of the code itself, and builds no dual
+    import kuni.codes
+
+    def refused(*args):
+        raise AssertionError("the rank distance built a second code")
+
+    monkeypatch.setattr(kuni.codes, "dual_code", refused)
+    monkeypatch.setattr(kuni.codes, "null_space", refused)
     rng = random.Random(7)
     refuted = 0
     while refuted < 60:
@@ -610,6 +618,52 @@ def test_puncture_rank_drop():
     code = LinearCode(FFMatrix(gf(2), [[1, 0, 0], [0, 1, 1]]))
     with pytest.raises(RankDrop):
         puncture(code, 0)
+
+
+def test_surgery_refusals_come_before_any_elimination(monkeypatch):
+    # puncture's RankDrop is one column_rank of the code, which eliminates
+    # only the one row whose pivot is the coordinate: the punctured generator
+    # is never eliminated; shorten's DegenerateCoordinate takes no null space
+    import kuni.codes
+    import kuni.field
+
+    eliminated = []
+    rref_data = kuni.field._rref_data
+
+    def counted(spec, data):
+        eliminated.append(len(data))
+        return rref_data(spec, data)
+
+    def refused(*args):
+        raise AssertionError("shorten took a null space")
+
+    monkeypatch.setattr(kuni.field, "_rref_data", counted)
+    monkeypatch.setattr(kuni.codes, "null_space", refused)
+    rank_drop = LinearCode(FFMatrix(gf(5), [[1, 0, 0, 0], [0, 1, 2, 3], [0, 0, 1, 1]]))
+    eliminated.clear()
+    with pytest.raises(RankDrop, match="puncturing coordinate 0 drops the rank below 3"):
+        puncture(rank_drop, 0)
+    assert eliminated == [1]
+    degenerate = LinearCode(FFMatrix(gf(5), [[1, 0, 0, 2], [0, 1, 0, 3]]))
+    with pytest.raises(DegenerateCoordinate, match="already 0 at coordinate 2"):
+        shorten(degenerate, 2)
+
+
+@pytest.mark.parametrize("surgery", [puncture, shorten])
+def test_surgery_refuses_a_coordinate_the_code_does_not_have(monkeypatch, surgery):
+    # n, -1 and n + 3 name no coordinate of the [6,3]_7 code: OutOfRange,
+    # before any column is read
+    import kuni.codes
+
+    code = mds_from_singleton(6, 3, gf(7))
+
+    def refused(*args):
+        raise AssertionError("a column was read")
+
+    monkeypatch.setattr(kuni.codes, "column_rank", refused)
+    for coord in (6, -1, 9):
+        with pytest.raises(OutOfRange, match=rf"coordinate {coord} is not in \[0, 6\)"):
+            surgery(code, coord)
 
 
 def test_mds_exists_rejects_degenerate_parameters():

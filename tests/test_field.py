@@ -84,6 +84,20 @@ def _reference_neg_digits(p, a):
     return r
 
 
+@pytest.mark.parametrize("q", [7, 8, 9, 257])
+def test_axpy_by_a_zero_factor_copies_the_row(q):
+    # x + 0 y is x: a new list, from a list or a tuple, over prime fields and
+    # over extension fields of characteristic 2 and 3
+    spec = gf(q)
+    rng = random.Random(q)
+    xs = [rng.randrange(q) for _ in range(30)] + [0, q - 1, 0]
+    ys = [rng.randrange(q) for _ in range(30)] + [q - 1, 0, 0]
+    for row in (xs, tuple(xs)):
+        out = spec.axpy(0, row, ys)
+        assert type(out) is list and out == xs and out is not row
+    assert spec.axpy(1, xs, ys) == [spec.add(x, y) for x, y in zip(xs, ys)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 65521, 8, 9, 81, 512, 127, 131, 256])
 def test_add_each_matches_add(q):
     # the column methods add to each symbol as add and mul do one at a time:

@@ -7,15 +7,16 @@ the commands write.  A refactor that keeps behaviour keeps these digests.
 
 `PYTHONPATH=src python tests/test_golden.py` runs the command set in a
 temporary directory and prints both digest dicts in the layout below, so
-the pins of a commit can be recorded with one command.
+the pins of a commit can be recorded with one command.  With `--check` it
+compares them with the pins instead, names each mismatch and exits 1 on
+any; the file imports no pytest, so any supported interpreter runs it.
 """
 
 import contextlib
 import hashlib
 import io
+import sys
 from pathlib import Path
-
-import pytest
 
 from kuni.cli import main
 
@@ -216,7 +217,15 @@ def test_golden_cli_outputs(tmp_path, monkeypatch):
     assert files == GOLDEN_FILES
 
 
-@pytest.mark.parametrize("name, q", [("ame_19_17_matrices", 17), ("ame_21_19_matrices", 19)])
+MATRIX_BUILTINS = [("ame_19_17_matrices", 17), ("ame_21_19_matrices", 19)]
+
+
+def pytest_generate_tests(metafunc):
+    # the module hook parametrizes without importing pytest
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name, q", MATRIX_BUILTINS)
+
+
 def test_matrix_builtins_write_the_decompose_pair(tmp_path, monkeypatch, capsys, name, q):
     monkeypatch.chdir(tmp_path)
     assert main(["construct", "builtin", "--name", name, "--emit-g", "bg.txt",
@@ -224,6 +233,32 @@ def test_matrix_builtins_write_the_decompose_pair(tmp_path, monkeypatch, capsys,
     assert main(["decompose", "--q", str(q), "--emit-g", "dg.txt", "--emit-q", "dq.txt"]) == 0
     assert Path("bg.txt").read_bytes() == Path("dg.txt").read_bytes()
     assert Path("bq.txt").read_bytes() == Path("dq.txt").read_bytes()
+
+
+def mismatches(commands, files):
+    """One line for each pinned digest that `run_commands` did not give."""
+    lines = []
+    for kind, got, pinned in (("command", commands, GOLDEN_COMMANDS), ("file", files, GOLDEN_FILES)):
+        for key in sorted(got.keys() | pinned.keys()):
+            if got.get(key) != pinned.get(key):
+                lines.append(f"{kind} {key!r}: got {got.get(key)}, pinned {pinned.get(key)}")
+    return lines
+
+
+def test_check_names_each_mismatched_digest():
+    # the --check report: nothing for the pins, one line per wrong, missing
+    # or unpinned digest
+    commands, files = dict(GOLDEN_COMMANDS), dict(GOLDEN_FILES)
+    assert mismatches(commands, files) == []
+    commands["codes distance c7.txt --method rank"] = "00"
+    del files["bad7.txt"]
+    files["extra.txt"] = "11"
+    assert mismatches(commands, files) == [
+        f"command 'codes distance c7.txt --method rank': got 00, pinned "
+        f"{GOLDEN_COMMANDS['codes distance c7.txt --method rank']}",
+        f"file 'bad7.txt': got None, pinned {GOLDEN_FILES['bad7.txt']}",
+        "file 'extra.txt': got 11, pinned None",
+    ]
 
 
 if __name__ == "__main__":
@@ -238,6 +273,10 @@ if __name__ == "__main__":
             commands, files = run_commands()
         finally:
             os.chdir(start)  # leave the directory before it is removed
+    if sys.argv[1:] == ["--check"]:
+        wrong = mismatches(commands, files)
+        print("\n".join(wrong) or f"all {len(commands)} command and {len(files)} file digests match")
+        sys.exit(1 if wrong else 0)
     print("GOLDEN_COMMANDS = {")
     for line, digest in commands.items():
         print(f'    "{line}":\n        "{digest}",')
